@@ -410,7 +410,10 @@ pub fn fleet_exhibit(scale: u64, par: usize) -> Exhibit {
 
 /// Render the fleet exhibit from precomputed per-fleet rows.
 pub fn fleet_from(d: &experiments::FleetData) -> Exhibit {
-    let mut t = TextTable::new(&[
+    // Rows of several arrival processes (`paper fleet --arrivals SPEC`)
+    // need the process to tell them apart.
+    let by_traffic = d.rows.iter().any(|r| r.traffic != d.rows[0].traffic);
+    let mut header = vec![
         "fleet",
         "machines",
         "dispatcher",
@@ -422,7 +425,11 @@ pub fn fleet_from(d: &experiments::FleetData) -> Exhibit {
         "p95 sojourn",
         "p99 sojourn",
         "IPC",
-    ]);
+    ];
+    if by_traffic {
+        header.insert(1, "arrivals");
+    }
+    let mut t = TextTable::new(&header);
     for r in &d.rows {
         let routed = r
             .routed
@@ -430,7 +437,7 @@ pub fn fleet_from(d: &experiments::FleetData) -> Exhibit {
             .map(u64::to_string)
             .collect::<Vec<_>>()
             .join("/");
-        t.row(vec![
+        let mut row = vec![
             r.fleet.label(),
             r.machines.to_string(),
             r.dispatcher.clone(),
@@ -442,7 +449,11 @@ pub fn fleet_from(d: &experiments::FleetData) -> Exhibit {
             r.p95.to_string(),
             r.p99.to_string(),
             f2(r.ipc),
-        ]);
+        ];
+        if by_traffic {
+            row.insert(1, r.traffic.to_string());
+        }
+        t.row(row);
     }
     Exhibit {
         id: "fleet".into(),

@@ -59,18 +59,6 @@ pub struct QueueStats {
     pub depth_max: u64,
 }
 
-/// Lifetime counters of a [`WakeupSet`]: timer churn (arms supersede, so
-/// arms ≥ pops). Model-*dependent* — the cycle-accurate oracle never
-/// consults or re-arms the wakeup set — so these stay core-internal and
-/// are never exported through `RunStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WakeupStats {
-    /// Total `arm` calls (including re-arms that supersede a live timer).
-    pub arms: u64,
-    /// Total `cancel` calls (including no-op cancels of disarmed contexts).
-    pub cancels: u64,
-}
-
 /// A deterministic min-heap of timed events.
 ///
 /// Pops come out ordered by `cycle`; events scheduled for the same cycle
@@ -229,8 +217,6 @@ pub struct WakeupSet {
     seq: Vec<u64>,
     /// Monotone arm counter feeding `seq`.
     next_seq: u64,
-    /// Lifetime arm/cancel churn (core-internal; see [`WakeupStats`]).
-    stats: WakeupStats,
 }
 
 impl WakeupSet {
@@ -241,14 +227,7 @@ impl WakeupSet {
             armed: vec![false; n],
             seq: vec![0; n],
             next_seq: 0,
-            stats: WakeupStats::default(),
         }
-    }
-
-    /// Lifetime arm/cancel counters. Model-dependent (the cycle-accurate
-    /// oracle never touches the wakeup set), hence not part of `RunStats`.
-    pub fn stats(&self) -> WakeupStats {
-        self.stats
     }
 
     /// Number of contexts tracked.
@@ -264,14 +243,12 @@ impl WakeupSet {
         self.armed[ctx] = true;
         self.seq[ctx] = self.next_seq;
         self.next_seq += 1;
-        self.stats.arms += 1;
     }
 
     /// Cancel `ctx`'s wakeup (no-op when disarmed).
     #[inline]
     pub fn cancel(&mut self, ctx: usize) {
         self.armed[ctx] = false;
-        self.stats.cancels += 1;
     }
 
     /// Is `ctx` armed?
@@ -411,25 +388,6 @@ mod tests {
         assert_eq!((s.pushes, s.pops, s.depth_max), (4, 2, 3));
         q.clear();
         assert_eq!(q.stats().depth_max, 3, "lifetime stats survive clear");
-    }
-
-    #[test]
-    fn wakeup_stats_count_arm_and_cancel_churn() {
-        let mut w = WakeupSet::new(2);
-        w.arm(0, 10);
-        w.arm(0, 20); // superseding re-arm still counts
-        w.arm(1, 5);
-        w.cancel(0);
-        w.cancel(0); // no-op cancel counts too (call-site churn)
-        assert_eq!(
-            w.stats(),
-            WakeupStats {
-                arms: 3,
-                cancels: 2
-            }
-        );
-        assert_eq!(w.pop_next(), Some((5, 1)));
-        assert_eq!(w.stats().arms, 3, "pops are not arms");
     }
 
     #[test]

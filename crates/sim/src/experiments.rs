@@ -596,6 +596,8 @@ pub struct FleetRow {
     pub machines: usize,
     /// Dispatcher policy name.
     pub dispatcher: String,
+    /// Arrival process driving the cell.
+    pub traffic: TrafficSpec,
     /// Jobs that arrived fleet-wide.
     pub offered: u64,
     /// Jobs admitted and run to completion, summed over lanes.
@@ -614,7 +616,8 @@ pub struct FleetRow {
     pub ipc: f64,
 }
 
-/// Fleet-exhibit data: one row per fleet, in [`FLEET_LADDER`] order.
+/// Fleet-exhibit data: one row per fleet cell, in grid order (the
+/// [`FLEET_LADDER`] outermost, then arrival processes).
 #[derive(Debug, Clone)]
 pub struct FleetData {
     /// Run-length floor actually used (see [`fleet_plan`]).
@@ -645,26 +648,26 @@ pub fn fleet_plan(scale: u64) -> Plan {
         .scale(scale.max(FLEET_SCALE_FLOOR))
 }
 
-/// Project an executed [`fleet_plan`] sweep into exhibit rows by keyed
-/// lookup. Works on any plan whose fleet axis is explicit — the `paper`
-/// binary passes [`fleet_plan`] with the CLI's axes applied.
+/// Project every cell of an executed [`fleet_plan`] sweep into exhibit
+/// rows, in grid order. Works on any plan whose fleet axis is explicit —
+/// the `paper` binary passes [`fleet_plan`] with the CLI's axes applied, so
+/// `--arrivals` adds a second arrival process whose cells get rows too.
 pub fn fleet_data(set: &ResultSet) -> FleetData {
-    let mut rows = Vec::new();
-    for scheme in set.schemes() {
-        for fleet in set.fleets() {
-            let r = set
-                .get_fleet(scheme.name(), "LLHH-x3", fleet, MemoryModel::Real)
-                .expect("fleet grid covers every scheme x fleet");
+    let rows = set
+        .iter()
+        .map(|(key, r)| {
+            let fleet = key.fleet.expect("fleet grid cells run on a fleet");
             let t = &r.stats.traffic;
             let fs = r
                 .stats
                 .fleet
                 .as_ref()
                 .expect("fleet cells always carry FleetStats");
-            rows.push(FleetRow {
-                fleet: fleet.clone(),
+            FleetRow {
                 machines: fleet.n_machines(),
                 dispatcher: fleet.dispatcher.name().to_string(),
+                fleet,
+                traffic: key.traffic,
                 offered: t.offered,
                 completed: t.completed,
                 shed: t.shed,
@@ -673,9 +676,9 @@ pub fn fleet_data(set: &ResultSet) -> FleetData {
                 p95: t.p95_sojourn,
                 p99: t.p99_sojourn,
                 ipc: r.ipc(),
-            });
-        }
-    }
+            }
+        })
+        .collect();
     FleetData {
         scale: set.scale(),
         rows,
@@ -847,6 +850,27 @@ mod tests {
             one.p95
         );
         assert!(four.shed <= one.shed);
+    }
+
+    #[test]
+    fn fleet_data_renders_every_arrival_process() {
+        // `paper fleet --arrivals SPEC` adds a second arrival process to
+        // the ladder: its cells must get rows too.
+        let extra: TrafficSpec = "poisson:0.02".parse().unwrap();
+        let set = fleet_plan(100_000)
+            .arrival(extra)
+            .run(&Session::with_parallelism(2));
+        let d = fleet_data(&set);
+        assert_eq!(d.rows.len(), 2 * FLEET_LADDER.len());
+        for traffic in [FLEET_ARRIVALS.parse().unwrap(), extra] {
+            let fleets: Vec<String> = d
+                .rows
+                .iter()
+                .filter(|r| r.traffic == traffic)
+                .map(|r| r.fleet.label())
+                .collect();
+            assert_eq!(fleets, FLEET_LADDER, "{traffic}");
+        }
     }
 
     #[test]

@@ -112,8 +112,7 @@ pub trait Telemetry: Sync {
 
 /// The do-nothing telemetry: `ENABLED = false` monomorphizes every
 /// emission site away, so the default harness paths compile to the
-/// pre-instrumentation code (differentially benchmarked in
-/// `benches/telemetry.rs`).
+/// pre-instrumentation code.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullTelemetry;
 
