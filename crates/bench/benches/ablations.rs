@@ -10,7 +10,7 @@
 //! fan-out.
 
 use vliw_core::{parser, PriorityPolicy};
-use vliw_sim::plan::{MemoryModel, Plan, Session, WorkloadRef};
+use vliw_sim::plan::{Cell, MemoryModel, Plan, Session, WorkloadRef};
 use vliw_workloads::table2_mixes;
 
 const SCALE: u64 = 400;
@@ -58,8 +58,8 @@ fn main() {
             .axis(MemoryModel::Perfect)
             .scale(SCALE)
             .run(&session);
-        let with = set.ipc("ST", name, MemoryModel::Perfect).unwrap();
-        let without = set.ipc("ST", &variant.name, MemoryModel::Perfect).unwrap();
+        let ipc = |w: &str| set.get(&Cell::new("ST", w)).unwrap().ipc();
+        let (with, without) = (ipc(name), ipc(&variant.name));
         println!("{name:<12} {with:>10.2} {without:>12.2}");
     }
 

@@ -105,8 +105,8 @@ use vliw_bench::figures;
 use vliw_bench::Exhibit;
 use vliw_sim::experiments;
 use vliw_sim::plan::{
-    DispatcherSpec, FleetError, FleetSpec, MachineSpec, Plan, ResultSet, Session, TrafficError,
-    TrafficSpec,
+    Axis, Columns, DispatcherSpec, FleetError, FleetSpec, MachineSpec, Plan, ResultSet, Session,
+    TrafficError, TrafficSpec,
 };
 use vliw_sim::sched::SchedulerSpec;
 use vliw_trace::TraceFormat;
@@ -601,41 +601,25 @@ fn main() {
         // One header must fit every captured set, but the sets can
         // disagree on axis explicitness (the geometry exhibit always
         // sweeps machines; the paper exhibits only do under --machine):
-        // shape every row to the *union* of the captured sets' explicit
-        // axes and the flags. With nothing captured the flags alone
-        // decide, so the column layout is flag-deterministic either way.
-        let with_sched =
-            scheduler.is_some() || captured.iter().any(|(_, set)| set.sched_axis_is_explicit());
-        let with_machine = machine.is_some()
-            || captured
-                .iter()
-                .any(|(_, set)| set.machine_axis_is_explicit());
-        let with_fleet =
-            fleet.is_some() || captured.iter().any(|(_, set)| set.fleet_axis_is_explicit());
-        let with_traffic = arrivals.is_some()
-            || captured
-                .iter()
-                .any(|(_, set)| set.traffic_axis_is_explicit());
-        let with_telemetry = captured
+        // shape every row to the *union* of the captured sets' columns and
+        // the flags. With nothing captured the flags alone decide, so the
+        // column layout is flag-deterministic either way.
+        let flags = [
+            (scheduler.is_some(), Axis::Scheduler),
+            (machine.is_some(), Axis::Machine),
+            (fleet.is_some(), Axis::Fleet),
+            (arrivals.is_some(), Axis::Traffic),
+        ];
+        let captured_columns = captured
             .iter()
-            .any(|(_, set)| set.telemetry_axis_is_explicit());
-        let header = ResultSet::csv_header_for(
-            with_sched,
-            with_machine,
-            with_fleet,
-            with_traffic,
-            with_telemetry,
-        );
-        let mut s = format!("exhibit,{header}\n");
+            .fold(Columns::default(), |c, (_, set)| c | set.columns());
+        let columns = flags
+            .into_iter()
+            .filter(|&(named, _)| named)
+            .fold(captured_columns, |c, (_, axis)| c.with(axis));
+        let mut s = format!("exhibit,{}\n", columns.csv_header());
         for (id, set) in &captured {
-            s.push_str(&set.csv_rows_shaped(
-                Some(id),
-                with_sched,
-                with_machine,
-                with_fleet,
-                with_traffic,
-                with_telemetry,
-            ));
+            s.push_str(&set.csv_rows(Some(id), columns));
         }
         if let Err(err) = std::fs::write(path, s) {
             eprintln!("warning: could not write {}: {err}", path.display());

@@ -3,8 +3,9 @@
 //! Every exhibit is expressed the same way now: a `*_plan` function builds
 //! the declarative [`Plan`] (which schemes × workloads × memory models at
 //! which scale), a `*_data`/`*_rows` function projects the executed
-//! [`ResultSet`] into the exhibit's shape by *keyed lookup* (no positional
-//! index arithmetic), and a convenience wrapper runs both. `vliw-bench`'s
+//! [`ResultSet`] into the exhibit's shape by keyed lookup
+//! ([`ResultSet::get`] with a [`Cell`]) or by walking its cells
+//! ([`ResultSet::iter`]), and a convenience wrapper runs both. `vliw-bench`'s
 //! `paper` binary formats the shapes and can serialize the raw result sets
 //! via [`ResultSet::to_json`]/[`ResultSet::to_csv`].
 //!
@@ -12,7 +13,8 @@
 //! 100M-instruction runs).
 
 use crate::plan::{
-    FleetSpec, MachineSpec, MemoryModel, Plan, ResultSet, Session, TrafficSpec, WorkloadRef,
+    Axis, Cell, FleetSpec, MachineSpec, MemoryModel, Plan, ResultSet, Session, TrafficSpec,
+    WorkloadRef,
 };
 use crate::sched::SchedulerSpec;
 use std::sync::Arc;
@@ -48,17 +50,18 @@ pub fn table1_plan(scale: u64) -> Plan {
 
 /// Project an executed [`table1_plan`] sweep into Table-1 rows.
 pub fn table1_rows(set: &ResultSet) -> Vec<Table1Row> {
+    let ipc = |name: &str, memory| {
+        set.get(&Cell::new("ST", name).memory(memory))
+            .expect("table1 grid covers every benchmark")
+            .ipc()
+    };
     all_benchmarks()
         .iter()
         .map(|b| Table1Row {
             name: b.name.clone(),
             ilp: b.ilp.letter(),
-            ipcr: set
-                .ipc("ST", &b.name, MemoryModel::Real)
-                .expect("table1 grid covers every benchmark"),
-            ipcp: set
-                .ipc("ST", &b.name, MemoryModel::Perfect)
-                .expect("table1 grid covers every benchmark"),
+            ipcr: ipc(&b.name, MemoryModel::Real),
+            ipcp: ipc(&b.name, MemoryModel::Perfect),
             paper_ipcr: b.paper_ipcr,
             paper_ipcp: b.paper_ipcp,
         })
@@ -112,8 +115,9 @@ pub fn fig4_data(set: &ResultSet) -> Fig4Data {
         .iter()
         .map(|mix| {
             FIG4_SCHEMES.map(|s| {
-                set.ipc(s, mix, MemoryModel::Real)
+                set.get(&Cell::new(s, mix))
                     .expect("fig4 grid covers every scheme x mix")
+                    .ipc()
             })
         })
         .collect();
@@ -152,12 +156,12 @@ pub fn fig6_data(set: &ResultSet) -> Fig6Data {
     let rows = table2_mixes()
         .iter()
         .map(|m| {
-            let smt = set
-                .ipc("3SSS", m.name, MemoryModel::Real)
-                .expect("fig6 grid covers every mix");
-            let csmt = set
-                .ipc("3CCC", m.name, MemoryModel::Real)
-                .expect("fig6 grid covers every mix");
+            let ipc = |scheme| {
+                set.get(&Cell::new(scheme, m.name))
+                    .expect("fig6 grid covers every mix")
+                    .ipc()
+            };
+            let (smt, csmt) = (ipc("3SSS"), ipc("3CCC"));
             (m.name, smt, csmt, (smt / csmt - 1.0) * 100.0)
         })
         .collect();
@@ -222,8 +226,9 @@ pub fn fig10_data(set: &ResultSet) -> Fig10Data {
             mixes
                 .iter()
                 .map(|m| {
-                    set.ipc(s, m, MemoryModel::Real)
+                    set.get(&Cell::new(s, m))
                         .expect("fig10 grid covers every scheme x mix")
+                        .ipc()
                 })
                 .collect()
         })
@@ -248,7 +253,7 @@ pub const SCHED_ABLATION_SCHEME: &str = "1S";
 /// The scheduler-ablation sweep (beyond the paper): every built-in OS
 /// policy over every Table-2 mix on the oversubscribed
 /// [`SCHED_ABLATION_SCHEME`] machine. Read back per-policy with
-/// [`ResultSet::ipc_sched`] / [`ResultSet::scheduler_means`].
+/// [`ResultSet::get`] / [`sched_ablation_means`].
 pub fn sched_ablation_plan(scale: u64) -> Plan {
     Plan::new()
         .scheme(SCHED_ABLATION_SCHEME)
@@ -260,7 +265,18 @@ pub fn sched_ablation_plan(scale: u64) -> Plan {
 /// Project an executed [`sched_ablation_plan`] sweep into per-policy mean
 /// IPC, plan order.
 pub fn sched_ablation_means(set: &ResultSet) -> Vec<(SchedulerSpec, f64)> {
-    set.scheduler_means(SCHED_ABLATION_SCHEME, MemoryModel::Real)
+    set.schedulers()
+        .iter()
+        .map(|&spec| {
+            let cell = Cell::default()
+                .scheme(SCHED_ABLATION_SCHEME)
+                .scheduler(spec);
+            let mean = set
+                .mean_over(Axis::Workload, &cell)
+                .expect("ablation grid covers every policy");
+            (spec, mean)
+        })
+        .collect()
 }
 
 /// Schemes of the geometry sweep: the paper's reference points (1-thread,
@@ -305,18 +321,19 @@ pub fn geometry_data(set: &ResultSet) -> Vec<GeometryRow> {
     let mut rows = Vec::new();
     for &machine in set.machines() {
         for scheme in set.schemes() {
+            let cell = Cell::default().scheme(scheme.name()).machine(machine);
             let cost = set
-                .merge_cost(scheme.name(), machine)
+                .merge_cost(&cell)
                 .expect("geometry grid prices every scheme x machine");
             rows.push(GeometryRow {
                 machine,
                 scheme: scheme.name().to_string(),
                 mean_ipc: set
-                    .mean_ipc_machine(scheme.name(), machine, MemoryModel::Real)
+                    .mean_over(Axis::Workload, &cell)
                     .expect("geometry grid covers every scheme x machine"),
                 transistors: cost.transistors,
                 gate_delays: cost.gate_delays,
-                ipc_per_ktrans: set.ipc_per_area(scheme.name(), machine, MemoryModel::Real),
+                ipc_per_ktrans: set.ipc_per_area(&cell),
             });
         }
     }
@@ -523,21 +540,19 @@ pub fn traffic_plan(scale: u64) -> Plan {
         .scale(scale.max(TRAFFIC_SCALE_FLOOR))
 }
 
-/// Project an executed [`traffic_plan`] sweep into exhibit rows by keyed
-/// lookup. Works on any plan whose traffic axis is explicit — the `paper`
-/// binary passes [`traffic_plan`] with the CLI's axes applied.
+/// Project every cell of an executed [`traffic_plan`] sweep into exhibit
+/// rows, in grid order (schemes outermost, loads in plan order). Works on
+/// any plan whose traffic axis is explicit — the `paper` binary passes
+/// [`traffic_plan`] with the CLI's axes applied.
 pub fn traffic_data(set: &ResultSet) -> TrafficData {
-    let mut rows = Vec::new();
-    for scheme in set.schemes() {
-        for &traffic in set.traffics() {
-            let r = set
-                .get_traffic(scheme.name(), "LLHH-x3", traffic, MemoryModel::Real)
-                .expect("traffic grid covers every scheme x load");
+    let rows = set
+        .iter()
+        .map(|(key, r)| {
             let t = &r.stats.traffic;
-            rows.push(TrafficRow {
-                scheme: scheme.name().to_string(),
-                traffic,
-                rate: traffic.offered_rate(),
+            TrafficRow {
+                scheme: key.scheme.name().to_string(),
+                traffic: key.traffic,
+                rate: key.traffic.offered_rate(),
                 offered: t.offered,
                 completed: t.completed,
                 shed: t.shed,
@@ -546,9 +561,9 @@ pub fn traffic_data(set: &ResultSet) -> TrafficData {
                 p99: t.p99_sojourn,
                 mean_queue_depth: t.mean_queue_depth,
                 ipc: r.ipc(),
-            });
-        }
-    }
+            }
+        })
+        .collect();
     TrafficData {
         scale: set.scale(),
         rows,
@@ -881,7 +896,7 @@ mod tests {
             for (k, scheme) in FIG4_SCHEMES.iter().enumerate() {
                 assert_eq!(
                     d.ipc[i][k],
-                    set.ipc(scheme, mix, MemoryModel::Real).unwrap(),
+                    set.get(&Cell::new(scheme, mix)).unwrap().ipc(),
                     "{scheme}/{mix}"
                 );
             }

@@ -40,8 +40,10 @@
 //! scheduling policies it drives, [`runner`] for the low-level experiment
 //! API (single runs, parallel fan-out, the `(benchmark, machine)`-keyed
 //! image cache), [`plan`] for the declarative sweep surface ([`Plan`] →
-//! [`ResultSet`] with scheme/workload/scheduler/machine/memory axes,
-//! keyed lookup, per-geometry hwcost pricing and JSON/CSV exhibits), and
+//! [`ResultSet`] over one [`plan::Axis`] table — scheme, workload,
+//! scheduler, machine, fleet, traffic and memory — with
+//! [`plan::Cell`]-keyed lookup, per-geometry hwcost pricing and JSON/CSV
+//! exhibits), and
 //! [`experiments`] for the paper's figure-level drivers built on it.
 //! Fallible entry points return typed [`SimError`]s.
 //!
@@ -62,8 +64,9 @@
 //! records per-cell wall time, the compile/simulate split, image-cache
 //! economics and engine-health counters into a [`telemetry::Registry`]
 //! whose deterministic class exports byte-stably ([`metrics`] holds the
-//! schema and the post-hoc harvest). The default paths monomorphize
-//! [`telemetry::NullTelemetry`] and compile to the pre-telemetry code.
+//! schema and the post-hoc harvest). [`Plan::run`](plan::Plan::run) is
+//! `run_metered` under [`telemetry::NullTelemetry`], which compiles to the
+//! pre-telemetry code.
 
 pub use vliw_telemetry as telemetry;
 pub use vliw_trace as trace;
@@ -86,7 +89,9 @@ pub use crate::core::{Core, CoreModel};
 pub use config::SimConfig;
 pub use error::SimError;
 pub use fleet::{run_fleet, run_fleet_traced};
-pub use plan::{MachineSpec, MemoryModel, Plan, ResultSet, SchemeRef, Session, WorkloadRef};
+pub use plan::{
+    Axis, Cell, Columns, MachineSpec, MemoryModel, Plan, ResultSet, SchemeRef, Session, WorkloadRef,
+};
 pub use runner::{run_mix, run_single, RunResult};
 pub use sched::{Scheduler, SchedulerSpec};
 pub use stats::RunStats;

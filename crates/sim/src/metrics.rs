@@ -12,10 +12,10 @@
 //!    already proven independent of worker count and core model. So
 //!    [`harvest`] folds them into the registry single-threaded, in
 //!    row-major grid order, after the parallel fan-out completes. Only
-//!    genuinely wall-clock quantities (cell durations, compile/verify
-//!    time, live cache probes) are emitted live from the workers, and
-//!    those all carry [`Class::Timing`], which the byte-stable export
-//!    excludes by default.
+//!    genuinely wall-clock quantities carry [`Class::Timing`], which the
+//!    byte-stable export excludes by default: cell durations are emitted
+//!    live from the workers, and the image cache's probe and
+//!    build/verify tallies are read off the cache after the fan-out.
 
 use crate::runner::RunResult;
 use crate::stats::IDLE_SPAN_BOUNDS;

@@ -1,11 +1,13 @@
 //! Declarative experiment plans: typed sweeps, keyed result sets, exhibits.
 //!
-//! The paper's exhibits are all shaped the same way: a grid of
-//! *scheme* × *workload* × *memory-model* simulations. This module expresses
-//! that grid declaratively —
+//! The paper's exhibits are one grid read back in several ways. A [`Plan`]
+//! names the values of each [`Axis`] — scheme ▸ workload ▸ scheduler ▸
+//! machine ▸ fleet ▸ traffic ▸ memory, outermost first — and
+//! [`Plan::run`] expands them row-major into a deterministic job list and
+//! fans it out over rayon:
 //!
 //! ```
-//! use vliw_sim::plan::{MemoryModel, Plan, Session};
+//! use vliw_sim::plan::{Cell, MemoryModel, Plan, Session};
 //!
 //! let set = Plan::new()
 //!     .schemes(["ST", "2SC3"])
@@ -13,63 +15,43 @@
 //!     .axis(MemoryModel::Real)
 //!     .scale(100_000)
 //!     .run(&Session::with_parallelism(2));
-//! let ipc = set.ipc("2SC3", "LLHH", MemoryModel::Real).unwrap();
+//! let ipc = set.get(&Cell::new("2SC3", "LLHH")).unwrap().ipc();
 //! assert!(ipc > 0.0);
 //! ```
 //!
-//! — and lets the runtime place the work: a [`Plan`] expands to a
-//! deterministic job list, [`Plan::run`] fans it out over rayon, and the
-//! returned [`ResultSet`] offers keyed lookup, aggregation helpers, and
-//! hand-rolled JSON/CSV serialization whose bytes are independent of the
-//! worker count.
+//! The returned [`ResultSet`] has one keyed lookup, [`ResultSet::get`]: a
+//! [`Cell`] names a value per axis, and every axis it leaves unset resolves
+//! to the set's first value. One aggregation, [`ResultSet::mean_over`],
+//! averages IPC along an axis, and [`ResultSet::merge_cost`] /
+//! [`ResultSet::ipc_per_area`] price a cell's merge-control hardware for
+//! its actual geometry via `vliw-hwcost`. Exports are hand-rolled JSON and
+//! CSV whose bytes are independent of the worker count.
 //!
-//! Keys are typed: [`SchemeRef`] and [`WorkloadRef`] carry owned
-//! (`Arc<str>`) names, so custom merge schemes and generated workloads
-//! participate exactly like the paper's catalog and Table-2 mixes.
-//!
-//! Besides the memory-model axis, plans can sweep the OS scheduling
-//! policy ([`Plan::schedulers`], a [`crate::sched::SchedulerSpec`] per
-//! cell, looked up via the `*_sched` accessors) and the machine geometry
-//! ([`Plan::machines`], a [`MachineSpec`] per cell — named presets like
-//! `paper-4x4`/`2x8`/`8x2`/`4x4-lite` or `CxI[+muls+mems]` grammar specs
-//! — looked up via the `*_machine` accessors; compiled images are cached
-//! per `(benchmark, machine)`, so geometries never share code). The grid
-//! expands schemes ▸ workloads ▸ schedulers ▸ machines ▸ memory. A plan
-//! that never names a scheduler or machine runs — and serializes — exactly
-//! as before under the defaults
-//! ([`crate::sched::SchedulerSpec::PaperRandom`], the paper's §5.1
-//! machine); naming one adds a `scheduler`/`machine` column/field to the
-//! CSV/JSON exhibits.
-//!
-//! Plans can also sweep the arrival process ([`Plan::arrivals`], a
-//! [`TrafficSpec`] per cell — `closed`, `poisson:RATE`,
-//! `bursty:RATE:LEN:FACTOR`, `diurnal:RATE:PEAK:PERIOD` — looked up via
-//! the `*_traffic` accessors). The grid then expands schemes ▸ workloads
-//! ▸ schedulers ▸ machines ▸ traffic ▸ memory. Like the other optional
-//! axes, a plan that never names an arrival process runs closed with
-//! unchanged serialization bytes; an explicit axis adds a `traffic`
-//! column/field *and* the open-system metric columns (offered /
-//! completed / shed counts, sojourn-time quantiles, mean queue depth) to
-//! the exhibits.
-//!
-//! With a machine axis in play, [`ResultSet`] also prices each cell's
-//! merge-control hardware for its *actual* geometry via `vliw-hwcost`
-//! ([`ResultSet::merge_cost`], [`ResultSet::ipc_per_area`]), so
-//! area/performance trade-offs sweep alongside IPC.
+//! Only schemes and workloads are required. A plan that never names a
+//! scheduler, machine, fleet, arrival process or memory model runs under
+//! the defaults ([`SchedulerSpec::PaperRandom`], the paper's §5.1 machine,
+//! one machine rather than a fleet, closed arrivals, real memory) and
+//! serializes exactly as before that axis existed; naming one adds its key
+//! column/field to the exports, and for traffic and fleet its metric group
+//! too (see [`Columns`]). Compiled images are cached per `(benchmark,
+//! machine)`, so geometries never share code. Keys are typed: [`SchemeRef`]
+//! and [`WorkloadRef`] carry owned (`Arc<str>`) names, so custom merge
+//! schemes and generated workloads sweep exactly like the paper's catalog
+//! and Table-2 mixes.
 
 use crate::config::SimConfig;
 use crate::core::CoreModel;
 use crate::os::Machine;
-use crate::runner::{self, ImageCache, RunResult};
+use crate::runner::{self, CachedImage, ImageCache, RunResult};
 use crate::sched::SchedulerSpec;
-use crate::stats::ThreadStats;
 use crate::thread::SoftThread;
-use rayon::prelude::*;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use vliw_core::{catalog, MergeScheme, PriorityPolicy};
+use vliw_fleet::{FleetStats, MachineLaneStats};
 use vliw_hwcost::{scheme_cost, SchemeCost};
-use vliw_telemetry::Telemetry;
+use vliw_telemetry::{NullTelemetry, Telemetry};
 use vliw_trace::{Trace, TraceSpec};
 use vliw_workloads::{benchmark, mixes, BenchmarkSpec, WorkloadMix};
 
@@ -164,31 +146,6 @@ impl From<&MergeScheme> for SchemeRef {
     }
 }
 
-/// One member thread of a workload: a Table-1 benchmark by name, or an
-/// owned custom spec.
-#[derive(Debug, Clone)]
-enum Member {
-    Named(Arc<str>),
-    Custom(Arc<BenchmarkSpec>),
-}
-
-impl Member {
-    fn name(&self) -> &str {
-        match self {
-            Member::Named(n) => n,
-            Member::Custom(s) => &s.name,
-        }
-    }
-
-    /// The member's name as the shared `Arc` the image cache keys on.
-    fn name_arc(&self) -> Arc<str> {
-        match self {
-            Member::Named(n) => n.clone(),
-            Member::Custom(s) => s.name.clone(),
-        }
-    }
-}
-
 /// Typed key naming one workload of a plan: a single benchmark or a
 /// multiprogrammed mix, of Table-1 members and/or custom specs.
 ///
@@ -197,7 +154,9 @@ impl Member {
 #[derive(Debug, Clone)]
 pub struct WorkloadRef {
     name: Arc<str>,
-    members: Arc<[Member]>,
+    /// Member specs in thread order; a Table-1 member carries a copy of its
+    /// catalog spec.
+    members: Arc<[BenchmarkSpec]>,
 }
 
 impl WorkloadRef {
@@ -205,14 +164,7 @@ impl WorkloadRef {
     ///
     /// Panics on unknown benchmark names — plans fail at build time.
     pub fn benchmark(name: &str) -> Self {
-        assert!(
-            benchmark(name).is_some(),
-            "unknown benchmark {name:?} (not in Table 1)"
-        );
-        WorkloadRef {
-            name: name.into(),
-            members: Arc::from(vec![Member::Named(name.into())]),
-        }
+        Self::members(name, &[name])
     }
 
     /// A multiprogrammed workload of Table-1 benchmarks under `name`.
@@ -220,19 +172,17 @@ impl WorkloadRef {
     /// Panics when any member is not a Table-1 benchmark.
     pub fn members(name: &str, members: &[&str]) -> Self {
         assert!(!members.is_empty(), "workload {name:?} needs members");
-        let members: Vec<Member> = members
+        let specs: Vec<BenchmarkSpec> = members
             .iter()
             .map(|m| {
-                assert!(
-                    benchmark(m).is_some(),
-                    "workload {name:?}: unknown benchmark {m:?}"
-                );
-                Member::Named((*m).into())
+                benchmark(m)
+                    .unwrap_or_else(|| panic!("workload {name:?}: unknown benchmark {m:?}"))
+                    .clone()
             })
             .collect();
         WorkloadRef {
             name: name.into(),
-            members: members.into(),
+            members: specs.into(),
         }
     }
 
@@ -243,24 +193,20 @@ impl WorkloadRef {
     /// any shared [`Session`]).
     pub fn custom(name: &str, specs: Vec<BenchmarkSpec>) -> Self {
         assert!(!specs.is_empty(), "workload {name:?} needs members");
-        let members: Vec<Member> = specs
-            .into_iter()
-            .map(|s| {
-                if let Some(table1) = benchmark(&s.name) {
-                    assert!(
-                        table1 == &s,
-                        "workload {name:?}: custom spec {:?} shadows a Table-1 benchmark \
-                         with different knobs; rename the variant (names are the \
-                         compilation-cache identity)",
-                        s.name
-                    );
-                }
-                Member::Custom(s.into())
-            })
-            .collect();
+        for s in &specs {
+            if let Some(table1) = benchmark(&s.name) {
+                assert!(
+                    table1 == s,
+                    "workload {name:?}: custom spec {:?} shadows a Table-1 benchmark \
+                     with different knobs; rename the variant (names are the \
+                     compilation-cache identity)",
+                    s.name
+                );
+            }
+        }
         WorkloadRef {
             name: name.into(),
-            members: members.into(),
+            members: specs.into(),
         }
     }
 
@@ -276,51 +222,30 @@ impl WorkloadRef {
 
     /// Member benchmark names, thread order.
     pub fn member_names(&self) -> Vec<&str> {
-        self.members.iter().map(|m| m.name()).collect()
+        self.members.iter().map(|s| &*s.name).collect()
     }
 
-    /// Compile member `idx` for an explicit machine geometry (the fleet
-    /// driver compiles each member for the machine it is routed to, not
-    /// the plan's reference machine).
+    /// Compile member `idx` for `machine` through the shared cache (the
+    /// fleet driver compiles each member for the machine it is routed to,
+    /// not the plan's reference machine).
     pub(crate) fn image_for(
         &self,
         idx: usize,
         cache: &ImageCache,
         machine: &vliw_isa::MachineConfig,
-    ) -> crate::runner::CachedImage {
-        match &self.members[idx] {
-            Member::Named(n) => cache.get(n, machine),
-            Member::Custom(s) => cache.get_spec(s, machine),
-        }
-        .expect("plan cells are validated up front")
+    ) -> CachedImage {
+        cache
+            .get_spec(&self.members[idx], machine)
+            .expect("plan cells are validated up front")
     }
 
-    /// Instantiate the software threads (worker-side; compile results come
-    /// from the shared cache).
+    /// Instantiate the software threads for `cfg`'s machine (compile
+    /// results come from the shared cache).
     fn threads(&self, cache: &ImageCache, cfg: &SimConfig) -> Vec<SoftThread> {
-        self.threads_metered(cache, cfg, &vliw_telemetry::NullTelemetry)
-    }
-
-    /// [`WorkloadRef::threads`] through the cache's metered lookups, so
-    /// compile/verify wall time and live probe hits flow into `t`'s timing
-    /// class. Monomorphizes to `threads` under
-    /// [`vliw_telemetry::NullTelemetry`].
-    fn threads_metered<T: Telemetry>(
-        &self,
-        cache: &ImageCache,
-        cfg: &SimConfig,
-        t: &T,
-    ) -> Vec<SoftThread> {
-        self.members
-            .iter()
-            .enumerate()
-            .map(|(tid, m)| {
-                let entry = match m {
-                    Member::Named(n) => cache.get_metered(n, &cfg.machine, t),
-                    Member::Custom(s) => cache.get_spec_metered(s, &cfg.machine, t),
-                }
-                .expect("plan cells are validated up front");
-                SoftThread::new(&entry.0, entry.1.clone(), tid as u64, cfg.seed)
+        (0..self.members.len())
+            .map(|tid| {
+                let image = self.image_for(tid, cache, &cfg.machine);
+                SoftThread::new(&image.0, image.1.clone(), tid as u64, cfg.seed)
             })
             .collect()
     }
@@ -357,7 +282,7 @@ impl From<&str> for WorkloadRef {
     }
 }
 
-/// One cell of the expanded job grid.
+/// One cell of the expanded job grid: a value per [`Axis`].
 #[derive(Debug, Clone)]
 pub struct JobKey {
     /// The merge scheme under test.
@@ -417,21 +342,347 @@ impl Default for Session {
     }
 }
 
-/// A declarative experiment plan: the scheme × workload × memory-model grid
-/// of one exhibit, plus run-length and policy knobs.
-///
-/// Build with the fluent methods, then [`Plan::run`]. The grid expands in a
-/// deterministic row-major order (schemes outermost, memory models
-/// innermost) that the returned [`ResultSet`] preserves.
-#[derive(Debug, Clone)]
-pub struct Plan {
+/// One axis of the plan grid. [`Axis::ALL`] is the expansion order,
+/// outermost first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Axis {
+    /// Merge schemes ([`Plan::schemes`]).
+    Scheme,
+    /// Workloads ([`Plan::workloads`]).
+    Workload,
+    /// OS scheduling policies ([`Plan::schedulers`]).
+    Scheduler,
+    /// Machine geometries ([`Plan::machines`]).
+    Machine,
+    /// Machine fleets ([`Plan::fleets`]).
+    Fleet,
+    /// Arrival processes ([`Plan::arrivals`]).
+    Traffic,
+    /// Memory models ([`Plan::axes`]).
+    Memory,
+}
+
+/// Number of grid axes.
+const N: usize = 7;
+
+impl Axis {
+    /// Every axis, in expansion order.
+    pub const ALL: [Axis; N] = [
+        Axis::Scheme,
+        Axis::Workload,
+        Axis::Scheduler,
+        Axis::Machine,
+        Axis::Fleet,
+        Axis::Traffic,
+        Axis::Memory,
+    ];
+
+    /// The axis's JSON key field and CSV key column.
+    pub fn name(self) -> &'static str {
+        AXES[self as usize].field
+    }
+}
+
+/// One row of the axis table.
+struct AxisRow {
+    /// JSON key field and CSV key column.
+    field: &'static str,
+    /// JSON axis-list name.
+    list: &'static str,
+    /// Serialized even when the plan never named a value.
+    always: bool,
+    /// The export spelling of every value on the axis — also its lookup
+    /// key.
+    labels: fn(&Grid) -> Vec<String>,
+    /// Give the axis its default value (when the plan named none).
+    fill: fn(&mut Grid),
+}
+
+/// The axis table, in [`Axis::ALL`] order: grid expansion, the row-major
+/// stride, explicitness, the JSON axis lists and key fields and the CSV
+/// key columns all walk it.
+const AXES: [AxisRow; N] = [
+    AxisRow {
+        field: "scheme",
+        list: "schemes",
+        always: true,
+        labels: |g| spell(&g.schemes, |s| s.name().into()),
+        fill: |_| {},
+    },
+    AxisRow {
+        field: "workload",
+        list: "workloads",
+        always: true,
+        labels: |g| spell(&g.workloads, |w| w.name().into()),
+        fill: |_| {},
+    },
+    AxisRow {
+        field: "scheduler",
+        list: "schedulers",
+        always: false,
+        labels: |g| spell(&g.schedulers, |s| s.name().into()),
+        fill: |g| g.schedulers.push(SchedulerSpec::PaperRandom),
+    },
+    AxisRow {
+        field: "machine",
+        list: "machines",
+        always: false,
+        labels: |g| spell(&g.machines, |m| m.label()),
+        fill: |g| g.machines.push(MachineSpec::Paper4x4),
+    },
+    AxisRow {
+        field: "fleet",
+        list: "fleets",
+        always: false,
+        // `None`, the plain single-machine cell, has no spelling of its own.
+        labels: |g| {
+            spell(&g.fleets, |f| {
+                f.as_ref().map_or(String::new(), FleetSpec::label)
+            })
+        },
+        fill: |g| g.fleets.push(None),
+    },
+    AxisRow {
+        field: "traffic",
+        list: "traffics",
+        always: false,
+        labels: |g| spell(&g.traffics, TrafficSpec::label),
+        fill: |g| g.traffics.push(TrafficSpec::Closed),
+    },
+    AxisRow {
+        field: "memory",
+        list: "axes",
+        always: true,
+        labels: |g| spell(&g.memories, |m| m.label().into()),
+        fill: |g| g.memories.push(MemoryModel::Real),
+    },
+];
+
+/// The spelling of every value in `values`.
+fn spell<T>(values: &[T], f: impl Fn(&T) -> String) -> Vec<String> {
+    values.iter().map(f).collect()
+}
+
+/// The values of every axis. A plan's grid holds what it named (empty =
+/// never named); a run fills each empty axis with its default.
+#[derive(Debug, Clone, Default)]
+struct Grid {
     schemes: Vec<SchemeRef>,
     workloads: Vec<WorkloadRef>,
     schedulers: Vec<SchedulerSpec>,
     machines: Vec<MachineSpec>,
-    fleets: Vec<FleetSpec>,
+    /// `None` is the ordinary single-machine cell.
+    fleets: Vec<Option<FleetSpec>>,
     traffics: Vec<TrafficSpec>,
-    axes: Vec<MemoryModel>,
+    memories: Vec<MemoryModel>,
+}
+
+impl Grid {
+    /// The export spelling of every value, per axis.
+    fn labels(&self) -> [Vec<String>; N] {
+        std::array::from_fn(|k| (AXES[k].labels)(self))
+    }
+
+    /// This grid with every unnamed axis at its default, and the columns
+    /// of the optional axes that were named.
+    fn filled(&self) -> (Grid, Columns) {
+        let named = self.labels();
+        let mut grid = self.clone();
+        let mut columns = Columns::default();
+        for axis in Axis::ALL {
+            if named[axis as usize].is_empty() {
+                (AXES[axis as usize].fill)(&mut grid);
+            } else {
+                columns = columns.with(axis);
+            }
+        }
+        (grid, columns)
+    }
+
+    /// The cell at per-axis coordinates `at`.
+    fn key(&self, at: [usize; N]) -> JobKey {
+        let [s, w, c, m, f, t, a] = at;
+        JobKey {
+            scheme: self.schemes[s].clone(),
+            workload: self.workloads[w].clone(),
+            scheduler: self.schedulers[c],
+            machine: self.machines[m],
+            fleet: self.fleets[f].clone(),
+            traffic: self.traffics[t],
+            memory: self.memories[a],
+        }
+    }
+
+    /// Every cell, row-major.
+    fn keys(&self) -> Vec<JobKey> {
+        let dims = self.labels().map(|l| l.len());
+        (0..dims.iter().product())
+            .map(|i| self.key(coords(&dims, i)))
+            .collect()
+    }
+}
+
+/// Row-major coordinates of grid cell `i`: the last axis varies fastest.
+fn coords(dims: &[usize; N], mut i: usize) -> [usize; N] {
+    let mut at = [0; N];
+    for (a, &d) in at.iter_mut().zip(dims).rev() {
+        *a = i % d;
+        i /= d;
+    }
+    at
+}
+
+/// The row-major index of coordinates `at` (the inverse of [`coords`]).
+fn index(dims: &[usize; N], at: &[usize; N]) -> usize {
+    dims.iter().zip(at).fold(0, |i, (d, a)| i * d + a)
+}
+
+/// The optional column groups of an export: the key column (and, for
+/// traffic and fleet, the metric group) of every optional axis a plan
+/// named, plus the telemetry metrics of a metered run. Scheme, workload
+/// and memory are always serialized.
+///
+/// Each [`ResultSet`] carries its own ([`ResultSet::columns`]); `|`
+/// unions several and [`Columns::with`] forces an axis on, so sets that
+/// disagree on explicitness can share one combined CSV
+/// ([`Columns::csv_header`], [`ResultSet::csv_rows`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Columns {
+    /// Bit `axis as usize` for each explicit optional axis.
+    explicit: u8,
+    telemetry: bool,
+}
+
+impl Columns {
+    /// These columns plus `axis`'s (a no-op for the always-serialized
+    /// axes).
+    pub fn with(mut self, axis: Axis) -> Self {
+        if !AXES[axis as usize].always {
+            self.explicit |= 1 << axis as u8;
+        }
+        self
+    }
+
+    /// Whether `axis` has a key column/field.
+    pub fn has(self, axis: Axis) -> bool {
+        AXES[axis as usize].always || self.explicit & (1 << axis as u8) != 0
+    }
+
+    /// The axes with a key column, in table order.
+    fn keys(self) -> impl Iterator<Item = Axis> {
+        Axis::ALL.into_iter().filter(move |&axis| self.has(axis))
+    }
+
+    /// The CSV header of rows shaped to these columns: the key columns in
+    /// axis order, the always-on metrics, then the traffic, fleet and
+    /// telemetry metric groups. `fleet_routed`/`fleet_shed` are
+    /// slash-joined per-machine counts in fleet order; the fleet sojourn
+    /// quantiles are fleet-wide (merged sample multisets).
+    pub fn csv_header(self) -> String {
+        let mut h: Vec<&str> = self.keys().map(Axis::name).collect();
+        h.push("ipc,cycles,instrs,ops");
+        if self.has(Axis::Traffic) {
+            h.push("offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth");
+        }
+        if self.has(Axis::Fleet) {
+            h.push("fleet_machines,fleet_routed,fleet_shed,fleet_p50_sojourn,fleet_p95_sojourn,fleet_p99_sojourn");
+        }
+        if self.telemetry {
+            h.push("cache_hits,cache_misses,trace_dropped");
+        }
+        h.join(",")
+    }
+}
+
+impl std::ops::BitOr for Columns {
+    type Output = Columns;
+
+    fn bitor(self, other: Columns) -> Columns {
+        Columns {
+            explicit: self.explicit | other.explicit,
+            telemetry: self.telemetry || other.telemetry,
+        }
+    }
+}
+
+/// A lookup key into a [`ResultSet`]: an optional value per [`Axis`],
+/// spelled the way the exports spell it. Every axis left unset resolves to
+/// the set's first value, so `Cell::new("2SC3", "LLHH")` addresses the
+/// same cell in a plain scheme × workload grid as in one that also sweeps
+/// schedulers or machines.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Cell([Option<String>; N]);
+
+impl Cell {
+    /// The cell of `scheme` on `workload`.
+    pub fn new(scheme: &str, workload: &str) -> Self {
+        Cell::default().scheme(scheme).at(Axis::Workload, workload)
+    }
+
+    /// Pin `axis` to the value spelled `label` (a scheme or workload name,
+    /// a scheduler name, a machine, fleet or traffic spec label, or a
+    /// memory label).
+    pub fn at(mut self, axis: Axis, label: impl Into<String>) -> Self {
+        self.0[axis as usize] = Some(label.into());
+        self
+    }
+
+    /// Pin the scheme.
+    pub fn scheme(self, name: &str) -> Self {
+        self.at(Axis::Scheme, name)
+    }
+
+    /// Pin the OS scheduling policy.
+    pub fn scheduler(self, spec: SchedulerSpec) -> Self {
+        self.at(Axis::Scheduler, spec.name())
+    }
+
+    /// Pin the machine geometry.
+    pub fn machine(self, spec: MachineSpec) -> Self {
+        self.at(Axis::Machine, spec.label())
+    }
+
+    /// Pin the fleet.
+    pub fn fleet(self, spec: &FleetSpec) -> Self {
+        self.at(Axis::Fleet, spec.label())
+    }
+
+    /// Pin the arrival process.
+    pub fn traffic(self, spec: TrafficSpec) -> Self {
+        self.at(Axis::Traffic, spec.label())
+    }
+
+    /// Pin the memory model.
+    pub fn memory(self, memory: MemoryModel) -> Self {
+        self.at(Axis::Memory, memory.label())
+    }
+}
+
+impl From<&JobKey> for Cell {
+    /// The cell of a grid key (from [`Plan::jobs`] or [`ResultSet::iter`]).
+    fn from(key: &JobKey) -> Self {
+        let cell = Cell::new(key.scheme.name(), key.workload.name())
+            .scheduler(key.scheduler)
+            .machine(key.machine)
+            .traffic(key.traffic)
+            .memory(key.memory);
+        match &key.fleet {
+            Some(fleet) => cell.fleet(fleet),
+            None => cell,
+        }
+    }
+}
+
+/// A declarative experiment plan: the values of every grid [`Axis`] of one
+/// exhibit, plus run-length and policy knobs.
+///
+/// Build with the fluent methods, then [`Plan::run`]. The grid expands
+/// row-major in [`Axis::ALL`] order (schemes outermost, memory models
+/// innermost), which the returned [`ResultSet`] preserves.
+#[derive(Debug, Clone)]
+pub struct Plan {
+    /// The values each axis names.
+    grid: Grid,
     scale: u64,
     priority: PriorityPolicy,
     seed: Option<u64>,
@@ -440,18 +691,12 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// An empty plan: no schemes/workloads yet, real memory, the paper's
-    /// random scheduler, scale 20 (1/20 of the paper's 100M-instruction
-    /// runs), round-robin priority.
+    /// An empty plan: no schemes/workloads yet, every optional axis at its
+    /// default, scale 20 (1/20 of the paper's 100M-instruction runs),
+    /// round-robin priority.
     pub fn new() -> Self {
         Plan {
-            schemes: Vec::new(),
-            workloads: Vec::new(),
-            schedulers: Vec::new(),
-            machines: Vec::new(),
-            fleets: Vec::new(),
-            traffics: Vec::new(),
-            axes: Vec::new(),
+            grid: Grid::default(),
             scale: 20,
             priority: PriorityPolicy::RoundRobin,
             seed: None,
@@ -462,94 +707,76 @@ impl Plan {
 
     /// Add one scheme (name, `MergeScheme`, or `SchemeRef`).
     pub fn scheme(mut self, scheme: impl Into<SchemeRef>) -> Self {
-        self.schemes.push(scheme.into());
+        self.grid.schemes.push(scheme.into());
         self
     }
 
     /// Add many schemes.
-    pub fn schemes<I, S>(mut self, schemes: I) -> Self
+    pub fn schemes<I, S>(self, schemes: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<SchemeRef>,
     {
-        self.schemes.extend(schemes.into_iter().map(Into::into));
-        self
+        schemes.into_iter().fold(self, |plan, s| plan.scheme(s))
     }
 
     /// Add one workload (mix/benchmark name, `&WorkloadMix`, spec, or
     /// `WorkloadRef`).
     pub fn workload(mut self, workload: impl Into<WorkloadRef>) -> Self {
-        self.workloads.push(workload.into());
+        self.grid.workloads.push(workload.into());
         self
     }
 
     /// Add many workloads.
-    pub fn workloads<I, W>(mut self, workloads: I) -> Self
+    pub fn workloads<I, W>(self, workloads: I) -> Self
     where
         I: IntoIterator<Item = W>,
         W: Into<WorkloadRef>,
     {
-        self.workloads.extend(workloads.into_iter().map(Into::into));
-        self
+        workloads.into_iter().fold(self, |plan, w| plan.workload(w))
     }
 
     /// Add one OS scheduling policy to the scheduler axis (by
-    /// [`SchedulerSpec`] or name; duplicates are ignored). A plan that
-    /// never names a scheduler runs under the default
-    /// [`SchedulerSpec::PaperRandom`] only, with unchanged (pre-axis)
-    /// serialization bytes; an explicit axis adds a `scheduler`
-    /// column/field to the exhibits.
+    /// [`SchedulerSpec`] or name; duplicates are ignored).
     pub fn scheduler(mut self, scheduler: impl Into<SchedulerSpec>) -> Self {
-        let scheduler = scheduler.into();
-        if !self.schedulers.contains(&scheduler) {
-            self.schedulers.push(scheduler);
-        }
+        push_new(&mut self.grid.schedulers, scheduler.into(), |&s| s);
         self
     }
 
     /// Add several scheduling policies (e.g.
     /// [`SchedulerSpec::all()`](SchedulerSpec::all) for the full
     /// catalog).
-    pub fn schedulers<I, S>(mut self, schedulers: I) -> Self
+    pub fn schedulers<I, S>(self, schedulers: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<SchedulerSpec>,
     {
-        for s in schedulers {
-            self = self.scheduler(s);
-        }
-        self
+        schedulers
+            .into_iter()
+            .fold(self, |plan, s| plan.scheduler(s))
     }
 
     /// Add one machine geometry to the machine axis (named preset or
     /// grammar spec; duplicates — by label — are ignored). The spec is
-    /// validated here, so plans fail at build time, not mid-sweep. A plan
-    /// that never names a machine runs on the paper's §5.1 geometry only,
-    /// with unchanged (pre-axis) serialization bytes; an explicit axis
-    /// adds a `machine` column/field to the exhibits.
+    /// validated here, so plans fail at build time, not mid-sweep.
     ///
     /// Note the Table-1 suite needs at least one multiplier and one memory
     /// unit per cluster (see [`MachineSpec::runs_full_suite`]); sweeping
     /// leaner geometries is only possible with custom ALU-only workloads.
     pub fn machine(mut self, machine: MachineSpec) -> Self {
         // Lowering validates (panics with the MachineError for hand-built
-        // invalid customs) and gives label-level dedup: two spec spellings
-        // of one geometry would collide as serialized keys.
+        // invalid customs); label-level dedup keeps two spellings of one
+        // geometry from colliding as serialized keys.
         let _ = machine.config();
-        if !self.machines.iter().any(|m| m.label() == machine.label()) {
-            self.machines.push(machine);
-        }
+        push_new(&mut self.grid.machines, machine, |m| m.label());
         self
     }
 
     /// Add several machine geometries (e.g.
     /// [`MachineSpec::presets()`](MachineSpec::presets) for the full
     /// catalog).
-    pub fn machines<I: IntoIterator<Item = MachineSpec>>(mut self, machines: I) -> Self {
-        for m in machines {
-            self = self.machine(m);
-        }
-        self
+    pub fn machines<I: IntoIterator<Item = MachineSpec>>(self, machines: I) -> Self {
+        machines.into_iter().fold(self, Plan::machine)
     }
 
     /// Add one machine fleet to the fleet axis (duplicates — by label —
@@ -557,65 +784,46 @@ impl Plan {
     /// the fleet's machines through its dispatcher policy instead of
     /// running on one machine (see [`crate::fleet::run_fleet`]); the
     /// cell's [`JobKey::machine`] then only serves as the *reference*
-    /// geometry for routing width hints. A plan that never names a fleet
-    /// runs single-machine cells only, with unchanged (pre-axis)
-    /// serialization bytes; an explicit axis adds a `fleet` column/field
-    /// plus the fleet metric columns to the exhibits. Specs usually come
-    /// from the string grammar:
-    /// `"paper-4x4*2/2x8@least-queued".parse().unwrap()`.
+    /// geometry for routing width hints. Specs usually come from the
+    /// string grammar: `"paper-4x4*2/2x8@least-queued".parse().unwrap()`.
     pub fn fleet(mut self, fleet: FleetSpec) -> Self {
-        if !self.fleets.iter().any(|f| f.label() == fleet.label()) {
-            self.fleets.push(fleet);
-        }
+        push_new(&mut self.grid.fleets, Some(fleet), |f| {
+            f.as_ref().map(FleetSpec::label)
+        });
         self
     }
 
     /// Add several fleets (e.g. a ladder of fleet sizes for a scaling
     /// curve).
-    pub fn fleets<I: IntoIterator<Item = FleetSpec>>(mut self, fleets: I) -> Self {
-        for f in fleets {
-            self = self.fleet(f);
-        }
-        self
+    pub fn fleets<I: IntoIterator<Item = FleetSpec>>(self, fleets: I) -> Self {
+        fleets.into_iter().fold(self, Plan::fleet)
     }
 
     /// Add one arrival process to the traffic axis (duplicates are
-    /// ignored). A plan that never names one runs closed (every thread
-    /// present at cycle 0), with unchanged (pre-axis) serialization
-    /// bytes; an explicit axis adds a `traffic` column/field plus the
-    /// open-system metric columns to the exhibits. Specs usually come
-    /// from the string grammar: `"poisson:0.02".parse().unwrap()`.
+    /// ignored). Without one every thread is present at cycle 0 (closed).
+    /// Specs usually come from the string grammar:
+    /// `"poisson:0.02".parse().unwrap()`.
     pub fn arrival(mut self, traffic: TrafficSpec) -> Self {
-        if !self.traffics.contains(&traffic) {
-            self.traffics.push(traffic);
-        }
+        push_new(&mut self.grid.traffics, traffic, |&t| t);
         self
     }
 
     /// Add several arrival processes (e.g. a ladder of offered loads for
     /// a latency-vs-load curve).
-    pub fn arrivals<I: IntoIterator<Item = TrafficSpec>>(mut self, traffics: I) -> Self {
-        for t in traffics {
-            self = self.arrival(t);
-        }
-        self
+    pub fn arrivals<I: IntoIterator<Item = TrafficSpec>>(self, traffics: I) -> Self {
+        traffics.into_iter().fold(self, Plan::arrival)
     }
 
-    /// Add a memory-model axis (duplicates are ignored). A plan with no
-    /// explicit axis runs with real memory only.
+    /// Add a memory model to the memory axis (duplicates are ignored).
+    /// Without one the plan runs with real memory only.
     pub fn axis(mut self, axis: MemoryModel) -> Self {
-        if !self.axes.contains(&axis) {
-            self.axes.push(axis);
-        }
+        push_new(&mut self.grid.memories, axis, |&m| m);
         self
     }
 
-    /// Add several memory-model axes.
-    pub fn axes<I: IntoIterator<Item = MemoryModel>>(mut self, axes: I) -> Self {
-        for a in axes {
-            self = self.axis(a);
-        }
-        self
+    /// Add several memory models.
+    pub fn axes<I: IntoIterator<Item = MemoryModel>>(self, axes: I) -> Self {
+        axes.into_iter().fold(self, Plan::axis)
     }
 
     /// Run-length divisor: 1 = the paper's full 100M-instruction runs (see
@@ -658,94 +866,10 @@ impl Plan {
         self
     }
 
-    /// The memory axes this plan actually sweeps.
-    fn effective_axes(&self) -> Vec<MemoryModel> {
-        if self.axes.is_empty() {
-            vec![MemoryModel::Real]
-        } else {
-            self.axes.clone()
-        }
-    }
-
-    /// The scheduler axis this plan actually sweeps.
-    fn effective_schedulers(&self) -> Vec<SchedulerSpec> {
-        if self.schedulers.is_empty() {
-            vec![SchedulerSpec::default()]
-        } else {
-            self.schedulers.clone()
-        }
-    }
-
-    /// The machine axis this plan actually sweeps.
-    fn effective_machines(&self) -> Vec<MachineSpec> {
-        if self.machines.is_empty() {
-            vec![MachineSpec::Paper4x4]
-        } else {
-            self.machines.clone()
-        }
-    }
-
-    /// The fleet axis this plan actually sweeps: `[None]` (plain
-    /// single-machine cells) when the plan named no fleet.
-    fn effective_fleets(&self) -> Vec<Option<FleetSpec>> {
-        if self.fleets.is_empty() {
-            vec![None]
-        } else {
-            self.fleets.iter().cloned().map(Some).collect()
-        }
-    }
-
-    /// The traffic axis this plan actually sweeps.
-    fn effective_traffics(&self) -> Vec<TrafficSpec> {
-        if self.traffics.is_empty() {
-            vec![TrafficSpec::Closed]
-        } else {
-            self.traffics.clone()
-        }
-    }
-
-    /// Expand the plan into its deterministic job grid, row-major: schemes
-    /// outermost, then workloads, then schedulers, then machines, then
-    /// fleets, then traffic, memory models innermost.
+    /// Expand the plan into its deterministic job grid, row-major in
+    /// [`Axis::ALL`] order: schemes outermost, memory models innermost.
     pub fn jobs(&self) -> Vec<JobKey> {
-        let scheds = self.effective_schedulers();
-        let machines = self.effective_machines();
-        let fleets = self.effective_fleets();
-        let traffics = self.effective_traffics();
-        let axes = self.effective_axes();
-        let mut out = Vec::with_capacity(
-            self.schemes.len()
-                * self.workloads.len()
-                * scheds.len()
-                * machines.len()
-                * fleets.len()
-                * traffics.len()
-                * axes.len(),
-        );
-        for scheme in &self.schemes {
-            for workload in &self.workloads {
-                for &scheduler in &scheds {
-                    for &machine in &machines {
-                        for fleet in &fleets {
-                            for &traffic in &traffics {
-                                for &memory in &axes {
-                                    out.push(JobKey {
-                                        scheme: scheme.clone(),
-                                        workload: workload.clone(),
-                                        scheduler,
-                                        machine,
-                                        fleet: fleet.clone(),
-                                        traffic,
-                                        memory,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
+        self.grid.filled().0.keys()
     }
 
     /// The simulation configuration of one job.
@@ -771,92 +895,19 @@ impl Plan {
     /// Results are deterministic and ordered by the grid regardless of the
     /// session's worker count.
     pub fn run(&self, session: &Session) -> ResultSet {
-        self.run_with(session.cache(), session.parallelism())
-    }
-
-    /// Run the grid against an explicit cache and worker count (the
-    /// lower-level form [`runner::run_sweep`] also uses).
-    pub fn run_with(&self, cache: &ImageCache, parallelism: usize) -> ResultSet {
-        self.run_metered_with(cache, parallelism, &vliw_telemetry::NullTelemetry)
+        self.run_metered(session, &NullTelemetry)
     }
 
     /// [`Plan::run`] with harness telemetry: per-cell wall time and the
     /// compile/simulate split (timing class), plus the full deterministic
     /// schema of [`crate::metrics`] harvested post-hoc from the results in
     /// row-major grid order — so the deterministic export is byte-stable
-    /// across worker counts and core models. The returned set marks its
-    /// telemetry axis explicit, which gates the cache/trace metric
-    /// columns in CSV/JSON exactly like the other optional axes.
+    /// across worker counts and core models. With an enabled sink the
+    /// returned set carries the telemetry metric columns; under
+    /// [`NullTelemetry`] every emission site compiles away and this is
+    /// [`Plan::run`].
     pub fn run_metered<T: Telemetry>(&self, session: &Session, t: &T) -> ResultSet {
-        self.run_metered_with(session.cache(), session.parallelism(), t)
-    }
-
-    /// [`Plan::run_metered`] against an explicit cache and worker count.
-    /// With [`vliw_telemetry::NullTelemetry`] this *is* [`Plan::run_with`]
-    /// (every emission site monomorphizes away — differentially
-    /// benchmarked in `benches/telemetry.rs`).
-    pub fn run_metered_with<T: Telemetry>(
-        &self,
-        cache: &ImageCache,
-        parallelism: usize,
-        t: &T,
-    ) -> ResultSet {
-        self.validate();
-        crate::metrics::register_schema(t);
-        let jobs = self.jobs();
-        if T::ENABLED {
-            t.cells_planned(jobs.len() as u64);
-            t.counter_add(crate::metrics::names::CELLS_TOTAL, jobs.len() as u64);
-        }
-        // Image-cache economics are harvested as *deltas* over this run:
-        // misses = distinct images built (map-size delta), hits = the
-        // remaining lookups. Both ingredients are commutative sums, so the
-        // split is exact and worker-count independent by construction.
-        let requests_before = cache.requests();
-        let unique_before = cache.len() as u64;
-        let refs: Vec<&JobKey> = jobs.iter().collect();
-        let mut results = runner::run_jobs_metered(
-            refs,
-            |key| self.run_cell_metered(cache, key, t),
-            parallelism,
-            t,
-            cache,
-        );
-        self.attribute_cache(&jobs, &mut results);
-        if T::ENABLED {
-            use crate::metrics::names::{CACHE_HITS, CACHE_MISSES, CACHE_REQUESTS};
-            let requests = cache.requests() - requests_before;
-            let misses = cache.len() as u64 - unique_before;
-            t.counter_add(CACHE_REQUESTS, requests);
-            t.counter_add(CACHE_MISSES, misses);
-            t.counter_add(CACHE_HITS, requests - misses);
-            let refs: Vec<&RunResult> = results.iter().collect();
-            crate::metrics::harvest(&refs, t);
-        }
-        self.result_set_telemetry(results, T::ENABLED)
-    }
-
-    /// Statically attribute image-cache economics to cells: walk the grid
-    /// row-major and charge each member's `(benchmark, machine)` key a
-    /// *miss* on its first appearance and a *hit* after — the plan-level
-    /// compile footprint, independent of which rayon worker actually
-    /// compiled what. Fleet cells are charged their reference-geometry
-    /// hint compiles; per-lane compiles for routed geometries are counted
-    /// in the registry's delta-derived totals but not attributed to cells
-    /// (routing is an execution outcome, not a plan property).
-    fn attribute_cache(&self, jobs: &[JobKey], results: &mut [RunResult]) {
-        let mut seen: std::collections::HashSet<(Arc<str>, vliw_isa::MachineConfig)> =
-            std::collections::HashSet::new();
-        for (key, r) in jobs.iter().zip(results.iter_mut()) {
-            let machine = key.machine.config();
-            for m in key.workload.members.iter() {
-                if seen.insert((m.name_arc(), machine.clone())) {
-                    r.stats.cache_misses += 1;
-                } else {
-                    r.stats.cache_hits += 1;
-                }
-            }
-        }
+        self.execute(session, t, false, |_, _, _| {})
     }
 
     /// Run the whole grid with per-cell tracing, invoking `hook` once per
@@ -879,59 +930,9 @@ impl Plan {
     where
         F: FnMut(&JobKey, &RunResult, &Trace),
     {
-        self.validate();
-        let jobs = self.jobs();
-        let n = jobs.len();
-        let cache = session.cache();
-        let parallelism = session.parallelism().clamp(1, n.max(1));
-        let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, RunResult, Trace)>();
-            let jobs = &jobs;
-            // Producer: the usual rayon fan-out, but each finished cell is
-            // sent immediately instead of being collected.
-            scope.spawn(move || {
-                let tx = parking_lot::Mutex::new(tx);
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(parallelism)
-                    .build()
-                    .expect("simulation thread pool");
-                pool.install(|| {
-                    (0..n).collect::<Vec<usize>>().par_iter().for_each(|&i| {
-                        let (result, trace) = self.run_cell_traced(cache, &jobs[i]);
-                        // The consumer only hangs up early on panic; drop
-                        // the cell and let the scope propagate it.
-                        let _ = tx.lock().send((i, result, trace));
-                    });
-                });
-            });
-            // Consumer: drain completions, re-serialize into row-major
-            // order, hook each cell once and drop its trace right after.
-            let mut pending: std::collections::BTreeMap<usize, (RunResult, Trace)> =
-                std::collections::BTreeMap::new();
-            let mut next = 0usize;
-            while next < n {
-                let Ok((i, result, trace)) = rx.recv() else {
-                    // Producer died (worker panic): the scope re-raises it
-                    // when the spawned thread is joined below.
-                    break;
-                };
-                pending.insert(i, (result, trace));
-                while let Some((result, trace)) = pending.remove(&next) {
-                    hook(&jobs[next], &result, &trace);
-                    results[next] = Some(result);
-                    next += 1;
-                }
-            }
-        });
-        let mut results: Vec<RunResult> = results
-            .into_iter()
-            .map(|r| r.expect("every grid cell completed"))
-            .collect();
-        // Attributed after the streaming hooks ran: cache economics are a
-        // grid property, not a trace property.
-        self.attribute_cache(&jobs, &mut results);
-        self.result_set(results)
+        self.execute(session, &NullTelemetry, true, |key, result, trace| {
+            hook(key, result, trace.expect("traced cells record a trace"))
+        })
     }
 
     /// Run *one* cell of the grid with tracing, returning its result and
@@ -941,144 +942,176 @@ impl Plan {
     /// plan's axes works. Sink choice follows [`Plan::trace`] exactly like
     /// [`Plan::run_traced`].
     pub fn trace_cell(&self, session: &Session, key: &JobKey) -> (RunResult, Trace) {
-        self.run_cell_traced(session.cache(), key)
+        let (result, trace) = self.run_cell(session.cache(), key, &NullTelemetry, true);
+        (result, trace.expect("traced cells record a trace"))
     }
 
-    /// Grid-level invariants shared by every run entry point.
-    fn validate(&self) {
-        assert!(!self.schemes.is_empty(), "plan has no schemes");
-        assert!(!self.workloads.is_empty(), "plan has no workloads");
-        // Names are the lookup keys: a duplicate would make its later grid
-        // cells unreachable by key and double-count in the aggregations.
-        assert_unique("scheme", self.schemes.iter().map(SchemeRef::name));
-        assert_unique("workload", self.workloads.iter().map(WorkloadRef::name));
-        // Custom specs sharing a name across workloads must be identical:
-        // the image cache is keyed by name, so differing knobs would make a
-        // cell's result depend on which rayon worker compiles first.
-        let mut custom: std::collections::HashMap<&str, &BenchmarkSpec> =
-            std::collections::HashMap::new();
-        for w in &self.workloads {
-            for m in w.members.iter() {
-                if let Member::Custom(s) = m {
-                    if let Some(prev) = custom.insert(&s.name, s) {
-                        assert!(
-                            prev == &**s,
-                            "plan uses two different custom specs named {:?}; names are the \
-                             compilation-cache identity, so rename one variant",
-                            s.name
-                        );
+    /// The one run path behind every entry point: validate, fan the cells
+    /// out over the session's workers, hand each to `hook` in row-major
+    /// order as it completes, and assemble the set. With `traced` every
+    /// cell records its [`Trace`] for the hook.
+    fn execute<T: Telemetry>(
+        &self,
+        session: &Session,
+        t: &T,
+        traced: bool,
+        mut hook: impl FnMut(&JobKey, &RunResult, Option<&Trace>),
+    ) -> ResultSet {
+        use crate::metrics::names::{
+            CACHE_HITS, CACHE_MISSES, CACHE_REQUESTS, CELLS_TOTAL, CELL_WALL_NS,
+        };
+        self.validate();
+        crate::metrics::register_schema(t);
+        let (grid, columns) = self.grid.filled();
+        let jobs = grid.keys();
+        let n = jobs.len();
+        let cache = session.cache();
+        if T::ENABLED {
+            t.cells_planned(n as u64);
+            t.counter_add(CELLS_TOTAL, n as u64);
+        }
+        // Image-cache economics are harvested as *deltas* over this run:
+        // misses = distinct images built (map-size delta), hits = the
+        // remaining lookups. Both ingredients are commutative sums, so the
+        // split is exact and worker-count independent by construction.
+        let (requests, unique, timing) = (cache.requests(), cache.len() as u64, cache.timing());
+        let mut results = Vec::with_capacity(n);
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let jobs = &jobs;
+            // Producer: the runner's fan-out, each finished cell sent on at
+            // once. The consumer only hangs up early on panic; the scope
+            // then re-raises it.
+            scope.spawn(move || {
+                let worker = |&i: &usize| {
+                    let start = t.now_ns();
+                    let cell = self.run_cell(cache, &jobs[i], t, traced);
+                    if T::ENABLED {
+                        t.observe(CELL_WALL_NS, t.now_ns().saturating_sub(start));
+                        t.cell_done(cache.requests(), cache.len() as u64);
                     }
+                    let _ = tx.send((i, cell));
+                };
+                runner::run_jobs((0..n).collect(), worker, session.parallelism());
+            });
+            // Consumer: re-serialize completions into row-major order, hook
+            // each cell once and drop its trace right after.
+            let mut pending = BTreeMap::new();
+            for (i, cell) in rx {
+                pending.insert(i, cell);
+                while let Some((result, trace)) = pending.remove(&results.len()) {
+                    hook(&jobs[results.len()], &result, trace.as_ref());
+                    results.push(result);
                 }
             }
-        }
-    }
-
-    /// Execute one cell untraced (the zero-cost monomorphized path).
-    ///
-    /// Fleet cells run single-threaded internally (`parallelism = 1`):
-    /// the plan's rayon fan-out is *across* cells, and nesting worker
-    /// pools would oversubscribe without changing any output byte.
-    fn run_cell(&self, cache: &ImageCache, key: &JobKey) -> RunResult {
-        let cfg = self.config_for(key);
-        let stats = match &key.fleet {
-            Some(fleet) => crate::fleet::run_fleet(cache, &cfg, fleet, &key.workload, 1),
-            None => {
-                let threads = key.workload.threads(cache, &cfg);
-                Machine::new(&cfg, threads)
-                    .expect("WorkloadRef guarantees at least one member thread")
-                    .run()
+        });
+        attribute_cache(&jobs, &mut results);
+        if T::ENABLED {
+            let requests = cache.requests() - requests;
+            let misses = cache.len() as u64 - unique;
+            t.counter_add(CACHE_REQUESTS, requests);
+            t.counter_add(CACHE_MISSES, misses);
+            t.counter_add(CACHE_HITS, requests - misses);
+            for ((name, now), (_, before)) in cache.timing().into_iter().zip(timing) {
+                t.counter_add(name, now - before);
             }
-        };
-        RunResult {
-            scheme: key.scheme.name().to_string(),
-            workload: key.workload.name().to_string(),
-            stats,
+            let refs: Vec<&RunResult> = results.iter().collect();
+            crate::metrics::harvest(&refs, t);
         }
-    }
-
-    /// [`Plan::run_cell`] with timing-class telemetry: the compile share
-    /// (metered cache lookups) and the simulate share of the cell's wall
-    /// time. Fleet cells compile inside the driver per routed lane, so
-    /// the whole cell is accounted as simulate time there.
-    fn run_cell_metered<T: Telemetry>(&self, cache: &ImageCache, key: &JobKey, t: &T) -> RunResult {
-        if !T::ENABLED {
-            return self.run_cell(cache, key);
-        }
-        use crate::metrics::names::{CELL_COMPILE_NS, CELL_SIMULATE_NS};
-        let cfg = self.config_for(key);
-        let stats = match &key.fleet {
-            Some(fleet) => {
-                let start = t.now_ns();
-                let stats = crate::fleet::run_fleet(cache, &cfg, fleet, &key.workload, 1);
-                t.observe(CELL_SIMULATE_NS, t.now_ns().saturating_sub(start));
-                stats
-            }
-            None => {
-                let compile_start = t.now_ns();
-                let threads = key.workload.threads_metered(cache, &cfg, t);
-                let sim_start = t.now_ns();
-                t.observe(CELL_COMPILE_NS, sim_start.saturating_sub(compile_start));
-                let stats = Machine::new(&cfg, threads)
-                    .expect("WorkloadRef guarantees at least one member thread")
-                    .run();
-                t.observe(CELL_SIMULATE_NS, t.now_ns().saturating_sub(sim_start));
-                stats
-            }
-        };
-        RunResult {
-            scheme: key.scheme.name().to_string(),
-            workload: key.workload.name().to_string(),
-            stats,
-        }
-    }
-
-    /// Execute one cell with trace collection.
-    fn run_cell_traced(&self, cache: &ImageCache, key: &JobKey) -> (RunResult, Trace) {
-        let cfg = self.config_for(key);
-        let (stats, trace) = match &key.fleet {
-            Some(fleet) => crate::fleet::run_fleet_traced(cache, &cfg, fleet, &key.workload, 1),
-            None => {
-                let threads = key.workload.threads(cache, &cfg);
-                Machine::new(&cfg, threads)
-                    .expect("WorkloadRef guarantees at least one member thread")
-                    .run_with_trace()
-            }
-        };
-        (
-            RunResult {
-                scheme: key.scheme.name().to_string(),
-                workload: key.workload.name().to_string(),
-                stats,
-            },
-            trace,
-        )
-    }
-
-    /// Wrap executed results into the keyed [`ResultSet`].
-    fn result_set(&self, results: Vec<RunResult>) -> ResultSet {
-        self.result_set_telemetry(results, false)
-    }
-
-    /// [`Plan::result_set`] with an explicit telemetry-axis flag (set by
-    /// the metered entry points when their sink is enabled).
-    fn result_set_telemetry(&self, results: Vec<RunResult>, telemetry_explicit: bool) -> ResultSet {
         ResultSet {
-            telemetry_explicit,
-            schemes: self.schemes.clone(),
-            workloads: self.workloads.clone(),
-            schedulers: self.effective_schedulers(),
-            sched_axis_explicit: !self.schedulers.is_empty(),
-            machines: self.effective_machines(),
-            machine_axis_explicit: !self.machines.is_empty(),
-            fleets: self.fleets.clone(),
-            traffics: self.effective_traffics(),
-            traffic_axis_explicit: !self.traffics.is_empty(),
-            axes: self.effective_axes(),
+            labels: grid.labels(),
+            grid,
+            columns: Columns {
+                telemetry: T::ENABLED,
+                ..columns
+            },
             scale: self.scale,
             priority: self.priority,
             seed: self.seed,
             results,
         }
+    }
+
+    /// Grid-level invariants shared by every run entry point.
+    fn validate(&self) {
+        let g = &self.grid;
+        assert!(!g.schemes.is_empty(), "plan has no schemes");
+        assert!(!g.workloads.is_empty(), "plan has no workloads");
+        // Names are the lookup keys: a duplicate would make its later grid
+        // cells unreachable by key and double-count in the aggregations.
+        assert_unique("scheme", g.schemes.iter().map(SchemeRef::name));
+        assert_unique("workload", g.workloads.iter().map(WorkloadRef::name));
+        // Member specs sharing a name across workloads must be identical:
+        // the image cache is keyed by name, so differing knobs would make a
+        // cell's result depend on which rayon worker compiles first.
+        let mut specs: HashMap<&str, &BenchmarkSpec> = HashMap::new();
+        for spec in g.workloads.iter().flat_map(|w| w.members.iter()) {
+            if let Some(prev) = specs.insert(&spec.name, spec) {
+                assert!(
+                    prev == spec,
+                    "plan uses two different custom specs named {:?}; names are the \
+                     compilation-cache identity, so rename one variant",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    /// Run one cell — the only cell runner. Timing-class telemetry splits
+    /// its wall time into compile (thread set-up through the image cache)
+    /// and simulate; fleet cells compile per routed lane inside the driver,
+    /// so they count as simulate time throughout. With `traced` the cell
+    /// also returns its [`Trace`].
+    ///
+    /// Fleet cells run single-threaded internally (`parallelism = 1`): the
+    /// plan's fan-out is *across* cells, and nesting worker pools would
+    /// oversubscribe without changing any output byte.
+    fn run_cell<T: Telemetry>(
+        &self,
+        cache: &ImageCache,
+        key: &JobKey,
+        t: &T,
+        traced: bool,
+    ) -> (RunResult, Option<Trace>) {
+        use crate::metrics::names::{CELL_COMPILE_NS, CELL_SIMULATE_NS};
+        let cfg = self.config_for(key);
+        let mut sim_start = t.now_ns();
+        let (stats, trace) = match &key.fleet {
+            Some(fleet) if traced => {
+                let (stats, trace) =
+                    crate::fleet::run_fleet_traced(cache, &cfg, fleet, &key.workload, 1);
+                (stats, Some(trace))
+            }
+            Some(fleet) => (
+                crate::fleet::run_fleet(cache, &cfg, fleet, &key.workload, 1),
+                None,
+            ),
+            None => {
+                let threads = key.workload.threads(cache, &cfg);
+                let compile_start = sim_start;
+                sim_start = t.now_ns();
+                if T::ENABLED {
+                    t.observe(CELL_COMPILE_NS, sim_start.saturating_sub(compile_start));
+                }
+                let machine = Machine::new(&cfg, threads)
+                    .expect("WorkloadRef guarantees at least one member thread");
+                if traced {
+                    let (stats, trace) = machine.run_with_trace();
+                    (stats, Some(trace))
+                } else {
+                    (machine.run(), None)
+                }
+            }
+        };
+        if T::ENABLED {
+            t.observe(CELL_SIMULATE_NS, t.now_ns().saturating_sub(sim_start));
+        }
+        let result = RunResult {
+            scheme: key.scheme.name().to_string(),
+            workload: key.workload.name().to_string(),
+            stats,
+        };
+        (result, trace)
     }
 }
 
@@ -1088,40 +1121,42 @@ impl Default for Plan {
     }
 }
 
+/// Statically attribute image-cache economics to cells: walk the grid
+/// row-major and charge each member's `(benchmark, machine)` key a *miss*
+/// on its first appearance and a *hit* after — the plan-level compile
+/// footprint, independent of which rayon worker actually compiled what.
+/// Fleet cells are charged their reference-geometry hint compiles; per-lane
+/// compiles for routed geometries are counted in the registry's
+/// delta-derived totals but not attributed to cells (routing is an
+/// execution outcome, not a plan property).
+fn attribute_cache(jobs: &[JobKey], results: &mut [RunResult]) {
+    let mut seen = HashSet::new();
+    for (key, r) in jobs.iter().zip(results) {
+        let machine = key.machine.config();
+        for spec in key.workload.members.iter() {
+            if seen.insert((spec.name.clone(), machine.clone())) {
+                r.stats.cache_misses += 1;
+            } else {
+                r.stats.cache_hits += 1;
+            }
+        }
+    }
+}
+
 /// The keyed results of one executed [`Plan`].
 ///
-/// Storage is row-major over the plan's grid — schemes outermost, then
-/// workloads, then schedulers, then machines, memory axes innermost — the
-/// same guarantee [`runner::run_sweep`] documents, so positional consumers
-/// and keyed lookups always agree.
+/// Storage is row-major over the plan's grid in [`Axis::ALL`] order —
+/// schemes outermost, then workloads, schedulers, machines, fleets and
+/// arrival processes, memory models innermost — so positional consumers
+/// ([`ResultSet::results`]) and keyed lookups ([`ResultSet::get`]) always
+/// agree.
 #[derive(Debug, Clone)]
 pub struct ResultSet {
-    schemes: Vec<SchemeRef>,
-    workloads: Vec<WorkloadRef>,
-    schedulers: Vec<SchedulerSpec>,
-    /// Whether the plan named schedulers explicitly. Gates the
-    /// `scheduler` column/field in serialized exhibits so default plans
-    /// keep their pre-axis byte format.
-    sched_axis_explicit: bool,
-    machines: Vec<MachineSpec>,
-    /// Whether the plan named machines explicitly. Gates the `machine`
-    /// column/field exactly like `sched_axis_explicit`.
-    machine_axis_explicit: bool,
-    /// Fleets of the grid — *empty* (not a default singleton) when the
-    /// plan named none: there is no default fleet, and emptiness doubles
-    /// as the explicitness gate for the `fleet` column/field and the
-    /// fleet metric columns.
-    fleets: Vec<FleetSpec>,
-    traffics: Vec<TrafficSpec>,
-    /// Whether the plan named arrival processes explicitly. Gates the
-    /// `traffic` column/field *and* the open-system metric columns, so
-    /// closed plans keep their historical bytes.
-    traffic_axis_explicit: bool,
-    axes: Vec<MemoryModel>,
-    /// Whether the set came from a metered run with an enabled sink.
-    /// Gates the telemetry metric columns (cache hits/misses, trace
-    /// drops) so default runs keep their historical bytes.
-    telemetry_explicit: bool,
+    /// Every axis's values, unnamed axes at their default.
+    grid: Grid,
+    /// The export spelling of every value, per axis: the lookup keys.
+    labels: [Vec<String>; N],
+    columns: Columns,
     scale: u64,
     priority: PriorityPolicy,
     seed: Option<u64>,
@@ -1129,195 +1164,44 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    /// Header shared by [`ResultSet::to_csv`] and the `paper` binary's
-    /// combined `--csv` export, for plans without an explicit scheduler
-    /// or machine axis.
-    pub const CSV_HEADER: &'static str = "scheme,workload,memory,ipc,cycles,instrs,ops";
-
-    /// [`ResultSet::CSV_HEADER`] with the `scheduler` column, used when
-    /// the plan named schedulers explicitly.
-    pub const CSV_HEADER_SCHED: &'static str =
-        "scheme,workload,scheduler,memory,ipc,cycles,instrs,ops";
-
-    /// [`ResultSet::CSV_HEADER`] with the `machine` column, used when the
-    /// plan named machines explicitly.
-    pub const CSV_HEADER_MACHINE: &'static str =
-        "scheme,workload,machine,memory,ipc,cycles,instrs,ops";
-
-    /// The full header: both the `scheduler` and `machine` columns, for
-    /// plans naming both axes explicitly.
-    pub const CSV_HEADER_SCHED_MACHINE: &'static str =
-        "scheme,workload,scheduler,machine,memory,ipc,cycles,instrs,ops";
-
-    /// The open-system metric columns appended (with the `traffic` key
-    /// column) when the plan named arrival processes explicitly.
-    pub const CSV_TRAFFIC_METRICS: &'static str =
-        ",offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth";
-
-    /// [`ResultSet::CSV_HEADER`] with the `traffic` column and the
-    /// open-system metrics, used when the plan named arrival processes
-    /// explicitly.
-    pub const CSV_HEADER_TRAFFIC: &'static str = "scheme,workload,traffic,memory,ipc,cycles,\
-         instrs,ops,offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth";
-
-    /// [`ResultSet::CSV_HEADER_SCHED`] plus the traffic column/metrics.
-    pub const CSV_HEADER_SCHED_TRAFFIC: &'static str =
-        "scheme,workload,scheduler,traffic,memory,ipc,cycles,\
-         instrs,ops,offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth";
-
-    /// [`ResultSet::CSV_HEADER_MACHINE`] plus the traffic column/metrics.
-    pub const CSV_HEADER_MACHINE_TRAFFIC: &'static str =
-        "scheme,workload,machine,traffic,memory,ipc,cycles,\
-         instrs,ops,offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth";
-
-    /// [`ResultSet::CSV_HEADER_SCHED_MACHINE`] plus the traffic
-    /// column/metrics — every optional axis explicit.
-    pub const CSV_HEADER_SCHED_MACHINE_TRAFFIC: &'static str =
-        "scheme,workload,scheduler,machine,traffic,memory,ipc,cycles,\
-         instrs,ops,offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth";
-
-    /// The fleet metric columns appended (with the `fleet` key column)
-    /// when the plan named fleets explicitly. `fleet_routed`/`fleet_shed`
-    /// are slash-joined per-machine counts in fleet order; the sojourn
-    /// quantiles are fleet-wide (merged sample multisets, not averaged
-    /// per-machine quantiles).
-    pub const CSV_FLEET_METRICS: &'static str =
-        ",fleet_machines,fleet_routed,fleet_shed,fleet_p50_sojourn,fleet_p95_sojourn,\
-         fleet_p99_sojourn";
-
-    /// The telemetry metric columns appended when the set came from a
-    /// metered run ([`Plan::run_metered`] with an enabled sink):
-    /// statically-attributed image-cache economics and ring-sink trace
-    /// drops. No key column — telemetry is a property of the run, not an
-    /// axis with swept values.
-    pub const CSV_TELEMETRY_METRICS: &'static str = ",cache_hits,cache_misses,trace_dropped";
-
-    /// The CSV header for a given column shape (see
-    /// [`ResultSet::csv_rows_shaped`]), composed column group by column
-    /// group instead of enumerating every axis combination: the key
-    /// columns in grid-axis order (`scheme,workload`, then one optional
-    /// key column per explicit axis, then `memory`), the always-on
-    /// metrics, then each explicit axis's metric group. Every pre-fleet
-    /// shape reproduces its legacy constant byte-for-byte
-    /// ([`ResultSet::CSV_HEADER`] through
-    /// [`ResultSet::CSV_HEADER_SCHED_MACHINE_TRAFFIC`]).
-    pub fn csv_header_for(
-        with_sched: bool,
-        with_machine: bool,
-        with_fleet: bool,
-        with_traffic: bool,
-        with_telemetry: bool,
-    ) -> String {
-        let mut h = String::from("scheme,workload");
-        if with_sched {
-            h.push_str(",scheduler");
-        }
-        if with_machine {
-            h.push_str(",machine");
-        }
-        if with_fleet {
-            h.push_str(",fleet");
-        }
-        if with_traffic {
-            h.push_str(",traffic");
-        }
-        h.push_str(",memory,ipc,cycles,instrs,ops");
-        if with_traffic {
-            h.push_str(Self::CSV_TRAFFIC_METRICS);
-        }
-        if with_fleet {
-            h.push_str(Self::CSV_FLEET_METRICS);
-        }
-        if with_telemetry {
-            h.push_str(Self::CSV_TELEMETRY_METRICS);
-        }
-        h
-    }
-
-    /// The CSV header matching this set's [`ResultSet::to_csv`] /
-    /// [`ResultSet::csv_rows`] output.
-    pub fn csv_header(&self) -> String {
-        Self::csv_header_for(
-            self.sched_axis_explicit,
-            self.machine_axis_explicit,
-            !self.fleets.is_empty(),
-            self.traffic_axis_explicit,
-            self.telemetry_explicit,
-        )
-    }
-
-    /// Whether the plan named schedulers explicitly (what gates the
-    /// `scheduler` column/field in this set's own serialization).
-    pub fn sched_axis_is_explicit(&self) -> bool {
-        self.sched_axis_explicit
-    }
-
-    /// Whether the plan named machines explicitly (what gates the
-    /// `machine` column/field in this set's own serialization).
-    pub fn machine_axis_is_explicit(&self) -> bool {
-        self.machine_axis_explicit
-    }
-
-    /// Whether the plan named arrival processes explicitly (what gates
-    /// the `traffic` column/field and the open-system metric columns in
-    /// this set's own serialization).
-    pub fn traffic_axis_is_explicit(&self) -> bool {
-        self.traffic_axis_explicit
-    }
-
-    /// Whether the plan named fleets explicitly (what gates the `fleet`
-    /// column/field and the fleet metric columns in this set's own
-    /// serialization). Unlike the other axes there is no default fleet:
-    /// a non-explicit fleet axis means plain single-machine cells.
-    pub fn fleet_axis_is_explicit(&self) -> bool {
-        !self.fleets.is_empty()
-    }
-
-    /// Whether this set came from a metered run with an enabled telemetry
-    /// sink (what gates the telemetry metric columns in this set's own
-    /// serialization). Like the fleet axis there is no key column — the
-    /// flag only adds metric columns.
-    pub fn telemetry_axis_is_explicit(&self) -> bool {
-        self.telemetry_explicit
+    /// The set's export columns: the key column of every optional axis the
+    /// plan named, and the telemetry metrics when a metered run with an
+    /// enabled sink produced it.
+    pub fn columns(&self) -> Columns {
+        self.columns
     }
 
     /// Schemes of the grid, in plan order.
     pub fn schemes(&self) -> &[SchemeRef] {
-        &self.schemes
+        &self.grid.schemes
     }
 
     /// Workloads of the grid, in plan order.
     pub fn workloads(&self) -> &[WorkloadRef] {
-        &self.workloads
+        &self.grid.workloads
     }
 
     /// Scheduling policies of the grid, in plan order (the default
     /// `[PaperRandom]` when the plan named none).
     pub fn schedulers(&self) -> &[SchedulerSpec] {
-        &self.schedulers
+        &self.grid.schedulers
     }
 
     /// Machine geometries of the grid, in plan order (the default
     /// `[Paper4x4]` when the plan named none).
     pub fn machines(&self) -> &[MachineSpec] {
-        &self.machines
-    }
-
-    /// Fleets of the grid, in plan order — *empty* when the plan named
-    /// none (there is no default fleet).
-    pub fn fleets(&self) -> &[FleetSpec] {
-        &self.fleets
+        &self.grid.machines
     }
 
     /// Arrival processes of the grid, in plan order (the default
     /// `[Closed]` when the plan named none).
     pub fn traffics(&self) -> &[TrafficSpec] {
-        &self.traffics
+        &self.grid.traffics
     }
 
-    /// Memory axes of the grid, in plan order.
+    /// Memory models of the grid, in plan order.
     pub fn axes(&self) -> &[MemoryModel] {
-        &self.axes
+        &self.grid.memories
     }
 
     /// The plan's run-length divisor.
@@ -1346,236 +1230,82 @@ impl ResultSet {
         self.results.is_empty()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn position(
-        &self,
-        scheme: &str,
-        workload: &str,
-        scheduler: SchedulerSpec,
-        machine: MachineSpec,
-        fleet: Option<&FleetSpec>,
-        traffic: TrafficSpec,
-        memory: MemoryModel,
-    ) -> Option<usize> {
-        let s = self.schemes.iter().position(|x| x.name() == scheme)?;
-        let w = self.workloads.iter().position(|x| x.name() == workload)?;
-        let c = self.schedulers.iter().position(|&x| x == scheduler)?;
-        let m = self.machines.iter().position(|&x| x == machine)?;
-        // The fleet stride is 1 even when no fleet axis exists (`None`
-        // addresses the sole implicit lane); an explicit fleet must be
-        // part of the grid.
-        let f = match fleet {
-            None => {
-                if self.fleets.is_empty() {
-                    0
-                } else {
-                    return None;
-                }
+    /// The grid's length along every axis.
+    fn dims(&self) -> [usize; N] {
+        std::array::from_fn(|k| self.labels[k].len())
+    }
+
+    /// Per-axis coordinates of `cell`: unset axes at the first value,
+    /// `None` when a set axis names a value the grid lacks.
+    fn locate(&self, cell: &Cell) -> Option<[usize; N]> {
+        let mut at = [0; N];
+        for ((a, want), labels) in at.iter_mut().zip(&cell.0).zip(&self.labels) {
+            if let Some(want) = want {
+                *a = labels.iter().position(|l| l == want)?;
             }
-            Some(fl) => self.fleets.iter().position(|x| x == fl)?,
-        };
-        let t = self.traffics.iter().position(|&x| x == traffic)?;
-        let a = self.axes.iter().position(|&x| x == memory)?;
-        Some(
-            ((((((s * self.workloads.len() + w) * self.schedulers.len() + c)
-                * self.machines.len()
-                + m)
-                * self.fleets.len().max(1)
-                + f)
-                * self.traffics.len())
-                + t)
-                * self.axes.len()
-                + a,
-        )
+        }
+        Some(at)
     }
 
-    /// Keyed lookup of one cell under the plan's *first* scheduler,
-    /// *first* machine and *first* traffic spec (the only ones for plans
-    /// without those explicit axes). Use [`ResultSet::get_sched`] /
-    /// [`ResultSet::get_machine`] / [`ResultSet::get_traffic`] /
-    /// [`ResultSet::get_cell`] to address swept axes explicitly.
-    pub fn get(&self, scheme: &str, workload: &str, memory: MemoryModel) -> Option<&RunResult> {
-        self.get_sched(scheme, workload, *self.schedulers.first()?, memory)
+    /// Keyed lookup of one cell. Every axis `cell` leaves unset resolves to
+    /// the set's first value (the only one, for axes the plan never
+    /// named); `None` when `cell` names a value the grid lacks.
+    pub fn get(&self, cell: &Cell) -> Option<&RunResult> {
+        let at = self.locate(cell)?;
+        self.results.get(index(&self.dims(), &at))
     }
 
-    /// Keyed lookup of one cell, scheduler included (first machine and
-    /// traffic).
-    pub fn get_sched(
-        &self,
-        scheme: &str,
-        workload: &str,
-        scheduler: SchedulerSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.get_cell(scheme, workload, scheduler, *self.machines.first()?, memory)
+    /// Mean IPC over every value of `axis`, the other axes fixed by `cell`
+    /// (`cell`'s own value on `axis` is ignored). For example
+    /// `mean_over(Axis::Workload, &Cell::default().scheme("2SC3"))` is
+    /// 2SC3's mean IPC across the grid's workloads.
+    pub fn mean_over(&self, axis: Axis, cell: &Cell) -> Option<f64> {
+        let k = axis as usize;
+        let mut free = cell.clone();
+        free.0[k] = None;
+        let mut at = self.locate(&free)?;
+        let dims = self.dims();
+        let sum: f64 = (0..dims[k])
+            .map(|i| {
+                at[k] = i;
+                self.results[index(&dims, &at)].ipc()
+            })
+            .sum();
+        Some(sum / dims[k] as f64)
     }
 
-    /// Keyed lookup of one cell, machine included (first scheduler and
-    /// traffic).
-    pub fn get_machine(
-        &self,
-        scheme: &str,
-        workload: &str,
-        machine: MachineSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.get_cell(scheme, workload, *self.schedulers.first()?, machine, memory)
-    }
-
-    /// Keyed lookup of one cell, arrival process included (first
-    /// scheduler and machine).
-    pub fn get_traffic(
-        &self,
-        scheme: &str,
-        workload: &str,
-        traffic: TrafficSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.get_full(
+    /// Gate-level cost of `cell`'s merge-control hardware priced for its
+    /// machine geometry (transistors, gate delays — see
+    /// [`vliw_hwcost::scheme_cost()`]). The cost is per-geometry, so an
+    /// `8x2` machine prices 8 clusters of 2-issue merge logic, not the
+    /// paper's 4×4. `None` when `cell` names a value the grid lacks.
+    pub fn merge_cost(&self, cell: &Cell) -> Option<SchemeCost> {
+        let at = self.locate(cell)?;
+        let scheme = self.grid.schemes[at[Axis::Scheme as usize]].scheme();
+        let machine = self.grid.machines[at[Axis::Machine as usize]].config();
+        Some(scheme_cost(
             scheme,
-            workload,
-            *self.schedulers.first()?,
-            *self.machines.first()?,
-            traffic,
-            memory,
-        )
+            machine.n_clusters,
+            machine.issue_per_cluster,
+        ))
     }
 
-    /// Keyed lookup of one cell by scheme, workload, scheduler, machine
-    /// and memory (first traffic spec). See [`ResultSet::get_full`] for
-    /// the fully-specified form.
-    pub fn get_cell(
-        &self,
-        scheme: &str,
-        workload: &str,
-        scheduler: SchedulerSpec,
-        machine: MachineSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.get_full(
-            scheme,
-            workload,
-            scheduler,
-            machine,
-            *self.traffics.first()?,
-            memory,
-        )
+    /// Area efficiency of `cell`'s scheme on its machine: mean IPC across
+    /// the grid's workloads per *kilotransistor* of merge-control hardware
+    /// on that geometry; `None` for schemes without merge hardware (`ST`).
+    /// Absolute values inherit the cost model's calibration; orderings are
+    /// structural.
+    pub fn ipc_per_area(&self, cell: &Cell) -> Option<f64> {
+        let cost = self.merge_cost(cell)?;
+        let ipc = self.mean_over(Axis::Workload, cell)?;
+        if cost.transistors == 0 {
+            return None;
+        }
+        Some(ipc / (cost.transistors as f64 / 1000.0))
     }
 
-    /// Keyed lookup of one cell by its full grid key, every axis except
-    /// the fleet explicit (first fleet for fleet-swept sets; see
-    /// [`ResultSet::get_fleet`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_full(
-        &self,
-        scheme: &str,
-        workload: &str,
-        scheduler: SchedulerSpec,
-        machine: MachineSpec,
-        traffic: TrafficSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.results.get(self.position(
-            scheme,
-            workload,
-            scheduler,
-            machine,
-            self.fleets.first(),
-            traffic,
-            memory,
-        )?)
-    }
-
-    /// Keyed lookup of one cell by fleet (first scheduler, machine and
-    /// traffic spec). Only fleets the plan named resolve; `None` for
-    /// everything else.
-    pub fn get_fleet(
-        &self,
-        scheme: &str,
-        workload: &str,
-        fleet: &FleetSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.results.get(self.position(
-            scheme,
-            workload,
-            *self.schedulers.first()?,
-            *self.machines.first()?,
-            Some(fleet),
-            *self.traffics.first()?,
-            memory,
-        )?)
-    }
-
-    /// IPC of one cell (first scheduler and machine; see
-    /// [`ResultSet::get`]).
-    pub fn ipc(&self, scheme: &str, workload: &str, memory: MemoryModel) -> Option<f64> {
-        self.get(scheme, workload, memory).map(RunResult::ipc)
-    }
-
-    /// IPC of one cell, scheduler included.
-    pub fn ipc_sched(
-        &self,
-        scheme: &str,
-        workload: &str,
-        scheduler: SchedulerSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.get_sched(scheme, workload, scheduler, memory)
-            .map(RunResult::ipc)
-    }
-
-    /// IPC of one cell, machine included.
-    pub fn ipc_machine(
-        &self,
-        scheme: &str,
-        workload: &str,
-        machine: MachineSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.get_machine(scheme, workload, machine, memory)
-            .map(RunResult::ipc)
-    }
-
-    /// IPC of one cell, fleet included (aggregate operations per cycle
-    /// across the fleet's machines over the fleet's makespan).
-    pub fn ipc_fleet(
-        &self,
-        scheme: &str,
-        workload: &str,
-        fleet: &FleetSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.get_fleet(scheme, workload, fleet, memory)
-            .map(RunResult::ipc)
-    }
-
-    /// IPC of one cell, arrival process included.
-    pub fn ipc_traffic(
-        &self,
-        scheme: &str,
-        workload: &str,
-        traffic: TrafficSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.get_traffic(scheme, workload, traffic, memory)
-            .map(RunResult::ipc)
-    }
-
-    /// Per-thread breakdown of one cell (first scheduler; from
-    /// [`crate::stats::RunStats`]).
-    pub fn threads(
-        &self,
-        scheme: &str,
-        workload: &str,
-        memory: MemoryModel,
-    ) -> Option<&[ThreadStats]> {
-        self.get(scheme, workload, memory)
-            .map(|r| r.stats.threads.as_slice())
-    }
-
-    /// All results in row-major grid order (schemes outermost, memory axes
-    /// innermost) — the [`runner::run_sweep`] layout.
+    /// All results in row-major grid order ([`Axis::ALL`], schemes
+    /// outermost).
     pub fn results(&self) -> &[RunResult] {
         &self.results
     }
@@ -1587,202 +1317,11 @@ impl ResultSet {
 
     /// Iterate `(key, result)` pairs in row-major grid order.
     pub fn iter(&self) -> impl Iterator<Item = (JobKey, &RunResult)> + '_ {
-        let na = self.axes.len();
-        let nt = self.traffics.len();
-        let nf = self.fleets.len().max(1);
-        let nm = self.machines.len();
-        let nc = self.schedulers.len();
-        let nw = self.workloads.len();
-        self.results.iter().enumerate().map(move |(i, r)| {
-            let a = i % na;
-            let t = (i / na) % nt;
-            let f = (i / (na * nt)) % nf;
-            let m = (i / (na * nt * nf)) % nm;
-            let c = (i / (na * nt * nf * nm)) % nc;
-            let w = (i / (na * nt * nf * nm * nc)) % nw;
-            let s = i / (na * nt * nf * nm * nc * nw);
-            (
-                JobKey {
-                    scheme: self.schemes[s].clone(),
-                    workload: self.workloads[w].clone(),
-                    scheduler: self.schedulers[c],
-                    machine: self.machines[m],
-                    fleet: self.fleets.get(f).cloned(),
-                    traffic: self.traffics[t],
-                    memory: self.axes[a],
-                },
-                r,
-            )
-        })
-    }
-
-    /// Mean IPC over all workloads for one fully-specified
-    /// (scheme, scheduler, machine, memory) combination.
-    fn mean_over_workloads(
-        &self,
-        scheme: &str,
-        scheduler: SchedulerSpec,
-        machine: MachineSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.schemes.iter().find(|s| s.name() == scheme)?;
-        self.axes.iter().find(|&&a| a == memory)?;
-        self.schedulers.iter().find(|&&c| c == scheduler)?;
-        self.machines.iter().find(|&&m| m == machine)?;
-        let xs: Vec<f64> = self
-            .workloads
+        let dims = self.dims();
+        self.results
             .iter()
-            .filter_map(|w| {
-                self.get_cell(scheme, w.name(), scheduler, machine, memory)
-                    .map(RunResult::ipc)
-            })
-            .collect();
-        if xs.is_empty() {
-            return None;
-        }
-        Some(xs.iter().sum::<f64>() / xs.len() as f64)
-    }
-
-    /// Mean IPC of one scheme across all workloads on one memory axis
-    /// (first scheduler and machine; see [`ResultSet::get`]).
-    pub fn mean_ipc(&self, scheme: &str, memory: MemoryModel) -> Option<f64> {
-        self.mean_ipc_sched(scheme, *self.schedulers.first()?, memory)
-    }
-
-    /// Mean IPC of one scheme across all workloads on one memory axis,
-    /// under one scheduler (first machine).
-    pub fn mean_ipc_sched(
-        &self,
-        scheme: &str,
-        scheduler: SchedulerSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.mean_over_workloads(scheme, scheduler, *self.machines.first()?, memory)
-    }
-
-    /// Mean IPC of one scheme across all workloads on one memory axis, on
-    /// one machine geometry (first scheduler).
-    pub fn mean_ipc_machine(
-        &self,
-        scheme: &str,
-        machine: MachineSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.mean_over_workloads(scheme, *self.schedulers.first()?, machine, memory)
-    }
-
-    /// Mean IPC of every scheduler (plan order) for one scheme on one
-    /// memory axis — the scheduler-ablation view.
-    pub fn scheduler_means(&self, scheme: &str, memory: MemoryModel) -> Vec<(SchedulerSpec, f64)> {
-        self.schedulers
-            .iter()
-            .filter_map(|&c| self.mean_ipc_sched(scheme, c, memory).map(|m| (c, m)))
-            .collect()
-    }
-
-    /// Mean IPC of every machine geometry (plan order) for one scheme on
-    /// one memory axis — the design-space view.
-    pub fn machine_means(&self, scheme: &str, memory: MemoryModel) -> Vec<(MachineSpec, f64)> {
-        self.machines
-            .iter()
-            .filter_map(|&m| self.mean_ipc_machine(scheme, m, memory).map(|x| (m, x)))
-            .collect()
-    }
-
-    /// Mean IPC of every arrival process (plan order) for one scheme on
-    /// one memory axis (first scheduler and machine) — the
-    /// throughput-vs-offered-load view.
-    pub fn traffic_means(&self, scheme: &str, memory: MemoryModel) -> Vec<(TrafficSpec, f64)> {
-        self.traffics
-            .iter()
-            .filter_map(|&t| {
-                let xs: Vec<f64> = self
-                    .workloads
-                    .iter()
-                    .filter_map(|w| self.ipc_traffic(scheme, w.name(), t, memory))
-                    .collect();
-                if xs.is_empty() {
-                    None
-                } else {
-                    Some((t, xs.iter().sum::<f64>() / xs.len() as f64))
-                }
-            })
-            .collect()
-    }
-
-    /// Mean IPC of every fleet (plan order) for one scheme on one memory
-    /// axis (first scheduler, machine and traffic spec) — the
-    /// fleet-scaling view. Empty for sets without a fleet axis.
-    pub fn fleet_means(&self, scheme: &str, memory: MemoryModel) -> Vec<(FleetSpec, f64)> {
-        self.fleets
-            .iter()
-            .filter_map(|f| {
-                let xs: Vec<f64> = self
-                    .workloads
-                    .iter()
-                    .filter_map(|w| self.ipc_fleet(scheme, w.name(), f, memory))
-                    .collect();
-                if xs.is_empty() {
-                    None
-                } else {
-                    Some((f.clone(), xs.iter().sum::<f64>() / xs.len() as f64))
-                }
-            })
-            .collect()
-    }
-
-    /// Gate-level cost of one scheme's merge-control hardware priced for
-    /// one machine geometry of this grid (transistors, gate delays — see
-    /// [`vliw_hwcost::scheme_cost()`]). `None` when the scheme or machine is
-    /// not part of the grid; the cost is per-geometry, so an `8x2` machine
-    /// prices 8 clusters of 2-issue merge logic, not the paper's 4×4.
-    pub fn merge_cost(&self, scheme: &str, machine: MachineSpec) -> Option<SchemeCost> {
-        let s = self.schemes.iter().find(|s| s.name() == scheme)?;
-        self.machines.iter().find(|&&m| m == machine)?;
-        let cfg = machine.config();
-        Some(scheme_cost(
-            s.scheme(),
-            cfg.n_clusters,
-            cfg.issue_per_cluster,
-        ))
-    }
-
-    /// Area efficiency of one (scheme, machine) pair: mean IPC across the
-    /// grid's workloads per *kilotransistor* of merge-control hardware on
-    /// that machine's actual geometry (first scheduler). Absolute values
-    /// inherit the cost model's calibration; orderings are structural.
-    pub fn ipc_per_area(
-        &self,
-        scheme: &str,
-        machine: MachineSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        let cost = self.merge_cost(scheme, machine)?;
-        let ipc = self.mean_ipc_machine(scheme, machine, memory)?;
-        if cost.transistors == 0 {
-            return None;
-        }
-        Some(ipc / (cost.transistors as f64 / 1000.0))
-    }
-
-    /// Mean IPC of every scheme (plan order) on one memory axis.
-    pub fn scheme_means(&self, memory: MemoryModel) -> Vec<(Arc<str>, f64)> {
-        self.schemes
-            .iter()
-            .filter_map(|s| self.mean_ipc(s.name(), memory).map(|m| (s.name.clone(), m)))
-            .collect()
-    }
-
-    /// Mean-IPC ratio of `scheme` over `baseline` on one memory axis
-    /// (1.0 = parity; the paper's "+14%" style claims are `ratio - 1`).
-    pub fn speedup(&self, scheme: &str, baseline: &str, memory: MemoryModel) -> Option<f64> {
-        let s = self.mean_ipc(scheme, memory)?;
-        let b = self.mean_ipc(baseline, memory)?;
-        if b == 0.0 {
-            None
-        } else {
-            Some(s / b)
-        }
+            .enumerate()
+            .map(move |(i, r)| (self.grid.key(coords(&dims, i)), r))
     }
 
     /// Serialize as a self-contained JSON object (hand-rolled, no external
@@ -1792,121 +1331,57 @@ impl ResultSet {
     /// back yields the exact `f64`.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256 + 256 * self.results.len());
-        s.push_str("{\"scale\":");
-        let _ = write!(s, "{}", self.scale);
-        s.push_str(",\"priority\":");
+        let _ = write!(s, "{{\"scale\":{},\"priority\":", self.scale);
         json_string(&mut s, priority_label(self.priority));
-        s.push_str(",\"seed\":");
         match self.seed {
             Some(seed) => {
-                let _ = write!(s, "{seed}");
+                let _ = write!(s, ",\"seed\":{seed}");
             }
-            None => s.push_str("null"),
+            None => s.push_str(",\"seed\":null"),
         }
-        s.push_str(",\"schemes\":[");
-        for (i, sc) in self.schemes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_string(&mut s, sc.name());
-        }
-        s.push_str("],\"workloads\":[");
-        for (i, w) in self.workloads.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_string(&mut s, w.name());
-        }
-        if self.sched_axis_explicit {
-            s.push_str("],\"schedulers\":[");
-            for (i, c) in self.schedulers.iter().enumerate() {
+        for axis in self.columns.keys() {
+            let _ = write!(s, ",\"{}\":[", AXES[axis as usize].list);
+            for (i, label) in self.labels[axis as usize].iter().enumerate() {
                 if i > 0 {
                     s.push(',');
                 }
-                json_string(&mut s, c.name());
+                json_string(&mut s, label);
             }
+            s.push(']');
         }
-        if self.machine_axis_explicit {
-            s.push_str("],\"machines\":[");
-            for (i, m) in self.machines.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                json_string(&mut s, &m.label());
-            }
-        }
-        if !self.fleets.is_empty() {
-            s.push_str("],\"fleets\":[");
-            for (i, f) in self.fleets.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                json_string(&mut s, &f.label());
-            }
-        }
-        if self.traffic_axis_explicit {
-            s.push_str("],\"traffics\":[");
-            for (i, t) in self.traffics.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                json_string(&mut s, &t.to_string());
-            }
-        }
-        s.push_str("],\"axes\":[");
-        for (i, a) in self.axes.iter().enumerate() {
+        s.push_str(",\"results\":[");
+        let dims = self.dims();
+        for (i, r) in self.results.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            json_string(&mut s, a.label());
-        }
-        s.push_str("],\"results\":[");
-        for (i, (key, r)) in self.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+            let at = coords(&dims, i);
+            for (j, axis) in self.columns.keys().enumerate() {
+                let open = if j == 0 { "{" } else { "," };
+                let _ = write!(s, "{open}\"{}\":", axis.name());
+                json_string(&mut s, &self.labels[axis as usize][at[axis as usize]]);
             }
-            s.push_str("{\"scheme\":");
-            json_string(&mut s, key.scheme.name());
-            s.push_str(",\"workload\":");
-            json_string(&mut s, key.workload.name());
-            if self.sched_axis_explicit {
-                s.push_str(",\"scheduler\":");
-                json_string(&mut s, key.scheduler.name());
-            }
-            if self.machine_axis_explicit {
-                s.push_str(",\"machine\":");
-                json_string(&mut s, &key.machine.label());
-            }
-            if let Some(fleet) = &key.fleet {
-                s.push_str(",\"fleet\":");
-                json_string(&mut s, &fleet.label());
-            }
-            if self.traffic_axis_explicit {
-                s.push_str(",\"traffic\":");
-                json_string(&mut s, &key.traffic.to_string());
-            }
-            s.push_str(",\"memory\":");
-            json_string(&mut s, key.memory.label());
+            let st = &r.stats;
             let _ = write!(
                 s,
                 ",\"ipc\":{},\"cycles\":{},\"instrs\":{},\"ops\":{},\"vertical_waste\":{},\"horizontal_waste\":{},\"context_switches\":{}",
                 r.ipc(),
-                r.stats.cycles,
-                r.stats.total_instrs,
-                r.stats.total_ops,
-                r.stats.vertical_waste(),
-                r.stats.horizontal_waste(),
-                r.stats.context_switches,
+                st.cycles,
+                st.total_instrs,
+                st.total_ops,
+                st.vertical_waste(),
+                st.horizontal_waste(),
+                st.context_switches,
             );
-            if self.sched_axis_explicit {
+            if self.columns.has(Axis::Scheduler) {
                 let _ = write!(
                     s,
                     ",\"migrations\":{},\"idle_context_cycles\":{}",
-                    r.stats.migrations, r.stats.idle_context_cycles,
+                    st.migrations, st.idle_context_cycles,
                 );
             }
-            if self.traffic_axis_explicit {
-                let t = &r.stats.traffic;
+            if self.columns.has(Axis::Traffic) {
+                let t = &st.traffic;
                 let _ = write!(
                     s,
                     ",\"offered\":{},\"completed\":{},\"shed\":{},\"p50_sojourn\":{},\"p95_sojourn\":{},\"p99_sojourn\":{},\"mean_sojourn\":{},\"mean_wait\":{},\"mean_queue_depth\":{}",
@@ -1921,52 +1396,30 @@ impl ResultSet {
                     t.mean_queue_depth,
                 );
             }
-            if let Some(fs) = r.stats.fleet.as_ref().filter(|_| key.fleet.is_some()) {
-                let _ = write!(s, ",\"fleet_machines\":{}", fs.n_machines());
-                s.push_str(",\"fleet_routed\":[");
-                for (j, m) in fs.machines.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{}", m.routed);
-                }
-                s.push_str("],\"fleet_shed\":[");
-                for (j, m) in fs.machines.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{}", m.shed);
-                }
-                s.push_str("],\"fleet_utilization\":[");
-                for (j, m) in fs.machines.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{}", m.utilization);
-                }
-                s.push_str("],\"fleet_ipc\":[");
-                for (j, m) in fs.machines.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{}", m.ipc);
-                }
-                let t = &r.stats.traffic;
+            if let Some(fs) = st.fleet.as_ref().filter(|_| self.columns.has(Axis::Fleet)) {
+                let t = &st.traffic;
                 let _ = write!(
                     s,
-                    "],\"fleet_p50_sojourn\":{},\"fleet_p95_sojourn\":{},\"fleet_p99_sojourn\":{}",
-                    t.p50_sojourn, t.p95_sojourn, t.p99_sojourn,
+                    ",\"fleet_machines\":{},\"fleet_routed\":[{}],\"fleet_shed\":[{}],\"fleet_utilization\":[{}],\"fleet_ipc\":[{}],\"fleet_p50_sojourn\":{},\"fleet_p95_sojourn\":{},\"fleet_p99_sojourn\":{}",
+                    fs.n_machines(),
+                    lanes(fs, ",", |m| m.routed.to_string()),
+                    lanes(fs, ",", |m| m.shed.to_string()),
+                    lanes(fs, ",", |m| m.utilization.to_string()),
+                    lanes(fs, ",", |m| m.ipc.to_string()),
+                    t.p50_sojourn,
+                    t.p95_sojourn,
+                    t.p99_sojourn,
                 );
             }
-            if self.telemetry_explicit {
+            if self.columns.telemetry {
                 let _ = write!(
                     s,
                     ",\"cache_hits\":{},\"cache_misses\":{},\"trace_dropped\":{}",
-                    r.stats.cache_hits, r.stats.cache_misses, r.stats.trace_dropped,
+                    st.cache_hits, st.cache_misses, st.trace_dropped,
                 );
             }
             s.push_str(",\"threads\":[");
-            for (j, t) in r.stats.threads.iter().enumerate() {
+            for (j, t) in st.threads.iter().enumerate() {
                 if j > 0 {
                     s.push(',');
                 }
@@ -1990,101 +1443,59 @@ impl ResultSet {
         s
     }
 
-    /// Serialize as CSV with header [`ResultSet::csv_header`], one row per
-    /// grid cell in row-major order. Byte-deterministic like
+    /// Serialize as CSV with header `self.columns().csv_header()`, one row
+    /// per grid cell in row-major order. Byte-deterministic like
     /// [`ResultSet::to_json`].
     pub fn to_csv(&self) -> String {
-        let mut s = self.csv_header();
-        s.push('\n');
-        s.push_str(&self.csv_rows(None));
-        s
-    }
-
-    /// The CSV data rows alone; with `exhibit` set, each row is prefixed
-    /// with that id (for combined multi-exhibit exports — prepend
-    /// `"exhibit,"` to [`ResultSet::csv_header`]). Names are CSV-quoted
-    /// when needed, since computed scheme/workload names may contain
-    /// delimiters. The `scheduler`/`machine` columns appear exactly when
-    /// the plan named those axes explicitly.
-    pub fn csv_rows(&self, exhibit: Option<&str>) -> String {
-        self.csv_rows_shaped(
-            exhibit,
-            self.sched_axis_explicit,
-            self.machine_axis_explicit,
-            !self.fleets.is_empty(),
-            self.traffic_axis_explicit,
-            self.telemetry_explicit,
+        format!(
+            "{}\n{}",
+            self.columns.csv_header(),
+            self.csv_rows(None, self.columns)
         )
     }
 
-    /// [`ResultSet::csv_rows`] in an externally-imposed column shape, for
-    /// combined multi-set exports whose sets disagree on axis
-    /// explicitness: pass the *union* of the sets' explicit axes (each
-    /// flag must be at least this set's own — forcing a column *off* that
-    /// the set swept would be ambiguous and panics) and every row matches
-    /// one [`ResultSet::csv_header_for`] header. Forced-on columns carry
-    /// the cell's actual scheduler/machine, i.e. the defaults for sets
-    /// that never named that axis.
-    pub fn csv_rows_shaped(
-        &self,
-        exhibit: Option<&str>,
-        with_sched: bool,
-        with_machine: bool,
-        with_fleet: bool,
-        with_traffic: bool,
-        with_telemetry: bool,
-    ) -> String {
+    /// The CSV data rows, shaped to `columns` — for combined multi-set
+    /// exports, the union of the sets' columns; forcing off a column this
+    /// set has would make rows of different cells collide, and panics.
+    /// Every row matches [`Columns::csv_header`]; with `exhibit` set each
+    /// row is prefixed with that id (prepend `"exhibit,"` to the header).
+    /// A forced-on key column carries the cell's actual value, i.e. the
+    /// default for axes the plan never named. Names are CSV-quoted when
+    /// needed, since computed scheme/workload names may contain delimiters.
+    pub fn csv_rows(&self, exhibit: Option<&str>, columns: Columns) -> String {
         assert!(
-            (with_sched || !self.sched_axis_explicit)
-                && (with_machine || !self.machine_axis_explicit)
-                && (with_fleet || self.fleets.is_empty())
-                && (with_traffic || !self.traffic_axis_explicit)
-                && (with_telemetry || !self.telemetry_explicit),
+            (columns | self.columns) == columns,
             "cannot drop a swept axis column: rows of different cells would collide"
         );
+        let dims = self.dims();
         let mut s = String::new();
-        for (key, r) in self.iter() {
+        for (i, r) in self.results.iter().enumerate() {
+            let at = coords(&dims, i);
             if let Some(id) = exhibit {
                 s.push_str(&csv_field(id));
                 s.push(',');
             }
-            s.push_str(&csv_field(key.scheme.name()));
-            s.push(',');
-            s.push_str(&csv_field(key.workload.name()));
-            s.push(',');
-            if with_sched {
-                s.push_str(key.scheduler.name());
+            for axis in columns.keys() {
+                // A non-fleet cell under a forced fleet column is its own
+                // singleton fleet, spelled by its machine.
+                let axis = match axis {
+                    Axis::Fleet if self.grid.fleets[at[axis as usize]].is_none() => Axis::Machine,
+                    axis => axis,
+                };
+                s.push_str(&csv_field(&self.labels[axis as usize][at[axis as usize]]));
                 s.push(',');
             }
-            if with_machine {
-                s.push_str(&key.machine.label());
-                s.push(',');
-            }
-            if with_fleet {
-                // A non-fleet cell in a forced-fleet-column export is its
-                // own singleton fleet: label it by its machine (which is
-                // exactly the one-machine fleet grammar spelling).
-                match &key.fleet {
-                    Some(f) => s.push_str(&csv_field(&f.label())),
-                    None => s.push_str(&key.machine.label()),
-                }
-                s.push(',');
-            }
-            if with_traffic {
-                s.push_str(&key.traffic.to_string());
-                s.push(',');
-            }
+            let st = &r.stats;
             let _ = write!(
                 s,
-                "{},{},{},{},{}",
-                key.memory.label(),
+                "{},{},{},{}",
                 r.ipc(),
-                r.stats.cycles,
-                r.stats.total_instrs,
-                r.stats.total_ops,
+                st.cycles,
+                st.total_instrs,
+                st.total_ops
             );
-            if with_traffic {
-                let t = &r.stats.traffic;
+            if columns.has(Axis::Traffic) {
+                let t = &st.traffic;
                 let _ = write!(
                     s,
                     ",{},{},{},{},{},{},{}",
@@ -2097,50 +1508,48 @@ impl ResultSet {
                     t.mean_queue_depth,
                 );
             }
-            if with_fleet {
-                let t = &r.stats.traffic;
-                match r.stats.fleet.as_ref() {
-                    Some(fs) => {
-                        let joined = |f: fn(&vliw_fleet::MachineLaneStats) -> u64| {
-                            fs.machines
-                                .iter()
-                                .map(|m| f(m).to_string())
-                                .collect::<Vec<_>>()
-                                .join("/")
-                        };
-                        let _ = write!(
-                            s,
-                            ",{},{},{},{},{},{}",
-                            fs.n_machines(),
-                            joined(|m| m.routed),
-                            joined(|m| m.shed),
-                            t.p50_sojourn,
-                            t.p95_sojourn,
-                            t.p99_sojourn,
-                        );
-                    }
-                    // Non-fleet cell: one machine, no routing or shedding
-                    // to report; the sojourn quantiles are the cell's own
-                    // (all-zero for closed cells).
-                    None => {
-                        let _ = write!(
-                            s,
-                            ",1,,,{},{},{}",
-                            t.p50_sojourn, t.p95_sojourn, t.p99_sojourn,
-                        );
-                    }
-                }
+            if columns.has(Axis::Fleet) {
+                let t = &st.traffic;
+                // A non-fleet cell reports one machine and no routing or
+                // shedding; its sojourn quantiles are its own (all-zero for
+                // closed cells).
+                let (machines, routed, shed) = match &st.fleet {
+                    Some(fs) => (
+                        fs.n_machines(),
+                        lanes(fs, "/", |m| m.routed.to_string()),
+                        lanes(fs, "/", |m| m.shed.to_string()),
+                    ),
+                    None => (1, String::new(), String::new()),
+                };
+                let _ = write!(
+                    s,
+                    ",{machines},{routed},{shed},{},{},{}",
+                    t.p50_sojourn, t.p95_sojourn, t.p99_sojourn,
+                );
             }
-            if with_telemetry {
+            if columns.telemetry {
                 let _ = write!(
                     s,
                     ",{},{},{}",
-                    r.stats.cache_hits, r.stats.cache_misses, r.stats.trace_dropped,
+                    st.cache_hits, st.cache_misses, st.trace_dropped,
                 );
             }
             s.push('\n');
         }
         s
+    }
+}
+
+/// One per-lane fleet statistic, `sep`-joined in fleet order.
+fn lanes(fs: &FleetStats, sep: &str, f: impl Fn(&MachineLaneStats) -> String) -> String {
+    fs.machines.iter().map(f).collect::<Vec<_>>().join(sep)
+}
+
+/// Append `value` to an axis unless a value with the same key is already
+/// on it.
+fn push_new<T, K: PartialEq>(values: &mut Vec<T>, value: T, key: impl Fn(&T) -> K) {
+    if !values.iter().any(|v| key(v) == key(&value)) {
+        values.push(value);
     }
 }
 
@@ -2213,6 +1622,17 @@ mod tests {
     }
 
     #[test]
+    fn coords_and_index_are_inverse() {
+        let dims = [2, 3, 1, 2, 1, 3, 2];
+        for i in 0..dims.iter().product() {
+            assert_eq!(index(&dims, &coords(&dims, i)), i);
+        }
+        // The last axis varies fastest.
+        assert_eq!(coords(&dims, 1), [0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(coords(&dims, 2), [0, 0, 0, 0, 0, 1, 0]);
+    }
+
+    #[test]
     fn scheduler_axis_expands_between_workloads_and_memory() {
         let plan = Plan::new()
             .schemes(["ST", "1S"])
@@ -2237,12 +1657,12 @@ mod tests {
             .scheduler(SchedulerSpec::Icount)
             .schedulers(["round-robin"]);
         assert_eq!(
-            plan.effective_schedulers(),
+            plan.grid.filled().0.schedulers,
             vec![SchedulerSpec::Icount, SchedulerSpec::RoundRobin]
         );
         // No scheduler named: the paper's default, alone.
         assert_eq!(
-            Plan::new().effective_schedulers(),
+            Plan::new().grid.filled().0.schedulers,
             vec![SchedulerSpec::PaperRandom]
         );
     }
@@ -2256,25 +1676,24 @@ mod tests {
             .scale(100_000)
             .run(&Session::with_parallelism(2));
         assert_eq!(set.len(), 4);
-        // 3-arg lookup resolves the first scheduler of the axis.
-        assert_eq!(
-            set.get("1S", "LLHH", MemoryModel::Real)
+        // An unset scheduler resolves to the first of the axis.
+        let cell = Cell::new("1S", "LLHH");
+        assert!(std::ptr::eq(
+            set.get(&cell).unwrap(),
+            set.get(&cell.clone().scheduler(SchedulerSpec::PaperRandom))
                 .unwrap()
-                .stats
-                .cycles,
-            set.get_sched("1S", "LLHH", SchedulerSpec::PaperRandom, MemoryModel::Real)
-                .unwrap()
-                .stats
-                .cycles
-        );
+        ));
         for spec in SchedulerSpec::all() {
             let r = set
-                .get_sched("1S", "LLHH", spec, MemoryModel::Real)
+                .get(&cell.clone().scheduler(spec))
                 .unwrap_or_else(|| panic!("missing {spec} cell"));
             assert!(r.ipc() > 0.0);
         }
-        let means = set.scheduler_means("1S", MemoryModel::Real);
-        assert_eq!(means.len(), 4);
+        let means = SchedulerSpec::all()
+            .iter()
+            .filter_map(|&s| set.mean_over(Axis::Workload, &cell.clone().scheduler(s)))
+            .count();
+        assert_eq!(means, 4);
         // Serialized exhibits carry the axis and per-cell labels.
         let json = set.to_json();
         assert!(json.contains(
@@ -2283,7 +1702,10 @@ mod tests {
         assert!(json.contains("\"scheduler\":\"icount\""));
         assert!(json.contains("\"migrations\":"));
         let csv = set.to_csv();
-        assert_eq!(csv.lines().next(), Some(ResultSet::CSV_HEADER_SCHED));
+        assert_eq!(
+            csv.lines().next(),
+            Some("scheme,workload,scheduler,memory,ipc,cycles,instrs,ops")
+        );
         assert!(csv
             .lines()
             .any(|l| l.starts_with("1S,LLHH,cluster-affinity,real,")));
@@ -2300,7 +1722,10 @@ mod tests {
         assert!(!json.contains("\"schedulers\""), "no axis array: {json}");
         assert!(!json.contains("\"scheduler\""), "no per-cell field");
         assert!(!json.contains("\"migrations\""), "no new metrics");
-        assert_eq!(set.to_csv().lines().next(), Some(ResultSet::CSV_HEADER));
+        assert_eq!(
+            set.to_csv().lines().next(),
+            Some("scheme,workload,memory,ipc,cycles,instrs,ops")
+        );
     }
 
     #[test]
@@ -2330,12 +1755,12 @@ mod tests {
             .machine("4x4+2+1".parse().unwrap())
             .machine(MachineSpec::Wide2x8);
         assert_eq!(
-            plan.effective_machines(),
+            plan.grid.filled().0.machines,
             vec![MachineSpec::Paper4x4, MachineSpec::Wide2x8]
         );
         // No machine named: the paper geometry, alone.
         assert_eq!(
-            Plan::new().effective_machines(),
+            Plan::new().grid.filled().0.machines,
             vec![MachineSpec::Paper4x4]
         );
     }
@@ -2349,54 +1774,41 @@ mod tests {
             .scale(100_000)
             .run(&Session::with_parallelism(2));
         assert_eq!(set.len(), 4);
-        // 3-arg lookup resolves the first machine of the axis.
-        assert_eq!(
-            set.get("2SC3", "LLHH", MemoryModel::Real)
-                .unwrap()
-                .stats
-                .cycles,
-            set.get_machine("2SC3", "LLHH", MachineSpec::Paper4x4, MemoryModel::Real)
-                .unwrap()
-                .stats
-                .cycles
-        );
-        for m in [MachineSpec::Paper4x4, MachineSpec::Wide2x8] {
-            let r = set
-                .get_machine("2SC3", "LLHH", m, MemoryModel::Real)
-                .unwrap_or_else(|| panic!("missing {m} cell"));
-            assert!(r.ipc() > 0.0);
-        }
+        // An unset machine resolves to the first of the axis.
+        let cell = Cell::new("2SC3", "LLHH");
+        let at = |m: MachineSpec| set.get(&cell.clone().machine(m)).unwrap();
+        assert!(std::ptr::eq(
+            set.get(&cell).unwrap(),
+            at(MachineSpec::Paper4x4)
+        ));
+        assert!(at(MachineSpec::Wide2x8).ipc() > 0.0);
         // The geometries genuinely differ (different compiled schedules).
         assert_ne!(
-            set.get_machine("2SC3", "LLHH", MachineSpec::Paper4x4, MemoryModel::Real)
-                .unwrap()
-                .stats
-                .cycles,
-            set.get_machine("2SC3", "LLHH", MachineSpec::Wide2x8, MemoryModel::Real)
-                .unwrap()
-                .stats
-                .cycles,
+            at(MachineSpec::Paper4x4).stats.cycles,
+            at(MachineSpec::Wide2x8).stats.cycles,
             "machine axis must be a real axis, not a relabeling"
         );
-        let means = set.machine_means("2SC3", MemoryModel::Real);
-        assert_eq!(means.len(), 2);
+        let means = set
+            .machines()
+            .iter()
+            .filter_map(|&m| set.mean_over(Axis::Workload, &cell.clone().machine(m)))
+            .count();
+        assert_eq!(means, 2);
         // hwcost coupling: costs follow the actual geometry, and the
         // area-efficiency aggregation is defined for merging schemes.
-        let paper_cost = set.merge_cost("2SC3", MachineSpec::Paper4x4).unwrap();
-        let wide_cost = set.merge_cost("2SC3", MachineSpec::Wide2x8).unwrap();
+        let paper = cell.clone().machine(MachineSpec::Paper4x4);
+        let paper_cost = set.merge_cost(&paper).unwrap();
+        let wide_cost = set
+            .merge_cost(&cell.clone().machine(MachineSpec::Wide2x8))
+            .unwrap();
         assert!(paper_cost.transistors > 0);
         assert_ne!(
             paper_cost.transistors, wide_cost.transistors,
             "cost must be priced per geometry"
         );
-        let eff = set
-            .ipc_per_area("2SC3", MachineSpec::Paper4x4, MemoryModel::Real)
-            .unwrap();
-        assert!(eff > 0.0);
+        assert!(set.ipc_per_area(&paper).unwrap() > 0.0);
         // ST has no merge hardware: no area, no efficiency number.
-        assert!(set
-            .ipc_per_area("ST", MachineSpec::Paper4x4, MemoryModel::Real)
-            .is_none());
+        assert!(set.ipc_per_area(&Cell::new("ST", "LLHH")).is_none());
         // Serialized exhibits carry the axis and per-cell labels.
         let json = set.to_json();
         assert!(
@@ -2405,7 +1817,10 @@ mod tests {
         );
         assert!(json.contains("\"machine\":\"2x8\""));
         let csv = set.to_csv();
-        assert_eq!(csv.lines().next(), Some(ResultSet::CSV_HEADER_MACHINE));
+        assert_eq!(
+            csv.lines().next(),
+            Some("scheme,workload,machine,memory,ipc,cycles,instrs,ops")
+        );
         assert!(csv.lines().any(|l| l.starts_with("2SC3,LLHH,2x8,real,")));
     }
 
@@ -2419,7 +1834,10 @@ mod tests {
         let json = set.to_json();
         assert!(!json.contains("\"machines\""), "no axis array: {json}");
         assert!(!json.contains("\"machine\""), "no per-cell field");
-        assert_eq!(set.to_csv().lines().next(), Some(ResultSet::CSV_HEADER));
+        assert_eq!(
+            set.to_csv().lines().next(),
+            Some("scheme,workload,memory,ipc,cycles,instrs,ops")
+        );
         // The implicit machine is still addressable.
         assert_eq!(set.machines(), &[MachineSpec::Paper4x4]);
     }
@@ -2449,11 +1867,14 @@ mod tests {
             .arrival("poisson:0.020000".parse().unwrap())
             .arrivals([TrafficSpec::Closed]);
         assert_eq!(
-            plan.effective_traffics(),
+            plan.grid.filled().0.traffics,
             vec!["poisson:0.02".parse().unwrap(), TrafficSpec::Closed]
         );
         // No arrival process named: closed (batch), alone.
-        assert_eq!(Plan::new().effective_traffics(), vec![TrafficSpec::Closed]);
+        assert_eq!(
+            Plan::new().grid.filled().0.traffics,
+            vec![TrafficSpec::Closed]
+        );
     }
 
     #[test]
@@ -2466,29 +1887,18 @@ mod tests {
             .scale(100_000)
             .run(&Session::with_parallelism(2));
         assert_eq!(set.len(), 2);
-        // 3-arg lookup resolves the first arrival process of the axis.
-        assert_eq!(
-            set.get("1S", "LLHH", MemoryModel::Real)
-                .unwrap()
-                .stats
-                .cycles,
-            set.get_traffic("1S", "LLHH", TrafficSpec::Closed, MemoryModel::Real)
-                .unwrap()
-                .stats
-                .cycles
-        );
-        let closed = set
-            .get_traffic("1S", "LLHH", TrafficSpec::Closed, MemoryModel::Real)
-            .unwrap();
-        let opened = set
-            .get_traffic("1S", "LLHH", open, MemoryModel::Real)
-            .unwrap();
+        // An unset arrival process resolves to the first of the axis.
+        let cell = Cell::new("1S", "LLHH");
+        let closed = set.get(&cell.clone().traffic(TrafficSpec::Closed)).unwrap();
+        assert!(std::ptr::eq(set.get(&cell).unwrap(), closed));
+        let opened = set.get(&cell.clone().traffic(open)).unwrap();
         assert_eq!(closed.stats.traffic, Default::default());
         assert_eq!(opened.stats.traffic.offered, 4, "LLHH stages 4 jobs");
         assert!(opened.ipc() > 0.0);
-        let means = set.traffic_means("1S", MemoryModel::Real);
-        assert_eq!(means.len(), 2);
-        assert_eq!(means[0].0, TrafficSpec::Closed);
+        assert_eq!(set.traffics()[0], TrafficSpec::Closed);
+        assert!(set
+            .mean_over(Axis::Workload, &cell.clone().traffic(open))
+            .is_some());
         // Serialized exhibits carry the axis, per-cell labels and metrics.
         let json = set.to_json();
         assert!(
@@ -2499,7 +1909,13 @@ mod tests {
         assert!(json.contains("\"offered\":4"));
         assert!(json.contains("\"p99_sojourn\":"));
         let csv = set.to_csv();
-        assert_eq!(csv.lines().next(), Some(ResultSet::CSV_HEADER_TRAFFIC));
+        assert_eq!(
+            csv.lines().next(),
+            Some(
+                "scheme,workload,traffic,memory,ipc,cycles,instrs,ops,offered,completed,shed,\
+                 p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth"
+            )
+        );
         assert!(
             csv.lines()
                 .any(|l| l.starts_with("1S,LLHH,poisson:0.002,real,")),
@@ -2518,7 +1934,10 @@ mod tests {
         assert!(!json.contains("\"traffics\""), "no axis array: {json}");
         assert!(!json.contains("\"traffic\""), "no per-cell field");
         assert!(!json.contains("\"offered\""), "no open-system metrics");
-        assert_eq!(set.to_csv().lines().next(), Some(ResultSet::CSV_HEADER));
+        assert_eq!(
+            set.to_csv().lines().next(),
+            Some("scheme,workload,memory,ipc,cycles,instrs,ops")
+        );
         // The implicit closed process is still addressable.
         assert_eq!(set.traffics(), &[TrafficSpec::Closed]);
     }
@@ -2532,7 +1951,10 @@ mod tests {
             .machine(MachineSpec::Lite4x4)
             .scale(100_000)
             .run(&Session::with_parallelism(1));
-        assert_eq!(set.csv_header(), ResultSet::CSV_HEADER_SCHED_MACHINE);
+        assert_eq!(
+            set.columns().csv_header(),
+            "scheme,workload,scheduler,machine,memory,ipc,cycles,instrs,ops"
+        );
         let csv = set.to_csv();
         assert!(
             csv.lines()
@@ -2541,15 +1963,10 @@ mod tests {
         );
         let json = set.to_json();
         assert!(json.contains("\"scheduler\":\"icount\",\"machine\":\"4x4-lite\""));
-        assert!(set
-            .get_cell(
-                "1S",
-                "idct",
-                SchedulerSpec::Icount,
-                MachineSpec::Lite4x4,
-                MemoryModel::Real
-            )
-            .is_some());
+        let cell = Cell::new("1S", "idct")
+            .scheduler(SchedulerSpec::Icount)
+            .machine(MachineSpec::Lite4x4);
+        assert!(set.get(&cell).is_some());
     }
 
     #[test]
@@ -2568,7 +1985,7 @@ mod tests {
             .axis(MemoryModel::Real)
             .axis(MemoryModel::Real)
             .axis(MemoryModel::Perfect);
-        assert_eq!(plan.effective_axes().len(), 2);
+        assert_eq!(plan.grid.memories.len(), 2);
     }
 
     #[test]
@@ -2650,25 +2067,26 @@ mod tests {
             .run(&session);
         assert_eq!(set.len(), 8);
         for (i, (key, r)) in set.iter().enumerate() {
-            let by_key = set
-                .get(key.scheme.name(), key.workload.name(), key.memory)
-                .unwrap();
+            let by_key = set.get(&Cell::from(&key)).unwrap();
             assert_eq!(by_key.stats.cycles, r.stats.cycles, "cell {i}");
             assert!(std::ptr::eq(by_key, &set.results()[i]), "cell {i}");
         }
-        // Aggregations agree with manual recomputation.
-        let mean = set.mean_ipc("1S", MemoryModel::Real).unwrap();
-        let manual = (set.ipc("1S", "idct", MemoryModel::Real).unwrap()
-            + set.ipc("1S", "LLHH", MemoryModel::Real).unwrap())
-            / 2.0;
-        assert!((mean - manual).abs() < 1e-12);
-        let speedup = set.speedup("1S", "ST", MemoryModel::Real).unwrap();
-        assert!(speedup > 1.0, "1S must beat ST on average");
+        // The aggregation agrees with manual recomputation.
+        let ipc =
+            |s: &str, w: &str, m: MemoryModel| set.get(&Cell::new(s, w).memory(m)).unwrap().ipc();
+        let mean = |s: &str| {
+            set.mean_over(Axis::Workload, &Cell::default().scheme(s))
+                .unwrap()
+        };
+        let manual =
+            (ipc("1S", "idct", MemoryModel::Real) + ipc("1S", "LLHH", MemoryModel::Real)) / 2.0;
+        assert!((mean("1S") - manual).abs() < 1e-12);
+        assert!(mean("1S") > mean("ST"), "1S must beat ST on average");
         // Perfect memory dominates on every cell.
         for s in ["ST", "1S"] {
             for w in ["idct", "LLHH"] {
-                let r = set.ipc(s, w, MemoryModel::Real).unwrap();
-                let p = set.ipc(s, w, MemoryModel::Perfect).unwrap();
+                let r = ipc(s, w, MemoryModel::Real);
+                let p = ipc(s, w, MemoryModel::Perfect);
                 assert!(p >= r * 0.95, "{s}/{w}: perfect {p:.2} vs real {r:.2}");
             }
         }
@@ -2687,7 +2105,7 @@ mod tests {
             .workload(wl)
             .scale(100_000)
             .run(&Session::with_parallelism(1));
-        let r = set.get("1S", "gen-mix-3", MemoryModel::Real).unwrap();
+        let r = set.get(&Cell::new("1S", "gen-mix-3")).unwrap();
         assert_eq!(r.stats.threads.len(), 2);
         assert_eq!(&*r.stats.threads[0].name, "idct-gen-3");
         assert!(r.ipc() > 0.0);
@@ -2711,7 +2129,10 @@ mod tests {
         );
         let csv = set.to_csv();
         let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some(ResultSet::CSV_HEADER));
+        assert_eq!(
+            lines.next(),
+            Some("scheme,workload,memory,ipc,cycles,instrs,ops")
+        );
         let row = lines.next().unwrap();
         assert!(row.starts_with("ST,idct,real,"));
     }
@@ -2746,16 +2167,10 @@ mod tests {
         );
         // The returned set is the plain `run` result set.
         let plain = plan.run(&Session::with_parallelism(1));
+        let cell = Cell::new("1S", "idct").memory(MemoryModel::Perfect);
         assert_eq!(
-            set.get("1S", "idct", MemoryModel::Perfect)
-                .unwrap()
-                .stats
-                .cycles,
-            plain
-                .get("1S", "idct", MemoryModel::Perfect)
-                .unwrap()
-                .stats
-                .cycles
+            set.get(&cell).unwrap().stats.cycles,
+            plain.get(&cell).unwrap().stats.cycles
         );
     }
 

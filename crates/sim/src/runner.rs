@@ -15,8 +15,8 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vliw_telemetry::Telemetry;
-use vliw_workloads::{benchmark, build, BenchmarkImage, BenchmarkSpec, WorkloadMix};
+use std::time::Instant;
+use vliw_workloads::{benchmark, build, BenchmarkImage, BenchmarkSpec, BuildError, WorkloadMix};
 
 /// Result of one run: what was run, with which scheme, and the stats.
 #[derive(Debug, Clone)]
@@ -58,6 +58,14 @@ pub struct ImageCache {
     /// after a parallel sweep is independent of worker count and interleaving
     /// (unlike a hit/miss split, which depends on who compiles first).
     requests: AtomicU64,
+    /// Lookups that found their image already built.
+    probe_hits: AtomicU64,
+    /// Lookups that built their image.
+    probe_misses: AtomicU64,
+    /// Wall time spent compiling images, ns.
+    build_ns: AtomicU64,
+    /// Wall time spent verifying fresh images, ns.
+    verify_ns: AtomicU64,
 }
 
 impl ImageCache {
@@ -85,24 +93,27 @@ impl ImageCache {
         self.map.lock().is_empty()
     }
 
-    /// Get or build the image + metadata for a Table-1 benchmark by name,
-    /// compiled for `machine`.
-    ///
-    /// Unknown names and compile failures come back as
-    /// [`SimError::Build`] (this used to panic); custom specs go through
-    /// [`ImageCache::get_spec`].
-    pub fn get(
-        &self,
-        name: &str,
-        machine: &vliw_isa::MachineConfig,
-    ) -> Result<CachedImage, SimError> {
-        let spec = benchmark(name)
-            .ok_or_else(|| vliw_workloads::BuildError::UnknownBenchmark(name.to_string()))?;
-        self.get_spec(spec, machine)
+    /// The cache's timing-class tallies by metric name: live probe hits and
+    /// misses, and the wall time spent building and verifying images.
+    /// Which lookup hits depends on which worker built the image first, so
+    /// unlike [`ImageCache::requests`] these are scheduling-dependent; a
+    /// plan run emits how much each grew over the run.
+    pub(crate) fn timing(&self) -> [(&'static str, u64); 4] {
+        use crate::metrics::names::{
+            CACHE_BUILD_NS, CACHE_PROBE_HITS, CACHE_PROBE_MISSES, CACHE_VERIFY_NS,
+        };
+        let load = |tally: &AtomicU64| tally.load(Ordering::Relaxed);
+        [
+            (CACHE_PROBE_HITS, load(&self.probe_hits)),
+            (CACHE_PROBE_MISSES, load(&self.probe_misses)),
+            (CACHE_BUILD_NS, load(&self.build_ns)),
+            (CACHE_VERIFY_NS, load(&self.verify_ns)),
+        ]
     }
 
-    /// Get or build the image + metadata for an arbitrary benchmark spec,
-    /// compiled for `machine` (keyed by `(spec.name, machine)`).
+    /// Get or build the image + metadata for a benchmark spec — a Table-1
+    /// entry from [`vliw_workloads::benchmark`] or a custom one — compiled
+    /// for `machine` (keyed by `(spec.name, machine)`).
     ///
     /// The map lock is *not* held while compiling, so concurrent workers
     /// warming different benchmarks compile in parallel. Two workers racing
@@ -120,62 +131,21 @@ impl ImageCache {
         spec: &BenchmarkSpec,
         machine: &vliw_isa::MachineConfig,
     ) -> Result<CachedImage, SimError> {
-        self.get_spec_metered(spec, machine, &vliw_telemetry::NullTelemetry)
-    }
-
-    /// [`ImageCache::get`] with timing-class telemetry: compile and verify
-    /// wall time plus live probe hit/miss counts. The live probe split is
-    /// scheduling-dependent under parallelism, which is why it lives in the
-    /// timing class; the deterministic hit/miss split is derived post-hoc
-    /// from [`ImageCache::requests`] and [`ImageCache::len`].
-    pub fn get_metered<T: Telemetry>(
-        &self,
-        name: &str,
-        machine: &vliw_isa::MachineConfig,
-        t: &T,
-    ) -> Result<CachedImage, SimError> {
-        let spec = benchmark(name)
-            .ok_or_else(|| vliw_workloads::BuildError::UnknownBenchmark(name.to_string()))?;
-        self.get_spec_metered(spec, machine, t)
-    }
-
-    /// [`ImageCache::get_spec`] with timing-class telemetry (see
-    /// [`ImageCache::get_metered`]).
-    pub fn get_spec_metered<T: Telemetry>(
-        &self,
-        spec: &BenchmarkSpec,
-        machine: &vliw_isa::MachineConfig,
-        t: &T,
-    ) -> Result<CachedImage, SimError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let key = (spec.name.clone(), machine.clone());
         if let Some(hit) = self.map.lock().get(&key) {
-            if T::ENABLED {
-                t.counter_add(crate::metrics::names::CACHE_PROBE_HITS, 1);
-            }
+            self.probe_hits.fetch_add(1, Ordering::Relaxed);
             Self::check_identity(&hit.0, spec, machine);
             return Ok(hit.clone());
         }
-        if T::ENABLED {
-            t.counter_add(crate::metrics::names::CACHE_PROBE_MISSES, 1);
-        }
-        let build_start = t.now_ns();
+        self.probe_misses.fetch_add(1, Ordering::Relaxed);
+        let start = Instant::now();
         let img = build(spec, machine)?;
-        if T::ENABLED {
-            t.counter_add(
-                crate::metrics::names::CACHE_BUILD_NS,
-                t.now_ns().saturating_sub(build_start),
-            );
-        }
+        add_elapsed(&self.build_ns, start);
         if verify_images_enabled() {
-            let verify_start = t.now_ns();
+            let start = Instant::now();
             let report = vliw_analyze::analyze_image(&img, vliw_analyze::AnalyzeOptions::default());
-            if T::ENABLED {
-                t.counter_add(
-                    crate::metrics::names::CACHE_VERIFY_NS,
-                    t.now_ns().saturating_sub(verify_start),
-                );
-            }
+            add_elapsed(&self.verify_ns, start);
             if report.errors() > 0 {
                 return Err(SimError::InvalidImage {
                     benchmark: spec.name.to_string(),
@@ -216,6 +186,11 @@ impl ImageCache {
     }
 }
 
+/// Add the wall time since `start` to a nanosecond tally.
+fn add_elapsed(tally: &AtomicU64, start: Instant) {
+    tally.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+}
+
 /// Whether `VLIW_VERIFY_IMAGES` asks for static verification at cache
 /// insertion (non-empty and not `0`; sampled once per process).
 fn verify_images_enabled() -> bool {
@@ -226,7 +201,7 @@ fn verify_images_enabled() -> bool {
 }
 
 /// Instantiate the software threads of a benchmark list (Table-1 names,
-/// `'static` or not).
+/// `'static` or not). Unknown names come back as [`SimError::Build`].
 pub fn make_threads(
     cache: &ImageCache,
     cfg: &SimConfig,
@@ -236,7 +211,9 @@ pub fn make_threads(
         .iter()
         .enumerate()
         .map(|(tid, name)| {
-            let entry = cache.get(name, &cfg.machine)?;
+            let spec =
+                benchmark(name).ok_or_else(|| BuildError::UnknownBenchmark(name.to_string()))?;
+            let entry = cache.get_spec(spec, &cfg.machine)?;
             Ok(SoftThread::new(
                 &entry.0,
                 entry.1.clone(),
@@ -303,72 +280,6 @@ where
     pool.install(|| jobs.par_iter().map(&worker).collect())
 }
 
-/// [`run_jobs`] with per-cell telemetry: each job's wall time is observed
-/// into the `vliw_cell_wall_ns` histogram and its completion reported via
-/// [`Telemetry::cell_done`] (which drives the progress heartbeat and the
-/// live cache hit-rate probe). With [`vliw_telemetry::NullTelemetry`] every
-/// emission compiles away and this is exactly [`run_jobs`].
-pub fn run_jobs_metered<J, R, F, T>(
-    jobs: Vec<J>,
-    worker: F,
-    parallelism: usize,
-    t: &T,
-    cache: &ImageCache,
-) -> Vec<R>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-    T: Telemetry,
-{
-    if !T::ENABLED {
-        return run_jobs(jobs, worker, parallelism);
-    }
-    run_jobs(
-        jobs,
-        |job| {
-            let start = t.now_ns();
-            let out = worker(job);
-            t.observe(
-                crate::metrics::names::CELL_WALL_NS,
-                t.now_ns().saturating_sub(start),
-            );
-            t.cell_done(cache.requests(), cache.len() as u64);
-            out
-        },
-        parallelism,
-    )
-}
-
-/// Run the full scheme × mix cross product in parallel, sharing one
-/// [`ImageCache`] across all workers (benchmark compilation happens once
-/// per benchmark, not once per run). Results come back in row-major order:
-/// `results[s * n_mixes + m]` is scheme `s` on mix `m`.
-///
-/// This is the positional, keep-it-simple contract: empty inputs return an
-/// empty vector and duplicate names are allowed (rows are addressed by
-/// index). For keyed lookup, aggregation and serialization on the same
-/// grid — at the price of unique names — use [`crate::plan::Plan`].
-pub fn run_sweep(
-    cache: &ImageCache,
-    schemes: &[vliw_core::MergeScheme],
-    mixes: &[&WorkloadMix],
-    scale: u64,
-    parallelism: usize,
-) -> Vec<RunResult> {
-    let jobs: Vec<(usize, &WorkloadMix)> = (0..schemes.len())
-        .flat_map(|s| mixes.iter().map(move |&mix| (s, mix)))
-        .collect();
-    run_jobs(
-        jobs,
-        |&(s, mix)| {
-            let cfg = SimConfig::paper(schemes[s].clone(), scale);
-            run_mix(cache, &cfg, mix).expect("sweep mixes are non-empty")
-        },
-        parallelism,
-    )
-}
-
 /// Default sweep parallelism: physical cores minus one, at least 1.
 pub fn default_parallelism() -> usize {
     std::thread::available_parallelism()
@@ -422,19 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn run_sweep_accepts_empty_and_duplicate_inputs() {
-        // The positional contract: no keyed lookup, so neither case is an
-        // error (unlike `Plan`, which requires unique names).
-        let cache = ImageCache::new();
-        assert!(run_sweep(&cache, &[], &[], 1000, 2).is_empty());
-        let s = catalog::by_name("1S").unwrap();
-        let mix = mixes::mix("LLHH").unwrap();
-        let out = run_sweep(&cache, &[s.clone(), s], &[mix], 100_000, 2);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].stats.cycles, out[1].stats.cycles);
-    }
-
-    #[test]
     fn cache_accepts_non_static_names() {
         let cache = ImageCache::new();
         let cfg = SimConfig::paper(catalog::by_name("ST").unwrap(), 50_000);
@@ -453,13 +351,14 @@ mod tests {
         let cache = ImageCache::new();
         let paper = vliw_isa::MachineSpec::Paper4x4.config();
         let narrow = vliw_isa::MachineSpec::Narrow8x2.config();
-        let a = cache.get("idct", &paper).unwrap();
-        let b = cache.get("idct", &narrow).unwrap();
+        let idct = vliw_workloads::benchmark("idct").unwrap();
+        let a = cache.get_spec(idct, &paper).unwrap();
+        let b = cache.get_spec(idct, &narrow).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "geometries must not share images");
         assert_eq!(a.0.machine, paper);
         assert_eq!(b.0.machine, narrow);
         // Same geometry still hits.
-        assert!(Arc::ptr_eq(&a, &cache.get("idct", &paper).unwrap()));
+        assert!(Arc::ptr_eq(&a, &cache.get_spec(idct, &paper).unwrap()));
     }
 
     #[test]
@@ -486,5 +385,8 @@ mod tests {
         let a = cache.get_spec(&spec, &machine).unwrap();
         let b = cache.get_spec(&spec, &machine).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
+        let [hits, misses, build_ns, _] = cache.timing().map(|(_, v)| v);
+        assert_eq!((hits, misses, cache.requests()), (1, 1, 2));
+        assert!(build_ns > 0, "the miss compiled");
     }
 }

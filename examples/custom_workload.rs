@@ -13,7 +13,7 @@
 //! with measured IPCr/IPCp, applied to a user-defined benchmark spec.
 
 use vliw_tms::isa::{disasm, MachineConfig};
-use vliw_tms::sim::plan::{MemoryModel, Plan, Session, WorkloadRef};
+use vliw_tms::sim::plan::{Cell, Plan, Session, WorkloadRef};
 use vliw_tms::workloads::{build, BenchmarkSpec, IlpDegree};
 
 /// A hand-written "fir filter"-ish kernel: medium ILP, streaming loads,
@@ -67,10 +67,7 @@ fn main() {
         .scale(200)
         .run(&Session::new());
     for name in schemes {
-        let s = &set
-            .get(name, workload.name(), MemoryModel::Real)
-            .unwrap()
-            .stats;
+        let s = &set.get(&Cell::new(name, workload.name())).unwrap().stats;
         println!(
             "\n{name:<5} IPC {:>5.2}  vertical waste {:>5.1}%  horizontal {:>5.1}%",
             s.ipc(),

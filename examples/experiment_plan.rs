@@ -11,7 +11,7 @@
 //! Table 1 joined with the scheme sweep of Figure 10, as one declarative
 //! grid.
 
-use vliw_tms::sim::plan::{MemoryModel, Plan, Session};
+use vliw_tms::sim::plan::{Axis, Cell, MemoryModel, Plan, Session};
 
 fn main() {
     // What to run, not how: three schemes x three mixes x both memory
@@ -35,7 +35,9 @@ fn main() {
                     format!(
                         "{}={:.2}",
                         w.name(),
-                        set.ipc(scheme, w.name(), memory).unwrap()
+                        set.get(&Cell::new(scheme, w.name()).memory(memory))
+                            .unwrap()
+                            .ipc()
                     )
                 })
                 .collect();
@@ -43,11 +45,17 @@ fn main() {
         }
     }
 
-    // 2. Aggregations: per-scheme means and speedup vs a baseline.
+    // 2. Aggregation: per-scheme means over the workloads (real memory,
+    //    the set's first memory model) and the speedup vs a baseline.
     println!("\nmean IPC (real memory), speedup vs 1S:");
-    for (name, mean) in set.scheme_means(MemoryModel::Real) {
-        let speedup = set.speedup(&name, "1S", MemoryModel::Real).unwrap();
-        println!("  {name:<5} {mean:.2}  ({:+.0}%)", (speedup - 1.0) * 100.0);
+    let mean = |scheme: &str| {
+        set.mean_over(Axis::Workload, &Cell::default().scheme(scheme))
+            .unwrap()
+    };
+    for scheme in set.schemes() {
+        let m = mean(scheme.name());
+        let gain = (m / mean("1S") - 1.0) * 100.0;
+        println!("  {:<5} {m:.2}  ({gain:+.0}%)", scheme.name());
     }
 
     // 3. Serialized exhibits: deterministic bytes, machine-readable.

@@ -21,7 +21,7 @@
 //! north star.
 
 use vliw_tms::sim::experiments::traffic_workload;
-use vliw_tms::sim::plan::{FleetSpec, MemoryModel, Plan, Session};
+use vliw_tms::sim::plan::{Cell, FleetSpec, Plan, Session};
 
 fn main() {
     // The ladder: scale out homogeneously, then mix geometries and let
@@ -52,9 +52,10 @@ fn main() {
         "{:>18} | {:>12} | {:>9} | {:>4} | {:>11} | {:>11} | {:>6}",
         "fleet", "dispatcher", "routed", "shed", "p50 sojourn", "p95 sojourn", "IPC"
     );
+    let cell = |fleet: &FleetSpec| Cell::new("2SC3", "LLHH-x3").fleet(fleet);
     for fleet in &fleets {
         let r = set
-            .get_fleet("2SC3", "LLHH-x3", fleet, MemoryModel::Real)
+            .get(&cell(fleet))
             .expect("the plan covers every ladder rung");
         let fs = r.stats.fleet.as_ref().expect("fleet cells carry stats");
         let routed = fs
@@ -77,12 +78,8 @@ fn main() {
     }
 
     // The load-bearing observations, spelled out.
-    let one = set
-        .get_fleet("2SC3", "LLHH-x3", &fleets[0], MemoryModel::Real)
-        .unwrap();
-    let four = set
-        .get_fleet("2SC3", "LLHH-x3", &fleets[2], MemoryModel::Real)
-        .unwrap();
+    let one = set.get(&cell(&fleets[0])).unwrap();
+    let four = set.get(&cell(&fleets[2])).unwrap();
     println!(
         "\nscaling out 1 -> 4 machines cuts p95 sojourn {} -> {} cycles \
          at the same offered load",

@@ -18,7 +18,7 @@
 //! FU mix) in the spirit of the §5.1 machine description and the
 //! Figure 9/11 cost analysis, priced per geometry.
 
-use vliw_tms::sim::plan::{MachineSpec, MemoryModel, Plan, Session};
+use vliw_tms::sim::plan::{Axis, Cell, MachineSpec, Plan, Session};
 
 fn main() {
     let schemes = ["3CCC", "2SC3", "3SSS"];
@@ -37,7 +37,9 @@ fn main() {
     println!();
     for s in schemes {
         print!("{s:<8}");
-        for (_, ipc) in set.machine_means(s, MemoryModel::Real) {
+        for &m in set.machines() {
+            let cell = Cell::default().scheme(s).machine(m);
+            let ipc = set.mean_over(Axis::Workload, &cell).unwrap();
             print!(" {ipc:>10.2}");
         }
         println!();
@@ -51,9 +53,10 @@ fn main() {
     let mut by_efficiency: Vec<(MachineSpec, &str, f64)> = Vec::new();
     for &machine in set.machines() {
         for s in schemes {
-            let cost = set.merge_cost(s, machine).expect("grid covers the pair");
+            let cell = Cell::default().scheme(s).machine(machine);
+            let cost = set.merge_cost(&cell).expect("grid covers the pair");
             let eff = set
-                .ipc_per_area(s, machine, MemoryModel::Real)
+                .ipc_per_area(&cell)
                 .expect("merging schemes have nonzero area");
             by_efficiency.push((machine, s, eff));
             println!(

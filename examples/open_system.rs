@@ -19,7 +19,7 @@
 //! heavy-traffic north star.
 
 use vliw_tms::sim::experiments::traffic_workload;
-use vliw_tms::sim::plan::{MemoryModel, Plan, Session, TrafficSpec};
+use vliw_tms::sim::plan::{Cell, Plan, Session, TrafficSpec};
 
 fn main() {
     let schemes = ["3SSS", "2SC3"];
@@ -48,7 +48,7 @@ fn main() {
         print!("{:>16} |", load.offered_rate().to_string());
         for scheme in schemes {
             let t = &set
-                .get_traffic(scheme, "LLHH-x3", load, MemoryModel::Real)
+                .get(&Cell::new(scheme, "LLHH-x3").traffic(load))
                 .expect("grid covers every cell")
                 .stats
                 .traffic;
@@ -68,7 +68,7 @@ fn main() {
     // the cheap hybrid give up against full SMT?
     let heavy = *loads.last().expect("ladder is non-empty");
     let p99 = |scheme: &str| {
-        set.get_traffic(scheme, "LLHH-x3", heavy, MemoryModel::Real)
+        set.get(&Cell::new(scheme, "LLHH-x3").traffic(heavy))
             .expect("grid covers every cell")
             .stats
             .traffic

@@ -13,7 +13,7 @@
 //! Paper exhibit: the headline result (§5.3, Figure 10) — scheme 2SC3 at
 //! ~97% of full SMT performance on the Table-2 mixes.
 
-use vliw_tms::sim::plan::{MemoryModel, Plan, Session};
+use vliw_tms::sim::plan::{Axis, Cell, Plan, Session};
 
 fn main() {
     // 1/100 of the paper's 100M-instruction runs — a couple of seconds.
@@ -30,7 +30,7 @@ fn main() {
         "scheme", "IPC", "vert%", "horiz%", "util%"
     );
     for scheme in schemes {
-        let s = &set.get(scheme, "LLHH", MemoryModel::Real).unwrap().stats;
+        let s = &set.get(&Cell::new(scheme, "LLHH")).unwrap().stats;
         println!(
             "{scheme:<6} {:>6.2} {:>8.1} {:>8.1} {:>8.1}",
             s.ipc(),
@@ -39,13 +39,18 @@ fn main() {
             s.utilization() * 100.0
         );
     }
-    let speedup = set.speedup("2SC3", "3SSS", MemoryModel::Real).unwrap();
+    // Mean IPC over the plan's workloads (one here), per scheme.
+    let mean = |scheme: &str| {
+        set.mean_over(Axis::Workload, &Cell::default().scheme(scheme))
+            .unwrap()
+    };
+    let speedup = mean("2SC3") / mean("3SSS");
     println!(
         "\n2SC3 delivers {:.0}% of full-SMT (3SSS) performance (paper: ~97%)",
         speedup * 100.0
     );
 
-    let s = &set.get("2SC3", "LLHH", MemoryModel::Real).unwrap().stats;
+    let s = &set.get(&Cell::new("2SC3", "LLHH")).unwrap().stats;
     println!("\n2SC3 in detail:");
     println!("cycles            : {}", s.cycles);
     println!("fairness (Jain)   : {:.3}", s.fairness());
@@ -58,7 +63,7 @@ fn main() {
     }
 
     println!("\nper-thread progress:");
-    for t in set.threads("2SC3", "LLHH", MemoryModel::Real).unwrap() {
+    for t in &s.threads {
         println!(
             "  {:<10} instrs={:<9} ops={:<9} d-stall={} br-stall={}",
             t.name, t.instrs, t.ops, t.dstall_cycles, t.branch_stall_cycles

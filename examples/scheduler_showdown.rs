@@ -18,7 +18,7 @@
 //! 1M-cycle quantum) opened into a scheduling-policy axis — a
 //! beyond-the-paper ablation of the context-management policy.
 
-use vliw_tms::sim::plan::{MemoryModel, Plan, Session};
+use vliw_tms::sim::plan::{Cell, Plan, Session};
 use vliw_tms::sim::sched::SchedulerSpec;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     );
     for spec in SchedulerSpec::all() {
         let r = set
-            .get_sched(scheme, mix, spec, MemoryModel::Real)
+            .get(&Cell::new(scheme, mix).scheduler(spec))
             .expect("plan covers every scheduler");
         println!(
             "{:<18} {:>6.2} {:>10} {:>9} {:>12} {:>10} {:>9.3}",
@@ -55,7 +55,7 @@ fn main() {
     println!("\nper-thread retired instructions (scheduling fairness in the raw):");
     for spec in SchedulerSpec::all() {
         let threads = &set
-            .get_sched(scheme, mix, spec, MemoryModel::Real)
+            .get(&Cell::new(scheme, mix).scheduler(spec))
             .unwrap()
             .stats
             .threads;

@@ -12,7 +12,7 @@
 
 use vliw_tms::core::{catalog, parser};
 use vliw_tms::hwcost::scheme_cost;
-use vliw_tms::sim::plan::{MemoryModel, Plan, Session};
+use vliw_tms::sim::plan::{Cell, Plan, Session};
 use vliw_tms::workloads::mixes;
 
 fn main() {
@@ -49,12 +49,13 @@ fn main() {
         "{:<6} {:>6} {:>8} {:>12} {:>11} {:>10}",
         "scheme", "IPC", "IPC/1S", "transistors", "gate delays", "SMT blocks"
     );
-    let baseline = set.ipc("1S", mix_name, MemoryModel::Real).unwrap();
+    let ipc_of = |scheme: &str| set.get(&Cell::new(scheme, mix_name)).unwrap().ipc();
+    let baseline = ipc_of("1S");
     let mut rows: Vec<(String, f64, u64, u32, usize)> = schemes
         .iter()
         .map(|scheme| {
             let cost = scheme_cost(scheme, 4, 4);
-            let ipc = set.ipc(scheme.name(), mix_name, MemoryModel::Real).unwrap();
+            let ipc = ipc_of(scheme.name());
             (
                 cost.name,
                 ipc,

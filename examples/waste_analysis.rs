@@ -12,7 +12,7 @@
 //! Paper exhibit: the §1/§2 motivation — vertical vs horizontal waste
 //! decomposition behind Figure 4's multithreading gains.
 
-use vliw_tms::sim::plan::{MemoryModel, Plan, Session};
+use vliw_tms::sim::plan::{Cell, Plan, Session};
 use vliw_tms::workloads::mixes;
 
 fn bar(frac: f64, width: usize) -> String {
@@ -42,7 +42,7 @@ fn main() {
         "scheme", "IPC", "utilization", "useful", "vert", "horiz"
     );
     for name in schemes {
-        let s = &set.get(name, &mix_name, MemoryModel::Real).unwrap().stats;
+        let s = &set.get(&Cell::new(name, &mix_name)).unwrap().stats;
         let useful = s.utilization();
         // Vertical waste in slot terms: empty cycles burn the whole width.
         let vert = s.vertical_waste();

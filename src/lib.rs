@@ -40,7 +40,7 @@
 //! key:
 //!
 //! ```
-//! use vliw_tms::sim::plan::{MemoryModel, Plan, Session};
+//! use vliw_tms::sim::plan::{Cell, Plan, Session};
 //! use vliw_tms::sim::sched::SchedulerSpec;
 //!
 //! // The paper's headline scheme 2SC3 vs full SMT on the LLHH mix.
@@ -49,7 +49,9 @@
 //!     .workload("LLHH")
 //!     .scale(50_000) // heavily scaled down
 //!     .run(&Session::new());
-//! let ipc = set.ipc("2SC3", "LLHH", MemoryModel::Real).unwrap();
+//! // Keyed lookup: every axis a `Cell` leaves unset takes the set's first
+//! // value (here real memory, the paper scheduler and machine).
+//! let ipc = set.get(&Cell::new("2SC3", "LLHH")).unwrap().ipc();
 //! assert!(ipc > 1.0 && ipc <= 16.0);
 //!
 //! // Sweep the OS policy too: 4 threads on 2 contexts, icount vs the
@@ -61,8 +63,9 @@
 //!     .scale(100_000)
 //!     .run(&Session::new());
 //! let icount = set
-//!     .ipc_sched("1S", "LLHH", SchedulerSpec::Icount, MemoryModel::Real)
-//!     .unwrap();
+//!     .get(&Cell::new("1S", "LLHH").scheduler(SchedulerSpec::Icount))
+//!     .unwrap()
+//!     .ipc();
 //! assert!(icount > 0.0);
 //! ```
 

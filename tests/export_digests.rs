@@ -21,7 +21,7 @@
 //! re-pinned in one run.
 
 use vliw_tms::sim::experiments;
-use vliw_tms::sim::plan::{Plan, ResultSet, Session};
+use vliw_tms::sim::plan::{Axis, Columns, Plan, ResultSet, Session};
 use vliw_tms::sim::sched::SchedulerSpec;
 use vliw_tms::sim::telemetry::Registry;
 
@@ -94,18 +94,17 @@ fn exhibit_sets(shape: Shape, reg: &Registry) -> Vec<(&'static str, ResultSet)> 
 /// of every set's columns (and the axis flags), each row prefixed with its
 /// exhibit id.
 fn combined_csv(sets: &[(&str, ResultSet)], flags: bool) -> String {
-    let any = |f: fn(&ResultSet) -> bool| flags || sets.iter().any(|(_, s)| f(s));
-    let sched = any(ResultSet::sched_axis_is_explicit);
-    let machine = any(ResultSet::machine_axis_is_explicit);
-    let fleet = any(ResultSet::fleet_axis_is_explicit);
-    let traffic = any(ResultSet::traffic_axis_is_explicit);
-    let telemetry = sets.iter().any(|(_, s)| s.telemetry_axis_is_explicit());
-    let mut s = format!(
-        "exhibit,{}\n",
-        ResultSet::csv_header_for(sched, machine, fleet, traffic, telemetry)
-    );
+    let mut columns = sets
+        .iter()
+        .fold(Columns::default(), |c, (_, s)| c | s.columns());
+    if flags {
+        for axis in [Axis::Scheduler, Axis::Machine, Axis::Fleet, Axis::Traffic] {
+            columns = columns.with(axis);
+        }
+    }
+    let mut s = format!("exhibit,{}\n", columns.csv_header());
     for (id, set) in sets {
-        s.push_str(&set.csv_rows_shaped(Some(id), sched, machine, fleet, traffic, telemetry));
+        s.push_str(&set.csv_rows(Some(id), columns));
     }
     s
 }

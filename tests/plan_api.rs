@@ -4,7 +4,9 @@
 //! (determinism + thread conservation under every built-in policy,
 //! per-geometry compilation and pricing).
 
-use vliw_tms::sim::plan::{MachineSpec, MemoryModel, Plan, ResultSet, Session, TrafficSpec};
+use vliw_tms::sim::plan::{
+    Axis, Cell, Columns, MachineSpec, MemoryModel, Plan, ResultSet, Session, TrafficSpec,
+};
 use vliw_tms::sim::sched::SchedulerSpec;
 
 fn test_plan() -> Plan {
@@ -31,7 +33,7 @@ fn keyed_lookup_matches_row_major_across_worker_counts() {
             for workload in set.workloads() {
                 for &memory in set.axes() {
                     let keyed = set
-                        .get(scheme.name(), workload.name(), memory)
+                        .get(&Cell::new(scheme.name(), workload.name()).memory(memory))
                         .unwrap_or_else(|| {
                             panic!("missing {}/{}/{}", scheme.name(), workload.name(), memory)
                         });
@@ -46,13 +48,7 @@ fn keyed_lookup_matches_row_major_across_worker_counts() {
         // iter() walks the same order with the same keys.
         for (i, (key, r)) in set.iter().enumerate() {
             assert!(std::ptr::eq(r, &set.results()[i]));
-            assert_eq!(
-                set.get(key.scheme.name(), key.workload.name(), key.memory)
-                    .unwrap()
-                    .stats
-                    .cycles,
-                r.stats.cycles
-            );
+            assert!(std::ptr::eq(set.get(&Cell::from(&key)).unwrap(), r));
         }
     }
     // Simulations are deterministic: worker count never changes a cell.
@@ -106,7 +102,10 @@ fn csv_round_trips_keys_and_ipc_values() {
     let set = test_plan().run(&Session::with_parallelism(2));
     let csv = set.to_csv();
     let mut lines = csv.lines();
-    assert_eq!(lines.next(), Some(ResultSet::CSV_HEADER));
+    assert_eq!(
+        lines.next(),
+        Some("scheme,workload,memory,ipc,cycles,instrs,ops")
+    );
     let rows: Vec<&str> = lines.collect();
     assert_eq!(rows.len(), set.len());
     for ((key, r), row) in set.iter().zip(&rows) {
@@ -141,14 +140,7 @@ fn scheduler_grid_is_byte_identical_across_worker_counts() {
         // Keyed lookup hits the documented row-major slot (schedulers
         // between workloads and memory axes).
         for (i, (key, r)) in set.iter().enumerate() {
-            let keyed = set
-                .get_sched(
-                    key.scheme.name(),
-                    key.workload.name(),
-                    key.scheduler,
-                    key.memory,
-                )
-                .unwrap();
+            let keyed = set.get(&Cell::from(&key)).unwrap();
             assert!(std::ptr::eq(keyed, r), "cell {i}");
             assert!(std::ptr::eq(r, &set.results()[i]), "cell {i}");
         }
@@ -164,7 +156,7 @@ fn scheduler_grid_is_byte_identical_across_worker_counts() {
         .iter()
         .map(|&spec| {
             sets[0]
-                .get_sched("1S", "LLHH", spec, MemoryModel::Real)
+                .get(&Cell::new("1S", "LLHH").scheduler(spec))
                 .unwrap()
                 .stats
                 .cycles
@@ -234,14 +226,7 @@ fn machine_grid_is_byte_identical_across_worker_counts() {
         // Keyed lookup hits the documented row-major slot (machines
         // between schedulers and memory axes).
         for (i, (key, r)) in set.iter().enumerate() {
-            let keyed = set
-                .get_machine(
-                    key.scheme.name(),
-                    key.workload.name(),
-                    key.machine,
-                    key.memory,
-                )
-                .unwrap();
+            let keyed = set.get(&Cell::from(&key)).unwrap();
             assert!(std::ptr::eq(keyed, r), "cell {i}");
             assert!(std::ptr::eq(r, &set.results()[i]), "cell {i}");
         }
@@ -256,7 +241,7 @@ fn machine_grid_is_byte_identical_across_worker_counts() {
         .iter()
         .map(|&m| {
             sets[0]
-                .get_machine("2SC3", "LLHH", m, MemoryModel::Real)
+                .get(&Cell::new("2SC3", "LLHH").machine(m))
                 .unwrap()
                 .stats
                 .cycles
@@ -275,12 +260,7 @@ fn machine_grid_is_byte_identical_across_worker_counts() {
         .run(&Session::with_parallelism(2));
     for (key, r) in default_set.iter() {
         let swept = sets[0]
-            .get_machine(
-                key.scheme.name(),
-                key.workload.name(),
-                MachineSpec::Paper4x4,
-                key.memory,
-            )
+            .get(&Cell::from(&key).machine(MachineSpec::Paper4x4))
             .unwrap();
         assert_eq!(swept.stats.cycles, r.stats.cycles);
         assert_eq!(swept.stats.total_ops, r.stats.total_ops);
@@ -297,7 +277,7 @@ fn machine_axis_serialization_is_gated_on_explicitness() {
     assert!(!default_set.to_json().contains("\"machine"));
     assert_eq!(
         default_set.to_csv().lines().next(),
-        Some(ResultSet::CSV_HEADER)
+        Some("scheme,workload,memory,ipc,cycles,instrs,ops")
     );
 
     let machine_set = base()
@@ -308,17 +288,17 @@ fn machine_axis_serialization_is_gated_on_explicitness() {
     assert!(json.contains("\"machine\":\"paper-4x4\""));
     assert_eq!(
         machine_set.to_csv().lines().next(),
-        Some(ResultSet::CSV_HEADER_MACHINE)
+        Some("scheme,workload,machine,memory,ipc,cycles,instrs,ops")
     );
     // Same machine, same seed: only the labels differ, not the physics.
     assert_eq!(
         machine_set
-            .get("1S", "idct", MemoryModel::Real)
+            .get(&Cell::new("1S", "idct"))
             .unwrap()
             .stats
             .cycles,
         default_set
-            .get("1S", "idct", MemoryModel::Real)
+            .get(&Cell::new("1S", "idct"))
             .unwrap()
             .stats
             .cycles,
@@ -328,7 +308,10 @@ fn machine_axis_serialization_is_gated_on_explicitness() {
         .scheduler(SchedulerSpec::Icount)
         .machine(MachineSpec::Narrow8x2)
         .run(&Session::with_parallelism(1));
-    assert_eq!(both.csv_header(), ResultSet::CSV_HEADER_SCHED_MACHINE);
+    assert_eq!(
+        both.columns().csv_header(),
+        "scheme,workload,scheduler,machine,memory,ipc,cycles,instrs,ops"
+    );
     assert!(both
         .to_csv()
         .lines()
@@ -362,14 +345,7 @@ fn traffic_grid_is_byte_identical_across_worker_counts() {
         // Keyed lookup hits the documented row-major slot (traffic
         // between machines and memory axes).
         for (i, (key, r)) in set.iter().enumerate() {
-            let keyed = set
-                .get_traffic(
-                    key.scheme.name(),
-                    key.workload.name(),
-                    key.traffic,
-                    key.memory,
-                )
-                .unwrap();
+            let keyed = set.get(&Cell::from(&key)).unwrap();
             assert!(std::ptr::eq(keyed, r), "cell {i}");
             assert!(std::ptr::eq(r, &set.results()[i]), "cell {i}");
             // Open cells account for every arrival; closed cells stay
@@ -400,12 +376,7 @@ fn traffic_grid_is_byte_identical_across_worker_counts() {
         .run(&Session::with_parallelism(2));
     for (key, r) in default_set.iter() {
         let swept = sets[0]
-            .get_traffic(
-                key.scheme.name(),
-                key.workload.name(),
-                TrafficSpec::Closed,
-                key.memory,
-            )
+            .get(&Cell::from(&key).traffic(TrafficSpec::Closed))
             .unwrap();
         assert_eq!(swept.stats.cycles, r.stats.cycles);
         assert_eq!(swept.stats.total_ops, r.stats.total_ops);
@@ -424,7 +395,7 @@ fn traffic_axis_serialization_is_gated_on_explicitness() {
     assert!(!default_set.to_json().contains("\"offered\""));
     assert_eq!(
         default_set.to_csv().lines().next(),
-        Some(ResultSet::CSV_HEADER)
+        Some("scheme,workload,memory,ipc,cycles,instrs,ops")
     );
 
     let spec: TrafficSpec = "poisson:0.005".parse().unwrap();
@@ -435,7 +406,7 @@ fn traffic_axis_serialization_is_gated_on_explicitness() {
     assert!(json.contains("\"offered\":1"), "{json}");
     assert_eq!(
         traffic_set.to_csv().lines().next(),
-        Some(ResultSet::CSV_HEADER_TRAFFIC)
+        Some("scheme,workload,traffic,memory,ipc,cycles,instrs,ops,offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth")
     );
 
     let all = base()
@@ -444,8 +415,9 @@ fn traffic_axis_serialization_is_gated_on_explicitness() {
         .arrival(spec)
         .run(&Session::with_parallelism(1));
     assert_eq!(
-        all.csv_header(),
-        ResultSet::CSV_HEADER_SCHED_MACHINE_TRAFFIC
+        all.columns().csv_header(),
+        "scheme,workload,scheduler,machine,traffic,memory,ipc,cycles,instrs,ops,offered,\
+         completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth"
     );
     assert!(all
         .to_csv()
@@ -468,19 +440,22 @@ fn csv_rows_shaped_emits_forced_axis_columns() {
         .run(&Session::with_parallelism(1));
     // Its own serialization has no machine column...
     assert!(!default_set.to_csv().contains("paper-4x4"));
-    // ...but shaped to the union it carries the default geometry, and the
-    // row matches the corresponding shared header.
-    let shaped = default_set.csv_rows_shaped(Some("t"), false, true, false, false, false);
+    // ...but shaped to the union with a machine-sweeping set's columns it
+    // carries the default geometry, and the row matches the shared header.
+    let machine = Columns::default().with(Axis::Machine);
+    assert_eq!(default_set.columns() | machine, machine);
+    let shaped = default_set.csv_rows(Some("t"), machine);
     assert!(shaped.starts_with("t,1S,idct,paper-4x4,real,"), "{shaped}");
     assert_eq!(
-        ResultSet::csv_header_for(false, true, false, false, false),
-        ResultSet::CSV_HEADER_MACHINE
+        machine.csv_header(),
+        "scheme,workload,machine,memory,ipc,cycles,instrs,ops"
     );
-    let both = default_set.csv_rows_shaped(None, true, true, false, false, false);
+    let both = default_set.csv_rows(None, machine.with(Axis::Scheduler));
     assert!(both.starts_with("1S,idct,paper-random,paper-4x4,real,"));
     // Forcing the traffic column on a closed set carries the closed
     // default plus all-zero open-system metrics.
-    let with_traffic = default_set.csv_rows_shaped(None, false, false, false, true, false);
+    let traffic = Columns::default().with(Axis::Traffic);
+    let with_traffic = default_set.csv_rows(None, traffic);
     assert!(
         with_traffic.starts_with("1S,idct,closed,real,"),
         "{with_traffic}"
@@ -489,10 +464,7 @@ fn csv_rows_shaped_emits_forced_axis_columns() {
         with_traffic.trim_end().ends_with(",0,0,0,0,0,0,0"),
         "{with_traffic}"
     );
-    assert_eq!(
-        ResultSet::csv_header_for(false, false, false, true, false),
-        ResultSet::CSV_HEADER_TRAFFIC
-    );
+    assert_eq!(traffic.csv_header(), "scheme,workload,traffic,memory,ipc,cycles,instrs,ops,offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth");
 }
 
 #[test]
@@ -504,7 +476,7 @@ fn csv_rows_shaped_refuses_to_drop_a_swept_axis() {
         .machines([MachineSpec::Paper4x4, MachineSpec::Narrow8x2])
         .scale(100_000)
         .run(&Session::with_parallelism(1));
-    let _ = set.csv_rows_shaped(None, false, false, false, false, false);
+    let _ = set.csv_rows(None, Columns::default());
 }
 
 /// The per-thread breakdown helper exposes `RunStats::threads` keyed by
@@ -512,11 +484,11 @@ fn csv_rows_shaped_refuses_to_drop_a_swept_axis() {
 #[test]
 fn thread_breakdowns_are_keyed() {
     let set = test_plan().run(&Session::with_parallelism(2));
-    let threads = set.threads("3SSS", "LLHH", MemoryModel::Real).unwrap();
+    let threads = &set.get(&Cell::new("3SSS", "LLHH")).unwrap().stats.threads;
     assert_eq!(threads.len(), 4);
     let names: Vec<&str> = threads.iter().map(|t| &*t.name).collect();
     assert_eq!(names, ["mcf", "blowfish", "x264", "idct"]);
-    assert!(set.threads("3SSS", "nope", MemoryModel::Real).is_none());
+    assert!(set.get(&Cell::new("3SSS", "nope")).is_none());
 }
 
 /// The `RunStats` stall-breakdown satellite: the per-kind map is populated
@@ -668,7 +640,7 @@ fn traced_cells_conserve_and_export_byte_identically() {
 
 /// The fleet axis (PR 9): a schemes x fleets grid under one arrival
 /// process serializes byte-identically across worker counts, keyed
-/// `get_fleet` lookup agrees with `iter`, and arrivals are conserved
+/// lookup agrees with `iter`, and arrivals are conserved
 /// fleet-wide (`completed + shed == offered`, routing counts sum to
 /// offered).
 #[test]
@@ -695,13 +667,11 @@ fn fleet_grid_is_worker_count_independent_and_conserves_arrivals() {
         assert_eq!(sets[0].to_csv(), set.to_csv(), "CSV across workers");
     }
     let set = &sets[0];
-    assert!(set.fleet_axis_is_explicit());
+    assert!(set.columns().has(Axis::Fleet));
     assert_eq!(set.len(), 2 * 2);
     for (key, r) in set.iter() {
         let fleet = key.fleet.as_ref().expect("every cell is a fleet cell");
-        let keyed = set
-            .get_fleet(key.scheme.name(), key.workload.name(), fleet, key.memory)
-            .unwrap();
+        let keyed = set.get(&Cell::from(&key)).unwrap();
         assert!(std::ptr::eq(keyed, r), "keyed lookup hits the iter slot");
         let fs = r
             .stats
@@ -751,7 +721,7 @@ fn fleet_axis_stays_out_of_default_bytes() {
         .workload("idct")
         .scale(100_000)
         .run(&Session::with_parallelism(1));
-    assert!(!set.fleet_axis_is_explicit());
+    assert!(!set.columns().has(Axis::Fleet));
     assert!(
         !set.to_csv().contains("fleet"),
         "no fleet column by default"
@@ -764,11 +734,10 @@ fn fleet_axis_stays_out_of_default_bytes() {
     // Shaped to a forced fleet union, the cell carries its single machine
     // as a singleton fleet (a machine spec is a valid fleet spelling) and
     // all-degenerate fleet metrics.
-    let shaped = set.csv_rows_shaped(None, false, false, true, false, false);
+    let fleet = Columns::default().with(Axis::Fleet);
+    let shaped = set.csv_rows(None, fleet);
     assert!(shaped.starts_with("1S,idct,paper-4x4,real,"), "{shaped}");
-    let n_commas_header = ResultSet::csv_header_for(false, false, true, false, false)
-        .matches(',')
-        .count();
+    let n_commas_header = fleet.csv_header().matches(',').count();
     assert_eq!(
         shaped.trim_end().matches(',').count(),
         n_commas_header,
@@ -867,14 +836,13 @@ fn telemetry_columns_gate_on_metered_runs() {
     use vliw_tms::sim::telemetry::Registry;
     let plan = || Plan::new().scheme("1S").workload("idct").scale(100_000);
     let base = plan().run(&Session::with_parallelism(1));
-    assert!(!base.telemetry_axis_is_explicit());
-    assert!(!base.csv_header().contains("cache_hits"), "default CSV");
+    assert_eq!(base.columns(), Columns::default());
+    assert!(!base.to_csv().contains("cache_hits"), "default CSV");
     assert!(!base.to_json().contains("cache_hits"), "default JSON");
 
     let reg = Registry::new();
     let metered = plan().run_metered(&Session::with_parallelism(1), &reg);
-    assert!(metered.telemetry_axis_is_explicit());
-    let header = metered.csv_header();
+    let header = metered.columns().csv_header();
     assert!(
         header.ends_with(",cache_hits,cache_misses,trace_dropped"),
         "{header}"
@@ -890,14 +858,14 @@ fn telemetry_columns_gate_on_metered_runs() {
     // Combined exports use the union shape: a non-metered set can be
     // *forced into* the telemetry columns (always-on attribution fills
     // them), while a metered set refuses to silently drop them.
-    let forced = base.csv_rows_shaped(None, false, false, false, false, true);
+    let forced = base.csv_rows(None, metered.columns());
     assert!(forced.trim_end().ends_with(",0,1,0"), "{forced}");
-    let n_commas_header = ResultSet::csv_header_for(false, false, false, false, true)
-        .matches(',')
-        .count();
-    assert_eq!(forced.trim_end().matches(',').count(), n_commas_header);
+    assert_eq!(
+        forced.trim_end().matches(',').count(),
+        header.matches(',').count()
+    );
     assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        metered.csv_rows_shaped(None, false, false, false, false, false)
+        metered.csv_rows(None, Columns::default())
     }))
     .is_err());
 }

@@ -62,7 +62,9 @@ fn simulated_ipc_never_beats_the_static_ceiling() {
     for name in ["idct", "colorspace", "bzip2", "gsmencode"] {
         let cfg = SimConfig::paper(scheme.clone(), 20_000);
         let r = run_single(&cache, &cfg, name).unwrap();
-        let img = cache.get(name, &cfg.machine).unwrap();
+        let img = cache
+            .get_spec(workloads::benchmark(name).unwrap(), &cfg.machine)
+            .unwrap();
         let ceiling = analyze_image(&img.0, AnalyzeOptions::default())
             .bounds
             .ipc_ceiling();
@@ -86,7 +88,9 @@ fn simulated_ipc_never_beats_the_static_ceiling() {
         .members
         .iter()
         .map(|name| {
-            let img = cache.get(name, &cfg.machine).unwrap();
+            let img = cache
+                .get_spec(workloads::benchmark(name).unwrap(), &cfg.machine)
+                .unwrap();
             analyze_image(&img.0, AnalyzeOptions::default())
                 .bounds
                 .ipc_ceiling()
