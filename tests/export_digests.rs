@@ -15,13 +15,23 @@
 //!
 //! Each shape pins every set's `to_json` and `to_csv` bytes and the
 //! combined CSV `paper --csv` builds from the union of the sets' columns.
+//!
+//! Export bytes omit state the issue cycle also decides: per-block merge
+//! attempts and successes, the packet histogram, cache statistics and each
+//! thread's branch-RNG state. The `.state` and `state/` digests pin all of
+//! it, as the `Debug` dump of every cell's `RunStats`: every default-shape
+//! exhibit, Figure 10 under the fixed and least-recently-issued priority
+//! policies, and 6- and 8-port schemes on the 8x2 machine.
 //! FNV-1a is the digest `perfbench` uses; unlike `DefaultHasher` it is
 //! stable across toolchains. On a mismatch the test prints every actual
 //! digest in the table's own syntax, so an intended export change can be
 //! re-pinned in one run.
 
+use std::fmt::Write as _;
+use vliw_tms::core::{catalog, parser, MergeKind, PriorityPolicy};
+use vliw_tms::isa::MachineSpec;
 use vliw_tms::sim::experiments;
-use vliw_tms::sim::plan::{Axis, Columns, Plan, ResultSet, Session};
+use vliw_tms::sim::plan::{Axis, Columns, Plan, ResultSet, Session, WorkloadRef};
 use vliw_tms::sim::sched::SchedulerSpec;
 use vliw_tms::sim::telemetry::Registry;
 
@@ -54,6 +64,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The plans `paper all` runs, in `paper`'s capture order.
+fn exhibit_plans() -> [(&'static str, Plan); 8] {
+    [
+        ("table1", experiments::table1_plan(SCALE)),
+        ("fig4", experiments::fig4_plan(SCALE)),
+        ("fig6", experiments::fig6_plan(SCALE)),
+        ("fig10", experiments::fig10_plan(SCALE)),
+        ("geometry", experiments::geometry_plan(SCALE)),
+        ("trace", experiments::trace_plan(SCALE)),
+        ("traffic", experiments::traffic_plan(SCALE)),
+        ("fleet", experiments::fleet_plan(SCALE)),
+    ]
+}
+
 /// The `paper all` exhibit sets of one shape, in `paper`'s capture order.
 fn exhibit_sets(shape: Shape, reg: &Registry) -> Vec<(&'static str, ResultSet)> {
     let session = Session::with_parallelism(2);
@@ -65,29 +89,20 @@ fn exhibit_sets(shape: Shape, reg: &Registry) -> Vec<(&'static str, ResultSet)> 
             .fleet("paper-4x4*2".parse().unwrap()),
         Shape::Default | Shape::Metered => plan,
     };
-    [
-        ("table1", experiments::table1_plan(SCALE)),
-        ("fig4", experiments::fig4_plan(SCALE)),
-        ("fig6", experiments::fig6_plan(SCALE)),
-        ("fig10", experiments::fig10_plan(SCALE)),
-        ("geometry", experiments::geometry_plan(SCALE)),
-        ("trace", experiments::trace_plan(SCALE)),
-        ("traffic", experiments::traffic_plan(SCALE)),
-        ("fleet", experiments::fleet_plan(SCALE)),
-    ]
-    .into_iter()
-    .map(|(id, plan)| {
-        let plan = with_axes(plan);
-        let set = if id == "trace" {
-            experiments::trace_data(&plan, &session).0
-        } else if shape == Shape::Metered {
-            plan.run_metered(&session, reg)
-        } else {
-            plan.run(&session)
-        };
-        (id, set)
-    })
-    .collect()
+    exhibit_plans()
+        .into_iter()
+        .map(|(id, plan)| {
+            let plan = with_axes(plan);
+            let set = if id == "trace" {
+                experiments::trace_data(&plan, &session).0
+            } else if shape == Shape::Metered {
+                plan.run_metered(&session, reg)
+            } else {
+                plan.run(&session)
+            };
+            (id, set)
+        })
+        .collect()
 }
 
 /// The combined CSV `paper --csv` writes: one header shaped to the union
@@ -119,6 +134,11 @@ fn digests(shape: Shape) -> Vec<(String, u64)> {
         out.push((at(&format!("{id}.json")), fnv1a(set.to_json().as_bytes())));
         out.push((at(&format!("{id}.csv")), fnv1a(set.to_csv().as_bytes())));
     }
+    if shape == Shape::Default {
+        for (id, set) in &sets {
+            out.push((at(&format!("{id}.state")), state_digest(set)));
+        }
+    }
     let combined = combined_csv(&sets, shape == Shape::Explicit);
     out.push((at("combined.csv"), fnv1a(combined.as_bytes())));
     if shape == Shape::Metered {
@@ -128,11 +148,55 @@ fn digests(shape: Shape) -> Vec<(String, u64)> {
     out
 }
 
-fn assert_golden(shape: Shape) {
-    let actual = digests(shape);
+/// FNV-1a of every cell's full `RunStats` debug dump, in grid order.
+fn state_digest(set: &ResultSet) -> u64 {
+    let mut dump = String::new();
+    for (_, result) in set.iter() {
+        writeln!(dump, "{:?}", result.stats).unwrap();
+    }
+    fnv1a(dump.as_bytes())
+}
+
+/// Full-state digests of the cells the `paper all` exhibits leave out:
+/// the non-default priority policies and schemes wider than four ports.
+fn extra_state_digests() -> Vec<(String, u64)> {
+    let session = Session::with_parallelism(2);
+    let mut out = Vec::new();
+    for (label, policy) in [
+        ("fig10-fixed", PriorityPolicy::Fixed),
+        ("fig10-lri", PriorityPolicy::LeastRecentlyIssued),
+    ] {
+        let set = experiments::fig10_plan(SCALE)
+            .priority(policy)
+            .run(&session);
+        out.push((format!("state/{label}"), state_digest(&set)));
+    }
+    let members = [
+        "mcf",
+        "bzip2",
+        "blowfish",
+        "gsmencode",
+        "cjpeg",
+        "djpeg",
+        "x264",
+        "idct",
+    ];
+    let wide = Plan::new()
+        .scheme(parser::parse("5SCCCC").unwrap())
+        .scheme(catalog::balanced_tree(MergeKind::Smt, 8))
+        .workload(WorkloadRef::members("wide8", &members))
+        .machine(MachineSpec::Narrow8x2)
+        .scale(SCALE)
+        .run(&session);
+    out.push(("state/wide-8x2".to_string(), state_digest(&wide)));
+    out
+}
+
+/// Compare `actual` with every golden digest labelled `prefix/...`.
+fn assert_golden(prefix: &str, actual: Vec<(String, u64)>) {
     let expected: Vec<(String, u64)> = GOLDEN
         .iter()
-        .filter(|(label, _)| label.starts_with(&format!("{}/", shape.label())))
+        .filter(|(label, _)| label.starts_with(&format!("{prefix}/")))
         .map(|&(label, d)| (label.to_string(), d))
         .collect();
     if actual != expected {
@@ -140,26 +204,32 @@ fn assert_golden(shape: Shape) {
             eprintln!("    (\"{label}\", {d:#018x}),");
         }
     }
-    assert_eq!(actual, expected, "{} export bytes changed", shape.label());
+    assert_eq!(actual, expected, "{prefix} digests changed");
 }
 
 #[test]
 fn default_axes_exports_match_golden_digests() {
-    assert_golden(Shape::Default);
+    assert_golden("default", digests(Shape::Default));
 }
 
 #[test]
 fn explicit_axes_exports_match_golden_digests() {
-    assert_golden(Shape::Explicit);
+    assert_golden("explicit", digests(Shape::Explicit));
 }
 
 #[test]
 fn metered_exports_match_golden_digests() {
-    assert_golden(Shape::Metered);
+    assert_golden("metered", digests(Shape::Metered));
 }
 
-/// Recorded before the plan/result API collapse onto one axis table; no
-/// digest may change without an intended export change.
+#[test]
+fn priority_and_wide_scheme_state_matches_golden_digests() {
+    assert_golden("state", extra_state_digests());
+}
+
+/// Export digests recorded before the plan/result API collapse onto one
+/// axis table; no digest may change without an intended export or
+/// simulation change.
 const GOLDEN: &[(&str, u64)] = &[
     ("default/table1.json", 0xefc3b82f5a1722d4),
     ("default/table1.csv", 0x358f44207d3cf992),
@@ -177,6 +247,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("default/traffic.csv", 0x250697b8c948023d),
     ("default/fleet.json", 0xaeb9538276fc3bfa),
     ("default/fleet.csv", 0xa7c0fdc485b59295),
+    // Full-state digests, recorded before the issue-cycle fast path
+    // (cached head signatures, the branch-free SMT check and the
+    // slot-based merge evaluator).
+    ("default/table1.state", 0x851868990536a511),
+    ("default/fig4.state", 0x252e901c672982fd),
+    ("default/fig6.state", 0xa60e10a51bccd5f9),
+    ("default/fig10.state", 0xd6132da256387444),
+    ("default/geometry.state", 0xa53ddd06f0f91d44),
+    ("default/trace.state", 0xf1e23bb2b397e0b0),
+    ("default/traffic.state", 0x8327dac2833cce82),
+    ("default/fleet.state", 0x69bbe85d53785ee0),
     ("default/combined.csv", 0x823fedcd38e5288d),
     ("explicit/table1.json", 0xf8dc7ca9fedb7a7f),
     ("explicit/table1.csv", 0x3ef7797cd9f62b05),
@@ -213,4 +294,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("metered/fleet.csv", 0xd9c79da529fa8b52),
     ("metered/combined.csv", 0x7a97af4f703ea4ef),
     ("metered/metrics.prom", 0xf26f64c3eb7360d4),
+    ("state/fig10-fixed", 0xe4f0724d3a3eb1ad),
+    ("state/fig10-lri", 0x294c96ffa7a8e939),
+    ("state/wide-8x2", 0xccc0f07d5fed05f9),
 ];
