@@ -1,11 +1,11 @@
-//! Criterion benchmarks of the substrates: cache, compiler, simulator
-//! cycle throughput, hardware-cost netlist construction.
+//! Criterion benchmarks of the substrates: cache, compiler, hardware-cost
+//! netlist construction. Per-step simulator cost has its own harness and
+//! snapshot (`benches/step.rs`, `BENCH_step.json`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use vliw_core::catalog;
 use vliw_isa::MachineConfig;
 use vliw_mem::{Cache, CacheConfig};
-use vliw_sim::{Core, SimConfig};
 
 fn bench_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
@@ -37,26 +37,6 @@ fn bench_compiler(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sim_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim");
-    group.throughput(Throughput::Elements(1));
-    for scheme in ["ST", "2SC3", "3SSS"] {
-        group.bench_function(format!("cycle_{scheme}"), |b| {
-            let cfg = SimConfig::paper(catalog::by_name(scheme).unwrap(), 1);
-            let mut core = Core::new(&cfg);
-            let machine = MachineConfig::paper_baseline();
-            let names = ["mcf", "cjpeg", "x264", "idct"];
-            for ctx in 0..core.contexts.len() {
-                let img = vliw_workloads::build_named(names[ctx % 4], &machine).unwrap();
-                let meta = std::sync::Arc::new(vliw_sim::thread::ProgramMeta::of(&img));
-                core.install(ctx, vliw_sim::SoftThread::new(&img, meta, ctx as u64, 7));
-            }
-            b.iter(|| black_box(core.step()))
-        });
-    }
-    group.finish();
-}
-
 fn bench_hwcost(c: &mut Criterion) {
     let mut group = c.benchmark_group("hwcost");
     for name in ["2SC3", "3SSS", "C4"] {
@@ -71,6 +51,6 @@ fn bench_hwcost(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache, bench_compiler, bench_sim_step, bench_hwcost
+    targets = bench_cache, bench_compiler, bench_hwcost
 }
 criterion_main!(benches);

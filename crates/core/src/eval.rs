@@ -1,11 +1,13 @@
 //! Per-cycle functional evaluation of merging schemes.
 //!
 //! The simulator calls this every cycle, so the scheme tree is *compiled*
-//! once into a flat postorder program ([`CompiledScheme`]) evaluated with a
-//! tiny value stack and no allocation. Each merge block consumes its
-//! operands left-to-right exactly like the hardware cascade: the leftmost
-//! ready operand anchors the selection, each further operand joins if the
-//! block's conflict check passes and is dropped (for this cycle) otherwise.
+//! once into a flat list of pairwise joins over per-port slots
+//! ([`CompiledScheme`]), evaluated in place with no allocation. A
+//! subtree's selection lives in the slot of its leftmost port. Each merge
+//! block consumes its operands left-to-right exactly like the hardware
+//! cascade: the leftmost ready operand anchors the selection, each further
+//! operand joins if the block's conflict check passes and is dropped (for
+//! this cycle) otherwise.
 //!
 //! The parallel CSMT implementation enumerates candidate subsets in
 //! hardware but is functionally equivalent to the serial cascade (paper §3);
@@ -58,24 +60,26 @@ impl MergeOutcome {
     }
 }
 
-/// One step of the flattened scheme program.
+/// One pairwise join of the compiled network: block `node` checks the
+/// selection in slot `src` against the one in slot `dst` and, on success,
+/// merges it into `dst`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step {
-    /// Push the selection of a port (empty if the port is stalled).
-    PushPort(u8),
-    /// Pop `arity` selections, merge left-to-right with `kind`, push the
-    /// result. `node` is the merge-block id for statistics.
-    MergeN {
-        kind: MergeKind,
-        arity: u8,
-        node: u16,
-    },
+struct Join {
+    kind: MergeKind,
+    dst: u8,
+    src: u8,
+    node: u16,
 }
 
-/// A scheme flattened to a postorder program over a value stack.
+/// A scheme flattened to pairwise joins over per-port slots.
 #[derive(Debug, Clone)]
 pub struct CompiledScheme {
-    steps: Vec<Step>,
+    /// Joins in evaluation order: every child subtree's joins before its
+    /// parent block's, each block's operands left to right.
+    joins: Vec<Join>,
+    /// The slot holding the whole network's selection (the root's
+    /// leftmost port).
+    root: u8,
     n_ports: u8,
     n_nodes: u16,
     name: String,
@@ -99,13 +103,15 @@ impl CompiledScheme {
 }
 
 impl MergeScheme {
-    /// Flatten the scheme tree into an evaluation program.
+    /// Flatten the scheme tree into pairwise joins. Merge blocks are
+    /// numbered in postorder, as [`MergeStats`] reports them.
     pub fn compile(&self) -> CompiledScheme {
-        let mut steps = Vec::new();
+        let mut joins = Vec::new();
         let mut next_node = 0u16;
-        flatten(self.root(), &mut steps, &mut next_node);
+        let root = flatten(self.root(), &mut joins, &mut next_node);
         CompiledScheme {
-            steps,
+            joins,
+            root,
             n_ports: self.n_ports(),
             n_nodes: next_node,
             name: self.name().to_string(),
@@ -113,20 +119,25 @@ impl MergeScheme {
     }
 }
 
-fn flatten(node: &SchemeNode, steps: &mut Vec<Step>, next_node: &mut u16) {
+/// Append the joins of `node`'s subtree; returns its leftmost port, the
+/// slot its selection ends up in.
+fn flatten(node: &SchemeNode, joins: &mut Vec<Join>, next_node: &mut u16) -> u8 {
     match node {
-        SchemeNode::Port(p) => steps.push(Step::PushPort(*p)),
+        SchemeNode::Port(p) => *p,
         SchemeNode::Merge { kind, children, .. } => {
-            for c in children {
-                flatten(c, steps, next_node);
-            }
+            let slots: Vec<u8> = children
+                .iter()
+                .map(|c| flatten(c, joins, next_node))
+                .collect();
             let node_id = *next_node;
             *next_node += 1;
-            steps.push(Step::MergeN {
+            joins.extend(slots[1..].iter().map(|&src| Join {
                 kind: *kind,
-                arity: children.len() as u8,
+                dst: slots[0],
+                src,
                 node: node_id,
-            });
+            }));
+            slots[0]
         }
     }
 }
@@ -195,67 +206,49 @@ impl MergeEvaluator {
         inputs: &[PortInput],
         mut stats: Option<&mut MergeStats>,
     ) -> MergeOutcome {
-        // Selection stack; scheme arity is bounded by MAX_PORTS so the
-        // stack never exceeds the port count.
-        let mut stack = [Selection::EMPTY; crate::MAX_PORTS];
-        let mut sp = 0usize;
-
-        for step in &scheme.steps {
-            match *step {
-                Step::PushPort(p) => {
-                    let sel = match inputs.get(p as usize) {
-                        Some(inp) if inp.ready => Selection {
-                            sig: inp.sig,
-                            members: 1 << p,
-                        },
-                        _ => Selection::EMPTY,
-                    };
-                    stack[sp] = sel;
-                    sp += 1;
-                }
-                Step::MergeN { kind, arity, node } => {
-                    let base = sp - arity as usize;
-                    let mut acc = stack[base];
-                    for i in 1..arity as usize {
-                        let cand = stack[base + i];
-                        if cand.is_empty() {
-                            continue;
-                        }
-                        if acc.is_empty() {
-                            acc = cand;
-                            continue;
-                        }
-                        let ok = match kind {
-                            MergeKind::Csmt => acc.sig.cluster_disjoint(cand.sig),
-                            MergeKind::Smt => acc.sig.smt_compatible(cand.sig, &self.caps),
-                        };
-                        if STATS {
-                            if let Some(stats) = stats.as_deref_mut() {
-                                stats.record_attempt(node, ok);
-                            }
-                        }
-                        if ok {
-                            acc = Selection {
-                                sig: acc.sig.merged_with(cand.sig),
-                                members: acc.members | cand.members,
-                            };
-                        }
-                    }
-                    stack[base] = acc;
-                    sp = base + 1;
-                }
+        let ports = inputs.len().min(scheme.n_ports as usize);
+        let mut slots = [Selection::EMPTY; crate::MAX_PORTS];
+        for (p, inp) in inputs[..ports].iter().enumerate() {
+            if inp.ready {
+                slots[p] = Selection {
+                    sig: inp.sig,
+                    members: 1 << p,
+                };
             }
         }
-        debug_assert_eq!(sp, 1);
-        let final_sel = stack[0];
+        for join in &scheme.joins {
+            let cand = slots[join.src as usize];
+            if cand.is_empty() {
+                continue;
+            }
+            let acc = &mut slots[join.dst as usize];
+            if acc.is_empty() {
+                *acc = cand;
+                continue;
+            }
+            let ok = match join.kind {
+                MergeKind::Csmt => acc.sig.cluster_disjoint(cand.sig),
+                MergeKind::Smt => acc.sig.smt_compatible(cand.sig, &self.caps),
+            };
+            if STATS {
+                if let Some(stats) = stats.as_deref_mut() {
+                    stats.record_attempt(join.node, ok);
+                }
+            }
+            if ok {
+                acc.sig = acc.sig.merged_with(cand.sig);
+                acc.members |= cand.members;
+            }
+        }
+        let selection = slots[scheme.root as usize];
         if STATS {
             if let Some(stats) = stats {
-                stats.record_packet(final_sel.members.count_ones(), final_sel.sig.n_ops);
+                stats.record_packet(selection.members.count_ones(), selection.sig.n_ops);
             }
         }
         MergeOutcome {
-            issued_ports: final_sel.members,
-            packet: final_sel.sig,
+            issued_ports: selection.members,
+            packet: selection.sig,
         }
     }
 }

@@ -7,6 +7,8 @@
 //! default used by the paper reproduction, the others exist for the
 //! ablation benches.
 
+use crate::MAX_PORTS;
+
 /// How the thread→port mapping evolves over time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PriorityPolicy {
@@ -23,32 +25,49 @@ pub enum PriorityPolicy {
 #[derive(Debug, Clone)]
 pub struct PriorityRotator {
     policy: PriorityPolicy,
-    /// `order[port] = hardware thread occupying that port`.
-    order: Vec<u8>,
-    scratch: Vec<u8>,
+    /// `order[port] = hardware thread occupying that port`, for the first
+    /// `len` ports.
+    order: [u8; MAX_PORTS],
+    len: u8,
 }
 
 impl PriorityRotator {
     /// Identity mapping over `n_threads` threads under `policy`.
     pub fn new(policy: PriorityPolicy, n_threads: u8) -> Self {
-        assert!(n_threads >= 1 && n_threads as usize <= crate::MAX_PORTS);
+        assert!(n_threads >= 1 && n_threads as usize <= MAX_PORTS);
+        let mut order = [0u8; MAX_PORTS];
+        for (port, t) in order.iter_mut().zip(0..n_threads) {
+            *port = t;
+        }
         PriorityRotator {
             policy,
-            order: (0..n_threads).collect(),
-            scratch: Vec::with_capacity(n_threads as usize),
+            order,
+            len: n_threads,
         }
     }
 
     /// Current mapping: `order()[port]` is the hardware thread at `port`.
     #[inline]
     pub fn order(&self) -> &[u8] {
-        &self.order
+        &self.order[..self.len as usize]
+    }
+
+    /// Rotate the first `len` ports left by `k < len` positions, as one
+    /// shift of the order's bytes: ports at and beyond `len` stay zero.
+    #[inline]
+    fn rotate_left(&mut self, k: u8) {
+        if k == 0 {
+            return;
+        }
+        let order = u64::from_le_bytes(self.order);
+        let head = order & ((1u64 << (8 * k)) - 1);
+        self.order = ((order >> (8 * k)) | (head << (8 * (self.len - k)))).to_le_bytes();
     }
 
     /// Hardware thread occupying `port`.
     #[inline]
     pub fn thread_at(&self, port: u8) -> u8 {
-        self.order[port as usize]
+        self.order()[port as usize]
     }
 
     /// Translate a port bitmask (as produced by the merge network) into a
@@ -69,24 +88,20 @@ impl PriorityRotator {
     pub fn advance(&mut self, issued_threads: u8) {
         match self.policy {
             PriorityPolicy::Fixed => {}
-            PriorityPolicy::RoundRobin => {
-                self.order.rotate_left(1);
-            }
+            PriorityPolicy::RoundRobin => self.rotate_left(1),
             PriorityPolicy::LeastRecentlyIssued => {
-                self.scratch.clear();
-                self.scratch.extend(
-                    self.order
-                        .iter()
-                        .copied()
-                        .filter(|t| issued_threads & (1 << t) == 0),
-                );
-                self.scratch.extend(
-                    self.order
-                        .iter()
-                        .copied()
-                        .filter(|t| issued_threads & (1 << t) != 0),
-                );
-                std::mem::swap(&mut self.order, &mut self.scratch);
+                // Stable partition: threads that waited, then those served.
+                let mut next = [0u8; MAX_PORTS];
+                let mut k = 0;
+                for served in [false, true] {
+                    for &t in self.order() {
+                        if (issued_threads & (1 << t) != 0) == served {
+                            next[k] = t;
+                            k += 1;
+                        }
+                    }
+                }
+                self.order = next;
             }
         }
     }
@@ -102,8 +117,7 @@ impl PriorityRotator {
         match self.policy {
             PriorityPolicy::Fixed | PriorityPolicy::LeastRecentlyIssued => {}
             PriorityPolicy::RoundRobin => {
-                let n = self.order.len() as u64;
-                self.order.rotate_left((cycles % n) as usize);
+                self.rotate_left((cycles % u64::from(self.len)) as u8);
             }
         }
     }

@@ -9,16 +9,157 @@
 //! * whatever CSMT merges, SMT merges too (cluster disjointness implies
 //!   operation-level compatibility);
 //! * the SMT counting check is exact: a validated merge can always be
-//!   routed onto concrete slots, a rejected pair never can.
+//!   routed onto concrete slots, a rejected pair never can;
+//! * the compiled evaluator agrees with a recursive interpreter of the
+//!   scheme tree — issued ports, packet, per-block attempts and successes
+//!   and the packet histogram — for every paper scheme and for wider
+//!   trees and cascades up to eight ports, on the 4x4 and 8x2 machines.
 
 use proptest::prelude::*;
-use vliw_core::{catalog, routing, MergeEvaluator, PortInput};
-use vliw_isa::{InstrBuilder, InstrSignature, MachineConfig, Opcode, Operation, ResourceCaps};
+use vliw_core::{catalog, parser, routing, MergeEvaluator, MergeKind, MergeScheme, MergeStats};
+use vliw_core::{PortInput, SchemeNode, MAX_PORTS};
+use vliw_isa::{
+    InstrBuilder, InstrSignature, MachineConfig, MachineSpec, Opcode, Operation, ResourceCaps,
+};
 
-/// Random instruction on the paper machine: a bag of opcodes over clusters,
-/// built through the checked builder (overflowing ops are dropped).
-fn arb_instr() -> impl Strategy<Value = vliw_isa::VliwInstruction> {
-    let opcode = prop_oneof![
+/// Reference semantics of a merge network, read straight off the scheme
+/// tree: each block folds its operands left to right; the first non-empty
+/// operand anchors, and each later non-empty operand is checked against
+/// the accumulated selection and joins if the check passes. Blocks are
+/// numbered in postorder.
+struct Reference {
+    attempts: Vec<u64>,
+    successes: Vec<u64>,
+    packets: [u64; MAX_PORTS + 1],
+}
+
+impl Reference {
+    fn new(scheme: &MergeScheme) -> Self {
+        let blocks = scheme.root().count_blocks(MergeKind::Smt)
+            + scheme.root().count_blocks(MergeKind::Csmt);
+        Reference {
+            attempts: vec![0; blocks],
+            successes: vec![0; blocks],
+            packets: [0; MAX_PORTS + 1],
+        }
+    }
+
+    /// One cycle: the issued ports and the packet.
+    fn eval(
+        &mut self,
+        scheme: &MergeScheme,
+        inputs: &[PortInput],
+        caps: &ResourceCaps,
+    ) -> (u8, InstrSignature) {
+        let mut next_block = 0;
+        let out = self.node(scheme.root(), inputs, caps, &mut next_block);
+        self.packets[out.0.count_ones() as usize] += 1;
+        out
+    }
+
+    fn node(
+        &mut self,
+        node: &SchemeNode,
+        inputs: &[PortInput],
+        caps: &ResourceCaps,
+        next_block: &mut usize,
+    ) -> (u8, InstrSignature) {
+        match node {
+            SchemeNode::Port(p) => match inputs.get(*p as usize) {
+                Some(inp) if inp.ready => (1 << p, inp.sig),
+                _ => (0, InstrSignature::EMPTY),
+            },
+            SchemeNode::Merge { kind, children, .. } => {
+                let operands: Vec<(u8, InstrSignature)> = children
+                    .iter()
+                    .map(|c| self.node(c, inputs, caps, next_block))
+                    .collect();
+                let block = *next_block;
+                *next_block += 1;
+                let mut acc = (0u8, InstrSignature::EMPTY);
+                for (members, sig) in operands {
+                    if members == 0 {
+                        continue;
+                    }
+                    if acc.0 == 0 {
+                        acc = (members, sig);
+                        continue;
+                    }
+                    let ok = match kind {
+                        MergeKind::Csmt => acc.1.cluster_disjoint(sig),
+                        MergeKind::Smt => acc.1.smt_compatible(sig, caps),
+                    };
+                    self.attempts[block] += 1;
+                    if ok {
+                        self.successes[block] += 1;
+                        acc = (acc.0 | members, acc.1.merged_with(sig));
+                    }
+                }
+                acc
+            }
+        }
+    }
+}
+
+/// Run `scheme` over `cycles` through the compiled evaluator and the
+/// reference interpreter, and assert that every outcome and every
+/// statistic agrees.
+fn assert_matches_reference(m: &MachineConfig, scheme: &MergeScheme, cycles: &[Vec<PortInput>]) {
+    let ev = MergeEvaluator::new(m);
+    let caps = ResourceCaps::of(m);
+    let compiled = scheme.compile();
+    let mut stats = MergeStats::new(compiled.n_nodes());
+    let mut reference = Reference::new(scheme);
+    for inputs in cycles {
+        let out = ev.evaluate_with_stats(&compiled, inputs, &mut stats);
+        let (ports, packet) = reference.eval(scheme, inputs, &caps);
+        assert_eq!(out.issued_ports, ports, "{}: issued ports", scheme.name());
+        assert_eq!(out.packet, packet, "{}: packet", scheme.name());
+    }
+    assert_eq!(
+        stats.attempts(),
+        &reference.attempts[..],
+        "{}: attempts",
+        scheme.name()
+    );
+    assert_eq!(
+        stats.successes(),
+        &reference.successes[..],
+        "{}: successes",
+        scheme.name()
+    );
+    assert_eq!(
+        stats.packet_histogram(),
+        &reference.packets,
+        "{}: packets",
+        scheme.name()
+    );
+}
+
+/// Every paper scheme, both 8-port balanced trees and parsed cascades of
+/// five to eight ports.
+fn schemes_up_to_8_ports() -> Vec<MergeScheme> {
+    let mut all = catalog::paper_schemes();
+    all.push(catalog::balanced_tree(MergeKind::Smt, 8));
+    all.push(catalog::balanced_tree(MergeKind::Csmt, 8));
+    for name in ["4SSCC", "5SCCCC", "6CSSCSC", "7SSSSSSS", "7CCCCCCC", "C8"] {
+        all.push(parser::parse(name).unwrap());
+    }
+    all
+}
+
+/// An instruction built on `m` from (cluster, opcode) requests; requests
+/// the machine cannot place are dropped.
+fn build_on(m: &MachineConfig, ops: &[(u8, Opcode)]) -> vliw_isa::VliwInstruction {
+    let mut b = InstrBuilder::new(m);
+    for &(cluster, opc) in ops {
+        let _ = b.push(Operation::new(opc, cluster));
+    }
+    b.build()
+}
+
+fn arb_opcode() -> impl Strategy<Value = Opcode> {
+    prop_oneof![
         Just(Opcode::Add),
         Just(Opcode::Sub),
         Just(Opcode::Shl),
@@ -28,15 +169,26 @@ fn arb_instr() -> impl Strategy<Value = vliw_isa::VliwInstruction> {
         Just(Opcode::Ldw),
         Just(Opcode::Stw),
         Just(Opcode::Goto),
-    ];
-    prop::collection::vec((0u8..4, opcode), 0..10).prop_map(|ops| {
-        let m = MachineConfig::paper_baseline();
-        let mut b = InstrBuilder::new(&m);
-        for (cluster, opc) in ops {
-            let _ = b.push(Operation::new(opc, cluster));
-        }
-        b.build()
-    })
+    ]
+}
+
+/// Eight ports' worth of (placement requests, ready) for a few cycles,
+/// lowered per machine by [`build_on`].
+type RawCycle = Vec<(Vec<(u8, Opcode)>, bool)>;
+
+fn arb_cycles() -> impl Strategy<Value = Vec<RawCycle>> {
+    let port = (
+        prop::collection::vec((0u8..8, arb_opcode()), 0..8),
+        any::<bool>(),
+    );
+    prop::collection::vec(prop::collection::vec(port, MAX_PORTS), 4)
+}
+
+/// Random instruction on the paper machine: a bag of opcodes over clusters,
+/// built through the checked builder (overflowing ops are dropped).
+fn arb_instr() -> impl Strategy<Value = vliw_isa::VliwInstruction> {
+    prop::collection::vec((0u8..4, arb_opcode()), 0..10)
+        .prop_map(|ops| build_on(&MachineConfig::paper_baseline(), &ops))
 }
 
 fn arb_inputs() -> impl Strategy<Value = Vec<PortInput>> {
@@ -163,6 +315,31 @@ proptest! {
         }
     }
 
+    /// The compiled evaluator is the reference interpreter, statistics
+    /// included, on the paper machine and on the 8-cluster machine whose
+    /// upper clusters live in the signature's `hi` lane.
+    #[test]
+    fn evaluator_matches_reference_interpreter(raw in arb_cycles()) {
+        for machine in [MachineSpec::Paper4x4, MachineSpec::Narrow8x2] {
+            let m = machine.config();
+            let cycles: Vec<Vec<PortInput>> = raw
+                .iter()
+                .map(|ports| {
+                    ports
+                        .iter()
+                        .map(|(ops, ready)| PortInput {
+                            sig: build_on(&m, ops).signature(),
+                            ready: *ready,
+                        })
+                        .collect()
+                })
+                .collect();
+            for scheme in schemes_up_to_8_ports() {
+                assert_matches_reference(&m, &scheme, &cycles);
+            }
+        }
+    }
+
     /// Issuing alone: with only one ready port, every scheme issues exactly
     /// that port and the packet equals its signature.
     #[test]
@@ -179,13 +356,14 @@ proptest! {
     }
 }
 
-/// Exhaustive mini-model check on tiny signatures: every 4-thread scheme's
-/// issued set, compared against a direct tree interpreter, for all 3^4
-/// single-cluster usage combinations.
+/// Exhaustive mini-model check on tiny signatures: every paper scheme
+/// against the reference interpreter, for all 3^4 combinations of single-op
+/// instructions on cluster 0, on cluster 1, or a stalled port. The
+/// interpreter itself is anchored to the greedy cascade rules first.
 #[test]
 fn exhaustive_tiny_model() {
     let m = MachineConfig::paper_baseline();
-    let ev = MergeEvaluator::new(&m);
+    let caps = ResourceCaps::of(&m);
     // Each thread uses cluster 0, cluster 1, or is stalled.
     let mk = |choice: u8| -> PortInput {
         match choice {
@@ -201,6 +379,7 @@ fn exhaustive_tiny_model() {
             }
         }
     };
+    let mut cycles = Vec::new();
     for combo in 0..81u32 {
         let choices = [
             (combo % 3) as u8,
@@ -209,8 +388,8 @@ fn exhaustive_tiny_model() {
             ((combo / 27) % 3) as u8,
         ];
         let inputs: Vec<PortInput> = choices.iter().map(|&c| mk(c)).collect();
-        // CSMT serial cascade reference: greedily add threads with disjoint
-        // cluster usage.
+        // CSMT serial cascade: greedily add threads with disjoint cluster
+        // usage.
         let mut used = 0u8;
         let mut expect = 0u8;
         for (i, &c) in choices.iter().enumerate() {
@@ -223,8 +402,9 @@ fn exhaustive_tiny_model() {
                 expect |= 1 << i;
             }
         }
-        let out = ev.evaluate(&catalog::csmt_serial(4).compile(), &inputs);
-        assert_eq!(out.issued_ports, expect, "combo {choices:?}");
+        let csmt = catalog::csmt_serial(4);
+        let (ports, _) = Reference::new(&csmt).eval(&csmt, &inputs, &caps);
+        assert_eq!(ports, expect, "combo {choices:?}");
         // SMT merges everything that is ready here (ALU counts of 1 or 2
         // per cluster always fit a 4-wide cluster).
         let ready: u8 = choices
@@ -232,7 +412,12 @@ fn exhaustive_tiny_model() {
             .enumerate()
             .filter(|(_, &c)| c != 0)
             .fold(0, |m, (i, _)| m | (1 << i));
-        let out = ev.evaluate(&catalog::smt_cascade(4).compile(), &inputs);
-        assert_eq!(out.issued_ports, ready, "combo {choices:?}");
+        let smt = catalog::smt_cascade(4);
+        let (ports, _) = Reference::new(&smt).eval(&smt, &inputs, &caps);
+        assert_eq!(ports, ready, "combo {choices:?}");
+        cycles.push(inputs);
+    }
+    for scheme in catalog::paper_schemes() {
+        assert_matches_reference(&m, &scheme, &cycles);
     }
 }

@@ -11,10 +11,13 @@
 //! The simulator evaluates a merge network every cycle, so both checks are
 //! packed into machine words: a [`ResourceVec`] holds one byte per
 //! (cluster, class) counter in two `u128` lanes (clusters 0..3 in `lo`,
-//! 4..7 in `hi`), and the "does the combined packet exceed capacity?" test
-//! is a pair of adds plus a mask — a classic SWAR saturation check. Counts
-//! are bounded by the issue width (<= 8), so the high bit of every byte is
-//! free to act as the guard bit.
+//! 4..7 in `hi`). The per-class capacity test is a pair of adds plus a
+//! mask — a classic SWAR saturation check. Counts are bounded by the issue
+//! width (<= 8), so the high bit of every byte is free to act as the guard
+//! bit. The per-cluster issue-width test folds each cluster's four bytes
+//! into one 32-bit total (a byte-lane horizontal add) and guards bit 15 of
+//! each total the same way, so the whole SMT check has no branch and no
+//! loop.
 
 use crate::machine::MachineConfig;
 use crate::op::OpClass;
@@ -25,8 +28,22 @@ use std::fmt;
 pub type ClusterMask = u8;
 
 const HI_BITS: u128 = 0x8080_8080_8080_8080_8080_8080_8080_8080;
+/// The low byte of every 16-bit lane.
+const BYTE_PAIRS: u128 = 0x00FF_00FF_00FF_00FF_00FF_00FF_00FF_00FF;
+/// The low half of every 32-bit (per-cluster) lane.
+const HALF_PAIRS: u128 = 0x0000_FFFF_0000_FFFF_0000_FFFF_0000_FFFF;
+/// The guard bit (bit 15) of every 32-bit per-cluster total.
+const TOTAL_GUARDS: u128 = 0x0000_8000_0000_8000_0000_8000_0000_8000;
 /// Clusters per `u128` lane (4 clusters x 4 classes x 1 byte = 16 bytes).
 const CLUSTERS_PER_LANE: u8 = 4;
+
+/// Per-cluster operation totals of one lane: each cluster's four class
+/// bytes summed into the low 16 bits of its 32-bit lane.
+#[inline]
+fn cluster_totals(lane: u128) -> u128 {
+    let pairs = (lane & BYTE_PAIRS) + ((lane >> 8) & BYTE_PAIRS);
+    (pairs & HALF_PAIRS) + ((pairs >> 16) & HALF_PAIRS)
+}
 
 /// Per-cluster, per-class operation counts packed one byte per counter.
 ///
@@ -125,6 +142,24 @@ impl ResourceVec {
         (word & 0xFF) + ((word >> 8) & 0xFF) + ((word >> 16) & 0xFF) + ((word >> 24) & 0xFF)
     }
 
+    /// Move every counter of cluster `c` to cluster `(c + by) % n_clusters`
+    /// one by one: the rotation of cluster counts no preset geometry uses,
+    /// kept out of line so the lane rotates inline.
+    #[cold]
+    #[inline(never)]
+    fn rotate_counters(self, by: u8, n_clusters: u8) -> ResourceVec {
+        let mut out = ResourceVec::zero();
+        for c in 0..n_clusters {
+            let dst = (c + by) % n_clusters;
+            for k in OpClass::ALL {
+                for _ in 0..self.get(c, k) {
+                    out.bump(dst, k);
+                }
+            }
+        }
+        out
+    }
+
     /// Derive the cluster usage mask (bit c set iff cluster c has any op).
     pub fn cluster_mask(self) -> ClusterMask {
         let mut mask = 0u8;
@@ -169,21 +204,32 @@ pub struct ResourceCaps {
     pub addend_lo: u128,
     /// Per-byte `0x7F - capacity` values for clusters 4..=7.
     pub addend_hi: u128,
-    /// Issue width per cluster (total-ops bound).
-    pub issue: u8,
-    /// Number of clusters in the machine.
-    pub n_clusters: u8,
+    /// Per-32-bit-lane `0x7FFF - issue width` values for clusters 0..=3.
+    pub issue_addend_lo: u128,
+    /// Per-32-bit-lane `0x7FFF - issue width` values for clusters 4..=7.
+    pub issue_addend_hi: u128,
 }
 
 impl ResourceCaps {
     /// Derive capacities from a machine description. Clusters beyond the
-    /// machine get capacity 0, so any op placed there trips the check.
+    /// machine get capacity and issue width 0, so any op placed there
+    /// trips the check.
     pub fn of(machine: &MachineConfig) -> Self {
         let mut lo = [0u8; 16];
         let mut hi = [0u8; 16];
+        let mut issue_lo = 0u128;
+        let mut issue_hi = 0u128;
         for c in 0..MAX_CLUSTERS as u8 {
+            let in_machine = c < machine.n_clusters;
+            let issue = if in_machine {
+                machine.issue_per_cluster
+            } else {
+                0
+            };
+            let total_addend =
+                u128::from(0x7FFF - u16::from(issue)) << ((c % CLUSTERS_PER_LANE) as u32 * 32);
             for k in OpClass::ALL {
-                let cap = if c < machine.n_clusters {
+                let cap = if in_machine {
                     machine.class_capacity(c, k)
                 } else {
                     0
@@ -195,12 +241,17 @@ impl ResourceCaps {
                     hi[byte] = 0x7F - cap;
                 }
             }
+            if c < CLUSTERS_PER_LANE {
+                issue_lo |= total_addend;
+            } else {
+                issue_hi |= total_addend;
+            }
         }
         ResourceCaps {
             addend_lo: u128::from_le_bytes(lo),
             addend_hi: u128::from_le_bytes(hi),
-            issue: machine.issue_per_cluster,
-            n_clusters: machine.n_clusters,
+            issue_addend_lo: issue_lo,
+            issue_addend_hi: issue_hi,
         }
     }
 }
@@ -249,40 +300,58 @@ impl InstrSignature {
     /// Multithreaded clustered machines wire each hardware context's
     /// virtual clusters onto physical clusters with a fixed per-context
     /// rotation, so that compact (few-cluster) threads occupy *different*
-    /// physical clusters and can merge at cluster level. The fast path
-    /// (4-cluster machines, the paper's geometry) is two shifts.
+    /// physical clusters and can merge at cluster level. Every preset
+    /// geometry has 2, 4 or 8 clusters, where the counters move as whole
+    /// 32-bit cluster lanes: a rotate of the low 64 bits, of `lo`, or of
+    /// the 256-bit `(lo, hi)` pair, with no division unless `by >=
+    /// n_clusters`. Other cluster counts rebuild the counters one by one.
     #[inline]
     pub fn rotate_clusters(self, by: u8, n_clusters: u8) -> InstrSignature {
         if by == 0 || self.clusters == 0 {
             return self;
         }
-        let n = u32::from(n_clusters);
-        let by = u32::from(by) % n;
+        let by = if by >= n_clusters {
+            by % n_clusters
+        } else {
+            by
+        };
         if by == 0 {
             return self;
         }
+        let n = u32::from(n_clusters);
+        let by32 = u32::from(by);
         let mask_n: u16 = (1u16 << n) - 1;
         let m = u16::from(self.clusters) & mask_n;
-        let clusters = (((m << by) | (m >> (n - by))) & mask_n) as u8;
-        let res = if n_clusters == 4 {
-            // All four lanes live in `lo`: a 32-bit lane rotation is a
-            // u128 rotate.
-            ResourceVec {
-                lo: self.res.lo.rotate_left(32 * by),
+        let clusters = (((m << by32) | (m >> (n - by32))) & mask_n) as u8;
+        let bits = 32 * by32;
+        let res = match n_clusters {
+            2 => ResourceVec {
+                lo: u128::from((self.res.lo as u64).rotate_left(bits)),
                 hi: 0,
-            }
-        } else {
-            // Generic (cold) path: rebuild lane by lane.
-            let mut out = ResourceVec::zero();
-            for c in 0..n_clusters {
-                let dst = (c + by as u8) % n_clusters;
-                for k in OpClass::ALL {
-                    for _ in 0..self.res.get(c, k) {
-                        out.bump(dst, k);
+            },
+            4 => ResourceVec {
+                lo: self.res.lo.rotate_left(bits),
+                hi: 0,
+            },
+            8 => {
+                // Rotating by four clusters swaps the lanes; the rest is a
+                // double-width shift.
+                let (a, b) = if by >= CLUSTERS_PER_LANE {
+                    (self.res.hi, self.res.lo)
+                } else {
+                    (self.res.lo, self.res.hi)
+                };
+                let s = bits % 128;
+                if s == 0 {
+                    ResourceVec { lo: a, hi: b }
+                } else {
+                    ResourceVec {
+                        lo: (a << s) | (b >> (128 - s)),
+                        hi: (b << s) | (a >> (128 - s)),
                     }
                 }
             }
-            out
+            _ => self.res.rotate_counters(by, n_clusters),
         };
         InstrSignature {
             res,
@@ -298,18 +367,17 @@ impl InstrSignature {
     /// Because the machine assigns disjoint slot sets to the fixed classes
     /// (see [`MachineConfig::slot_plan`]) these counting checks are exact:
     /// they succeed iff a conflict-free slot assignment (routing) exists.
+    ///
+    /// Both checks run on every cluster at once, with no branch: the class
+    /// guard bits of [`ResourceVec::exceeds`] and, per cluster, the guard
+    /// bit of `total + (0x7FFF - issue)`, which is set iff `total > issue`.
     #[inline]
     pub fn smt_compatible(self, other: InstrSignature, caps: &ResourceCaps) -> bool {
         let sum = self.res.sum(other.res);
-        if sum.exceeds(caps) {
-            return false;
-        }
-        for c in 0..caps.n_clusters {
-            if sum.cluster_total(c) > u32::from(caps.issue) {
-                return false;
-            }
-        }
-        true
+        let class = (sum.lo + caps.addend_lo) | (sum.hi + caps.addend_hi);
+        let issue = (cluster_totals(sum.lo) + caps.issue_addend_lo)
+            | (cluster_totals(sum.hi) + caps.issue_addend_hi);
+        (class & HI_BITS) | (issue & TOTAL_GUARDS) == 0
     }
 }
 

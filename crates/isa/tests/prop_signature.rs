@@ -1,11 +1,53 @@
 //! Property tests: packed signature arithmetic must agree with a naive
-//! per-counter model, and builder-produced instructions must always be
-//! legal placements.
+//! per-counter model on every machine geometry, and builder-produced
+//! instructions must always be legal placements.
 
 use proptest::prelude::*;
 use vliw_isa::{
-    InstrBuilder, MachineConfig, OpClass, Opcode, Operation, ResourceCaps, ResourceVec,
+    InstrBuilder, InstrSignature, MachineConfig, MachineSpec, OpClass, Opcode, Operation,
+    ResourceCaps, ResourceVec,
 };
+
+/// Every preset geometry (4x4, 2x8 with 8-wide clusters, 8x2 using the
+/// `hi` lane, the reduced 4x4 mix) and an odd custom one whose cluster
+/// count is neither a lane size nor a power of two.
+fn machines() -> Vec<MachineConfig> {
+    let mut all: Vec<MachineConfig> = MachineSpec::presets().iter().map(|p| p.config()).collect();
+    all.push("3x4".parse::<MachineSpec>().unwrap().config());
+    all
+}
+
+/// The placements folded onto `m`'s clusters, keeping each one only if
+/// the instruction so far still fits `m` on its own.
+fn legal_on(m: &MachineConfig, items: &[(u8, OpClass)]) -> Vec<(u8, OpClass)> {
+    let mut counts = NaiveCounts::default();
+    let mut kept = Vec::new();
+    for &(c, k) in items {
+        let c = c % m.n_clusters;
+        counts.bump(c, k);
+        if counts.exceeds(m) || counts.cluster_over_issue(m) {
+            counts.0[c as usize][k.index()] -= 1;
+        } else {
+            kept.push((c, k));
+        }
+    }
+    kept
+}
+
+/// Packed signature of a bag of placements.
+fn build_sig(items: &[(u8, OpClass)]) -> InstrSignature {
+    let mut res = ResourceVec::zero();
+    let mut mask = 0u8;
+    for &(c, k) in items {
+        res.bump(c, k);
+        mask |= 1 << c;
+    }
+    InstrSignature {
+        res,
+        clusters: mask,
+        n_ops: items.len() as u8,
+    }
+}
 
 /// Naive reference: per-(cluster, class) counts as a plain array.
 #[derive(Default, Clone)]
@@ -97,39 +139,60 @@ proptest! {
 
     #[test]
     fn swar_exceeds_matches_naive(items in placements(16)) {
-        let m = MachineConfig::paper_baseline();
-        let caps = ResourceCaps::of(&m);
         let mut packed = ResourceVec::zero();
         let mut naive = NaiveCounts::default();
         for &(c, k) in &items {
             packed.bump(c, k);
             naive.bump(c, k);
         }
-        prop_assert_eq!(packed.exceeds(&caps), naive.exceeds(&m));
+        for m in machines() {
+            let caps = ResourceCaps::of(&m);
+            prop_assert_eq!(packed.exceeds(&caps), naive.exceeds(&m), "{:?}", m);
+        }
     }
 
+    /// Checked twice per machine: on the raw placements, and on each side
+    /// cut down to an instruction the machine can issue alone (what the
+    /// merge network compares), where the per-cluster issue bound rather
+    /// than a zero capacity decides — 2x8's 8-wide clusters, 8x2's `hi`
+    /// lane.
     #[test]
     fn smt_compat_matches_naive(a in placements(10), b in placements(10)) {
-        let m = MachineConfig::paper_baseline();
-        let caps = ResourceCaps::of(&m);
-        let build_sig = |items: &[(u8, OpClass)]| {
-            let mut res = ResourceVec::zero();
-            let mut mask = 0u8;
-            for &(c, k) in items {
-                res.bump(c, k);
-                mask |= 1 << c;
+        for m in machines() {
+            for (a, b) in [(a.clone(), b.clone()), (legal_on(&m, &a), legal_on(&m, &b))] {
+                let mut ns = NaiveCounts::default();
+                for &(c, k) in a.iter().chain(&b) { ns.bump(c, k); }
+                let naive_ok = !ns.exceeds(&m) && !ns.cluster_over_issue(&m);
+                let caps = ResourceCaps::of(&m);
+                prop_assert_eq!(build_sig(&a).smt_compatible(build_sig(&b), &caps), naive_ok,
+                    "{:?}", m);
             }
-            vliw_isa::InstrSignature { res, clusters: mask, n_ops: items.len() as u8 }
-        };
-        let sa = build_sig(&a);
-        let sb = build_sig(&b);
-        let mut na = NaiveCounts::default();
-        for &(c, k) in &a { na.bump(c, k); }
-        let mut nb = NaiveCounts::default();
-        for &(c, k) in &b { nb.bump(c, k); }
-        let ns = na.sum(&nb);
-        let naive_ok = !ns.exceeds(&m) && !ns.cluster_over_issue(&m);
-        prop_assert_eq!(sa.smt_compatible(sb, &caps), naive_ok);
+        }
+    }
+
+    /// Rotation moves each (cluster, class) counter to cluster
+    /// `(c + by) mod n` and rotates the cluster mask alike, for every
+    /// cluster count and every shift including whole turns.
+    #[test]
+    fn rotate_clusters_matches_naive(items in placements(16), n in 1u8..9, by in 0u8..16) {
+        let items: Vec<(u8, OpClass)> = items.iter().map(|&(c, k)| (c % n, k)).collect();
+        let sig = build_sig(&items);
+        let rotated = sig.rotate_clusters(by, n);
+        let mut naive = NaiveCounts::default();
+        let mut mask = 0u8;
+        for &(c, k) in &items {
+            let dst = (c + by) % n;
+            naive.bump(dst, k);
+            mask |= 1 << dst;
+        }
+        for c in 0..8u8 {
+            for k in OpClass::ALL {
+                prop_assert_eq!(rotated.res.get(c, k), naive.0[c as usize][k.index()],
+                    "n={} by={} cluster {} {:?}", n, by, c, k);
+            }
+        }
+        prop_assert_eq!(rotated.clusters, mask, "n={} by={}", n, by);
+        prop_assert_eq!(rotated.n_ops, sig.n_ops);
     }
 
     /// Whatever the builder accepts is a legal placement: classes sit on

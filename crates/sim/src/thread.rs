@@ -109,6 +109,11 @@ pub struct SoftThread {
     pub cluster_rot: u8,
     /// Cluster count of the machine (for the rotation arithmetic).
     pub n_clusters: u8,
+    /// The head instruction's signature rotated by `cluster_rot`: what
+    /// [`SoftThread::head_sig`] returns. Refreshed by
+    /// [`SoftThread::fetch_head`], which runs on every install and after
+    /// every execute.
+    head: InstrSignature,
     /// Retired VLIW instructions.
     pub instrs: u64,
     /// Retired operations.
@@ -137,6 +142,7 @@ impl SoftThread {
             .enumerate()
             .map(|(i, s)| StreamState::new(*s, seed ^ (tid << 16) ^ i as u64))
             .collect();
+        let head = meta.blocks[meta.entry as usize].instrs[0].sig;
         SoftThread {
             tid: tid as u32,
             name: image.spec.name.clone(),
@@ -151,7 +157,8 @@ impl SoftThread {
             last_iline: u64::MAX,
             last_ctx: None,
             cluster_rot: 0,
-            n_clusters: 4,
+            n_clusters: image.machine.n_clusters,
+            head,
             instrs: 0,
             ops: 0,
             dstall_cycles: 0,
@@ -177,12 +184,12 @@ impl SoftThread {
 
     /// Signature of the instruction at the head, as seen by the merge
     /// network (virtual clusters rotated onto the context's physical
-    /// clusters).
+    /// clusters). Computed once per head move by
+    /// [`SoftThread::fetch_head`], so direct writes to `block`, `idx` or
+    /// `cluster_rot` show here only after the next fetch.
     #[inline]
     pub fn head_sig(&self) -> InstrSignature {
-        self.meta.blocks[self.block as usize].instrs[self.idx as usize]
-            .sig
-            .rotate_clusters(self.cluster_rot, self.n_clusters)
+        self.head
     }
 
     /// Deterministic per-thread uniform draw in 0..1000.
@@ -197,7 +204,8 @@ impl SoftThread {
     }
 
     /// Probe the I-cache for the instruction at the head; charges a stall
-    /// when the line misses. Called whenever the head moves to a new line.
+    /// when the line misses. Called whenever the head moves and on every
+    /// install; also refreshes the rotated head signature.
     ///
     /// Tracing emits [`TraceEvent::CacheMiss`] (from the memory system) and
     /// [`TraceEvent::Stall`] with [`StallKind::ICacheMiss`]; every emission
@@ -211,6 +219,7 @@ impl SoftThread {
         sink: &mut S,
     ) {
         let meta = &self.meta.blocks[self.block as usize].instrs[self.idx as usize];
+        self.head = meta.sig.rotate_clusters(self.cluster_rot, self.n_clusters);
         let addr = meta.addr + self.code_offset;
         let line = mem.icache_line(addr);
         if line != self.last_iline {
