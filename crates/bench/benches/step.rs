@@ -79,6 +79,13 @@ fn min(v: &[f64]) -> f64 {
     sorted(v)[0]
 }
 
+/// Full range of the reps: what one run of the gate may read on the
+/// host the snapshot was recorded on.
+fn spread(v: &[f64]) -> f64 {
+    let v = sorted(v);
+    v[v.len() - 1] - v[0]
+}
+
 /// Per-rep ratio of the gated scheme's 8x2 cost to its 4x4 cost.
 fn gate_ratios(cells: &[Measured]) -> Vec<f64> {
     let reps = |machine| {
@@ -136,13 +143,6 @@ fn render_json(cells: &[Measured], parent: Option<&str>) -> String {
         None => s.push_str("  ]\n}\n"),
     }
     s
-}
-
-/// Full range of the reps: what one run of the gate may read on the
-/// host the snapshot was recorded on.
-fn spread(v: &[f64]) -> f64 {
-    let v = sorted(v);
-    v[v.len() - 1] - v[0]
 }
 
 /// Pull `"<field>":<x>` off the committed snapshot's gate line.

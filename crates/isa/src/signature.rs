@@ -114,7 +114,13 @@ impl ResourceVec {
     /// `v + (0x7F - cap)` sets the guard bit `0x80`.
     #[inline]
     pub fn exceeds(self, caps: &ResourceCaps) -> bool {
-        ((self.lo + caps.addend_lo) | (self.hi + caps.addend_hi)) & HI_BITS != 0
+        self.class_guards(caps) != 0
+    }
+
+    /// The guard bit of every counter over its class capacity.
+    #[inline]
+    fn class_guards(self, caps: &ResourceCaps) -> u128 {
+        ((self.lo + caps.addend_lo) | (self.hi + caps.addend_hi)) & HI_BITS
     }
 
     /// Total operation count across all clusters and classes.
@@ -374,10 +380,9 @@ impl InstrSignature {
     #[inline]
     pub fn smt_compatible(self, other: InstrSignature, caps: &ResourceCaps) -> bool {
         let sum = self.res.sum(other.res);
-        let class = (sum.lo + caps.addend_lo) | (sum.hi + caps.addend_hi);
         let issue = (cluster_totals(sum.lo) + caps.issue_addend_lo)
             | (cluster_totals(sum.hi) + caps.issue_addend_hi);
-        (class & HI_BITS) | (issue & TOTAL_GUARDS) == 0
+        sum.class_guards(caps) | (issue & TOTAL_GUARDS) == 0
     }
 }
 
