@@ -16,10 +16,9 @@
 //!   median over reps of the 8x2 3SSS step cost divided by the 4x4 3SSS
 //!   step cost of the same rep. It fails when that ratio exceeds the
 //!   committed one by more than the committed spread (the range of the
-//!   per-rep ratios). A ratio
-//!   of two cells measured side by side holds on any host speed, and a
-//!   geometry that falls off the fast signature path shows as a ratio
-//!   well above 1.
+//!   per-rep ratios). A ratio of two cells measured side by side holds on
+//!   any host speed, and a geometry that falls off the fast signature path
+//!   shows as a ratio well above 1.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -76,7 +75,7 @@ fn median(v: &[f64]) -> f64 {
 }
 
 fn min(v: &[f64]) -> f64 {
-    sorted(v)[0]
+    v.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 /// Full range of the reps: what one run of the gate may read on the

@@ -159,11 +159,11 @@ proptest! {
     #[test]
     fn smt_compat_matches_naive(a in placements(10), b in placements(10)) {
         for m in machines() {
+            let caps = ResourceCaps::of(&m);
             for (a, b) in [(a.clone(), b.clone()), (legal_on(&m, &a), legal_on(&m, &b))] {
                 let mut ns = NaiveCounts::default();
                 for &(c, k) in a.iter().chain(&b) { ns.bump(c, k); }
                 let naive_ok = !ns.exceeds(&m) && !ns.cluster_over_issue(&m);
-                let caps = ResourceCaps::of(&m);
                 prop_assert_eq!(build_sig(&a).smt_compatible(build_sig(&b), &caps), naive_ok,
                     "{:?}", m);
             }

@@ -22,6 +22,7 @@
 //! it, as the `Debug` dump of every cell's `RunStats`: every default-shape
 //! exhibit, Figure 10 under the fixed and least-recently-issued priority
 //! policies, and 6- and 8-port schemes on the 8x2 machine.
+//!
 //! FNV-1a is the digest `perfbench` uses; unlike `DefaultHasher` it is
 //! stable across toolchains. On a mismatch the test prints every actual
 //! digest in the table's own syntax, so an intended export change can be
