@@ -12,8 +12,7 @@
 //! paper --lint [--lint-format text|json]
 //! paper --list
 //!
-//! EXHIBIT: table1 table2 fig4 fig5 fig6 fig9 fig10 fig11 fig12 headline
-//!          geometry trace traffic fleet all   (default: all)
+//! EXHIBIT: any name `paper --list` prints, or all (default: all)
 //! --scale N        divide the paper's 100M-instruction budget by N (default 20)
 //! --full           the paper's full run lengths (scale 1); slow
 //! --threads N      rayon worker threads for simulation sweeps (default:
@@ -81,12 +80,14 @@
 //! Table-1 suite; `--trace` verifies the file is writable by creating it,
 //! and requires at least one simulated exhibit to be selected).
 //!
-//! The `--json`/`--csv` exports cover the simulated exhibits (table1, fig4,
-//! fig6, the shared fig10 sweep behind fig10/fig11/fig12/headline, the
-//! geometry sweep, the traffic sweep, and the fleet sweep); static exhibits
-//! (table2, fig5, fig9) have no simulation results. Both exports are
-//! byte-identical across `--threads` values: the sweep grid is
-//! deterministic and ordered. Without
+//! Every exhibit, the sweep it reads and its renderer are one row of
+//! [`vliw_bench::exhibits::EXHIBITS`]; validation, `--list`, `--filter`,
+//! the `--trace` target and the run loop all read that table. Each sweep
+//! runs at most once per invocation, so fig10, fig11, fig12 and headline
+//! share one simulation. The `--json`/`--csv` exports hold one result set
+//! per sweep run, under the sweep's id, in first-use order; static
+//! exhibits have none. Both exports are byte-identical across `--threads`
+//! values: the sweep grid is deterministic and ordered. Without
 //! `--scheduler`/`--machine`/`--arrivals`/`--fleet` the export bytes equal
 //! the historical (pre-axis) format; with any, a `scheduler`/`machine`/
 //! `traffic`/`fleet` column/field is added (the traffic column brings the
@@ -99,39 +100,12 @@
 //! any carries that column on *every* row — one header must fit all sets,
 //! so rows are shaped to the union of the captured axes.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
-use vliw_bench::figures;
-use vliw_bench::Exhibit;
+use std::path::{Path, PathBuf};
+use vliw_bench::exhibits::{exhibit, Axes, Sweeps, EXHIBITS};
 use vliw_sim::experiments;
-use vliw_sim::plan::{
-    Axis, Columns, DispatcherSpec, FleetError, FleetSpec, MachineSpec, Plan, ResultSet, Session,
-    TrafficError, TrafficSpec,
-};
+use vliw_sim::plan::{DispatcherSpec, FleetError, FleetSpec, MachineSpec, Session, TrafficError};
 use vliw_sim::sched::SchedulerSpec;
 use vliw_trace::TraceFormat;
-
-/// Every exhibit name the harness understands, in render order.
-const EXHIBITS: [&str; 14] = [
-    "table1", "table2", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11", "fig12", "headline",
-    "geometry", "trace", "traffic", "fleet",
-];
-
-/// The plan behind a simulated exhibit (what `--trace` probes), `None` for
-/// the static exhibits (table2, fig5, fig9).
-fn plan_for(name: &str, scale: u64) -> Option<Plan> {
-    match name {
-        "table1" => Some(experiments::table1_plan(scale)),
-        "fig4" => Some(experiments::fig4_plan(scale)),
-        "fig6" => Some(experiments::fig6_plan(scale)),
-        "fig10" | "fig11" | "fig12" | "headline" => Some(experiments::fig10_plan(scale)),
-        "geometry" => Some(experiments::geometry_plan(scale)),
-        "trace" => Some(experiments::trace_plan(scale)),
-        "traffic" => Some(experiments::traffic_plan(scale)),
-        "fleet" => Some(experiments::fleet_plan(scale)),
-        _ => None,
-    }
-}
 
 fn main() {
     let mut scale: u64 = 20;
@@ -139,10 +113,7 @@ fn main() {
     let mut out = PathBuf::from("results");
     let mut wanted: Vec<String> = Vec::new();
     let mut filter: Option<String> = None;
-    let mut scheduler: Option<SchedulerSpec> = None;
-    let mut machine: Option<MachineSpec> = None;
-    let mut arrivals: Option<TrafficSpec> = None;
-    let mut fleet: Option<FleetSpec> = None;
+    let mut axes = Axes::default();
     let mut list = false;
     let mut json_path: Option<PathBuf> = None;
     let mut csv_path: Option<PathBuf> = None;
@@ -182,7 +153,7 @@ fn main() {
                 let name = args
                     .next()
                     .unwrap_or_else(|| die("--scheduler needs a policy name"));
-                scheduler = Some(
+                axes.scheduler = Some(
                     name.parse()
                         .unwrap_or_else(|e: vliw_sim::SimError| die(&e.to_string())),
                 );
@@ -200,13 +171,13 @@ fn main() {
                          one multiplier and one memory unit per cluster)"
                     ));
                 }
-                machine = Some(spec);
+                axes.machine = Some(spec);
             }
             "--arrivals" => {
                 let name = args
                     .next()
                     .unwrap_or_else(|| die("--arrivals needs a traffic spec"));
-                arrivals = Some(
+                axes.arrivals = Some(
                     name.parse()
                         .unwrap_or_else(|e: TrafficError| die(&e.to_string())),
                 );
@@ -224,7 +195,7 @@ fn main() {
                          least one multiplier and one memory unit per cluster)"
                     ));
                 }
-                fleet = Some(spec);
+                axes.fleet = Some(spec);
             }
             "--list" => list = true,
             "--out" => {
@@ -287,7 +258,7 @@ fn main() {
                 });
             }
             "--help" | "-h" => {
-                println!("{}", HELP);
+                println!("{}", help());
                 return;
             }
             other if !other.starts_with('-') => wanted.push(other.to_string()),
@@ -306,10 +277,10 @@ fn main() {
         // Standalone static-analysis mode: no simulation, no exports.
         if !wanted.is_empty()
             || filter.is_some()
-            || scheduler.is_some()
-            || machine.is_some()
-            || arrivals.is_some()
-            || fleet.is_some()
+            || axes.scheduler.is_some()
+            || axes.machine.is_some()
+            || axes.arrivals.is_some()
+            || axes.fleet.is_some()
             || json_path.is_some()
             || csv_path.is_some()
             || trace_path.is_some()
@@ -331,30 +302,32 @@ fn main() {
     }
     // Validate every requested name before simulating anything: a typo on
     // the last exhibit must not cost the first nine sweeps.
+    let mut selected = Vec::new();
     for w in &wanted {
-        if w != "all" && !EXHIBITS.contains(&w.as_str()) {
-            die(&format!(
+        match exhibit(w) {
+            Some(e) => selected.push(e),
+            None if w == "all" => {}
+            None => die(&format!(
                 "unknown exhibit {w:?}; valid exhibits: {}",
-                EXHIBITS.join(" ")
-            ));
+                exhibit_names()
+            )),
         }
     }
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = EXHIBITS.iter().map(|s| s.to_string()).collect();
+    if selected.is_empty() || wanted.iter().any(|w| w == "all") {
+        selected = EXHIBITS.iter().collect();
     }
     if let Some(f) = &filter {
-        wanted.retain(|w| w.contains(f.as_str()));
-        if wanted.is_empty() {
+        selected.retain(|e| e.name.contains(f.as_str()));
+        if selected.is_empty() {
             die(&format!(
                 "--filter {f:?} matches no exhibit; valid exhibits: {}",
-                EXHIBITS.join(" ")
+                exhibit_names()
             ));
         }
     }
-    // First occurrence wins: repeated names would re-simulate the sweep and
-    // duplicate ids in the --json/--csv exports.
+    // First occurrence wins: a repeated name would render twice.
     let mut seen = std::collections::HashSet::new();
-    wanted.retain(|w| seen.insert(w.clone()));
+    selected.retain(|e| seen.insert(e.name));
 
     // Up-front --trace/--trace-format validation: a bad format name, an
     // unwritable path, or a selection with nothing to trace must fail
@@ -362,30 +335,27 @@ fn main() {
     if trace_format.is_some() && trace_path.is_none() {
         die("--trace-format requires --trace");
     }
-    let trace_target: Option<&str> = trace_path.as_ref().map(|path| {
-        let target = wanted
+    let trace_target = trace_path.as_ref().map(|path| {
+        let target = selected
             .iter()
-            .map(String::as_str)
-            .find(|w| plan_for(w, 1).is_some())
+            .find_map(|e| Some((e.name, e.sweep()?)))
             .unwrap_or_else(|| {
-                die("--trace needs at least one simulated exhibit selected \
-                     (table2/fig5/fig9 are static)")
+                let fixed: Vec<&str> = EXHIBITS
+                    .iter()
+                    .filter(|e| e.sweep().is_none())
+                    .map(|e| e.name)
+                    .collect();
+                die(&format!(
+                    "--trace needs at least one simulated exhibit selected ({} are static)",
+                    fixed.join("/")
+                ))
             });
-        // Writability check: create the file now (it is overwritten with
-        // the trace later), so a bad parent directory dies here.
-        if let Err(err) = std::fs::write(path, b"") {
-            die(&format!("cannot write --trace {}: {err}", path.display()));
-        }
+        create_or_die("--trace", path);
         target
     });
     let trace_format = trace_format.unwrap_or(TraceFormat::Chrome);
-
-    // Same up-front writability contract as --trace: a bad --metrics
-    // parent directory must die before any sweep runs.
     if let Some(path) = &metrics_path {
-        if let Err(err) = std::fs::write(path, b"") {
-            die(&format!("cannot write --metrics {}: {err}", path.display()));
-        }
+        create_or_die("--metrics", path);
     }
     // One registry for the whole invocation: every metered plan registers
     // the same schema idempotently and the deterministic class accumulates
@@ -400,166 +370,29 @@ fn main() {
         None
     };
 
-    // Apply --scheduler/--machine/--arrivals/--fleet to a simulated
-    // exhibit's plan (None = the paper's defaults and the historical export
-    // byte format). For the geometry exhibit, whose plan already sweeps the
-    // machine presets, --machine *adds* the named geometry; likewise
-    // --arrivals on the traffic exhibit's load ladder and --fleet on the
-    // fleet exhibit's ladder (every axis dedups).
-    let with_axes = |plan: Plan| {
-        let plan = match scheduler {
-            Some(spec) => plan.scheduler(spec),
-            None => plan,
-        };
-        let plan = match machine {
-            Some(spec) => plan.machine(spec),
-            None => plan,
-        };
-        let plan = match arrivals {
-            Some(spec) => plan.arrival(spec),
-            None => plan,
-        };
-        match &fleet {
-            Some(spec) => plan.fleet(spec.clone()),
-            None => plan,
-        }
-    };
-
     println!(
         "vliw-tms paper harness — scale 1/{scale} of the paper's run length, {par} rayon workers{}{}{}{}\n",
-        match scheduler {
-            Some(s) => format!(", {s} scheduler"),
-            None => String::new(),
-        },
-        match machine {
-            Some(m) => format!(", {m} machine"),
-            None => String::new(),
-        },
-        match arrivals {
-            Some(t) => format!(", {t} arrivals"),
-            None => String::new(),
-        },
-        match &fleet {
-            Some(f) => format!(", {f} fleet"),
-            None => String::new(),
-        }
+        axes.scheduler.map(|s| format!(", {s} scheduler")).unwrap_or_default(),
+        axes.machine.map(|m| format!(", {m} machine")).unwrap_or_default(),
+        axes.arrivals.map(|t| format!(", {t} arrivals")).unwrap_or_default(),
+        axes.fleet.as_ref().map(|f| format!(", {f} fleet")).unwrap_or_default(),
     );
     let t0 = std::time::Instant::now();
     let session = Session::with_parallelism(par);
-    // Result sets are kept for the --json/--csv exports only; without an
-    // export flag each set is dropped after rendering. The Figure-10 sweep
-    // (all schemes x all mixes) feeds figs 10/11/12 and the headline
-    // claims; simulate it and project its data at most once per invocation.
-    let export = json_path.is_some() || csv_path.is_some();
-    let mut captured: Vec<(&'static str, ResultSet)> = Vec::new();
-    let mut fig10: Option<experiments::Fig10Data> = None;
-    // Run a plan through the telemetry registry when one is active, the
-    // zero-cost NullTelemetry path otherwise.
-    let run_plan = |plan: Plan| -> ResultSet {
-        match &registry {
-            Some(reg) => plan.run_metered(&session, reg),
-            None => plan.run(&session),
-        }
-    };
-    for name in &wanted {
-        let exhibits: Vec<Exhibit> = match name.as_str() {
-            "table1" => {
-                let set = run_plan(with_axes(experiments::table1_plan(scale)));
-                let ex = figures::table1_from(&experiments::table1_rows(&set));
-                if export {
-                    captured.push(("table1", set));
-                }
-                vec![ex]
-            }
-            "table2" => vec![figures::table2()],
-            "fig4" => {
-                let set = run_plan(with_axes(experiments::fig4_plan(scale)));
-                let ex = figures::fig4_from(&experiments::fig4_data(&set));
-                if export {
-                    captured.push(("fig4", set));
-                }
-                vec![ex]
-            }
-            "fig5" => vec![figures::fig5()],
-            "fig6" => {
-                let set = run_plan(with_axes(experiments::fig6_plan(scale)));
-                let ex = figures::fig6_from(&experiments::fig6_data(&set));
-                if export {
-                    captured.push(("fig6", set));
-                }
-                vec![ex]
-            }
-            "fig9" => vec![figures::fig9()],
-            "geometry" => {
-                let set = run_plan(with_axes(experiments::geometry_plan(scale)));
-                let ex = figures::geometry_from(&experiments::geometry_data(&set));
-                if export {
-                    captured.push(("geometry", set));
-                }
-                vec![ex]
-            }
-            "trace" => {
-                let plan = with_axes(experiments::trace_plan(scale));
-                let (set, d) = experiments::trace_data(&plan, &session);
-                let ex = figures::trace_from(&d);
-                if export {
-                    captured.push(("trace", set));
-                }
-                vec![ex]
-            }
-            "traffic" => {
-                let set = run_plan(with_axes(experiments::traffic_plan(scale)));
-                let ex = figures::traffic_from(&experiments::traffic_data(&set));
-                if export {
-                    captured.push(("traffic", set));
-                }
-                vec![ex]
-            }
-            "fleet" => {
-                let set = run_plan(with_axes(experiments::fleet_plan(scale)));
-                let ex = figures::fleet_from(&experiments::fleet_data(&set));
-                if export {
-                    captured.push(("fleet", set));
-                }
-                vec![ex]
-            }
-            "fig10" | "fig11" | "fig12" | "headline" => {
-                let d = fig10.get_or_insert_with(|| {
-                    let set = run_plan(with_axes(experiments::fig10_plan(scale)));
-                    let d = experiments::fig10_data(&set);
-                    if export {
-                        captured.push(("fig10", set));
-                    }
-                    d
-                });
-                match name.as_str() {
-                    "fig10" => vec![figures::fig10_from(d)],
-                    "fig11" => vec![figures::fig11_12_from(d).0],
-                    "fig12" => vec![figures::fig11_12_from(d).1],
-                    _ => vec![figures::headline_from(d)],
-                }
-            }
-            other => die(&format!(
-                "unknown exhibit {other}; valid exhibits: {}",
-                EXHIBITS.join(" ")
-            )),
-        };
-        for e in exhibits {
-            println!("{}", e.text);
-            if let Err(err) = e.save_csv(&out) {
-                eprintln!("warning: could not save {}: {err}", e.id);
-            }
+    let mut sweeps = Sweeps::new(&session, scale, &axes, registry.as_ref());
+    for e in &selected {
+        let ex = sweeps.render(e);
+        println!("{}", ex.text);
+        if let Err(err) = ex.save_csv(&out, e.name) {
+            eprintln!("warning: could not save {}: {err}", e.name);
         }
     }
 
-    if let (Some(path), Some(target)) = (&trace_path, trace_target) {
+    if let (Some(path), Some((name, sweep))) = (&trace_path, trace_target) {
         // Trace the first grid cell of the first simulated exhibit. Run
         // length is floored: full event streams grow with run length, and
         // a single cell at the default scale would be gigabytes.
-        let plan = with_axes(
-            plan_for(target, scale.max(experiments::TRACE_SCALE_FLOOR))
-                .expect("trace_target only names simulated exhibits"),
-        );
+        let plan = axes.apply(sweep.plan(scale.max(experiments::TRACE_SCALE_FLOOR)));
         let key = plan
             .jobs()
             .into_iter()
@@ -570,7 +403,7 @@ fn main() {
             eprintln!("warning: could not write {}: {err}", path.display());
         } else {
             println!(
-                "trace ({trace_format}) of {target} cell {}/{} written to {} \
+                "trace ({trace_format}) of {name} cell {}/{} written to {} \
                  ({} events over {} cycles)",
                 result.scheme,
                 result.workload,
@@ -580,52 +413,11 @@ fn main() {
             );
         }
     }
-
     if let Some(path) = &json_path {
-        let mut s = String::new();
-        let _ = write!(s, "{{\"scale\":{scale},\"exhibits\":[");
-        for (i, (id, set)) in captured.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"id\":\"{id}\",\"set\":{}}}", set.to_json());
-        }
-        s.push_str("]}");
-        if let Err(err) = std::fs::write(path, s) {
-            eprintln!("warning: could not write {}: {err}", path.display());
-        } else {
-            println!("raw result sets (JSON) written to {}", path.display());
-        }
+        write_export(path, sweeps.to_json(), "raw result sets (JSON)");
     }
     if let Some(path) = &csv_path {
-        // One header must fit every captured set, but the sets can
-        // disagree on axis explicitness (the geometry exhibit always
-        // sweeps machines; the paper exhibits only do under --machine):
-        // shape every row to the *union* of the captured sets' columns and
-        // the flags. With nothing captured the flags alone decide, so the
-        // column layout is flag-deterministic either way.
-        let flags = [
-            (scheduler.is_some(), Axis::Scheduler),
-            (machine.is_some(), Axis::Machine),
-            (fleet.is_some(), Axis::Fleet),
-            (arrivals.is_some(), Axis::Traffic),
-        ];
-        let captured_columns = captured
-            .iter()
-            .fold(Columns::default(), |c, (_, set)| c | set.columns());
-        let columns = flags
-            .into_iter()
-            .filter(|&(named, _)| named)
-            .fold(captured_columns, |c, (_, axis)| c.with(axis));
-        let mut s = format!("exhibit,{}\n", columns.csv_header());
-        for (id, set) in &captured {
-            s.push_str(&set.csv_rows(Some(id), columns));
-        }
-        if let Err(err) = std::fs::write(path, s) {
-            eprintln!("warning: could not write {}: {err}", path.display());
-        } else {
-            println!("raw result sets (CSV) written to {}", path.display());
-        }
+        write_export(path, sweeps.to_csv(), "raw result sets (CSV)");
     }
     if let (Some(path), Some(reg)) = (&metrics_path, &registry) {
         let report = reg.report();
@@ -634,11 +426,7 @@ fn main() {
         } else {
             (report.to_prom(metrics_timings), "prom")
         };
-        if let Err(err) = std::fs::write(path, body) {
-            eprintln!("warning: could not write {}: {err}", path.display());
-        } else {
-            println!("telemetry metrics ({label}) written to {}", path.display());
-        }
+        write_export(path, body, &format!("telemetry metrics ({label})"));
     }
 
     println!(
@@ -646,6 +434,22 @@ fn main() {
         t0.elapsed().as_secs_f64(),
         out.display()
     );
+}
+
+/// Create (or truncate) an output file now, so an unwritable path dies
+/// before any sweep runs; the file is overwritten at the end.
+fn create_or_die(flag: &str, path: &Path) {
+    if let Err(err) = std::fs::write(path, b"") {
+        die(&format!("cannot write {flag} {}: {err}", path.display()));
+    }
+}
+
+/// Write one export file, warning instead of failing when the write does.
+fn write_export(path: &Path, body: String, what: &str) {
+    match std::fs::write(path, body) {
+        Ok(()) => println!("{what} written to {}", path.display()),
+        Err(err) => eprintln!("warning: could not write {}: {err}", path.display()),
+    }
 }
 
 /// `--lint`: audit every Table-1 benchmark × machine preset with the
@@ -692,13 +496,13 @@ fn run_lint(as_json: bool) -> ! {
 /// can never drift from what actually parses).
 fn print_list() {
     println!("exhibits:");
-    for e in EXHIBITS {
-        let kind = if plan_for(e, 1).is_some() {
+    for e in &EXHIBITS {
+        let kind = if e.sweep().is_some() {
             "simulated"
         } else {
             "static"
         };
-        println!("  {e:<10} {kind}");
+        println!("  {:<10} {kind}", e.name);
     }
     println!("\nschemes (--filter'd exhibits pick their own; plans accept any):");
     println!(
@@ -738,18 +542,24 @@ fn print_list() {
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{HELP}");
+    eprintln!("error: {msg}\n{}", help());
     std::process::exit(2);
 }
 
-const HELP: &str = "usage: paper [EXHIBIT...] [--scale N] [--full] [--threads N] [--filter S] \
+/// Every exhibit name, in render order.
+fn exhibit_names() -> String {
+    EXHIBITS.map(|e| e.name).join(" ")
+}
+
+fn help() -> String {
+    format!(
+        "usage: paper [EXHIBIT...] [--scale N] [--full] [--threads N] [--filter S] \
 [--scheduler NAME] [--machine SPEC] [--arrivals SPEC] [--fleet SPEC] [--out DIR] [--json PATH] \
 [--csv PATH] [--trace PATH] [--trace-format FMT] [--metrics PATH] [--metrics-format prom|json] \
 [--metrics-timings] [--progress]
        paper --lint [--lint-format text|json]
        paper --list
-exhibits: table1 table2 fig4 fig5 fig6 fig9 fig10 fig11 fig12 headline geometry trace traffic \
-fleet all
+exhibits: {} all
 schedulers: paper-random round-robin icount cluster-affinity
 machines: paper-4x4 2x8 8x2 4x4-lite, or CxI[+muls+mems] (e.g. 3x4, 2x8+1+2)
 arrivals: closed, poisson:RATE, bursty:RATE:LEN:FACTOR, diurnal:RATE:PEAK:PERIOD \
@@ -757,4 +567,7 @@ arrivals: closed, poisson:RATE, bursty:RATE:LEN:FACTOR, diurnal:RATE:PEAK:PERIOD
 fleets: ENTRY[/ENTRY...][@POLICY] with ENTRY = MACHINESPEC[*COUNT] (e.g. paper-4x4*2, \
 paper-4x4*2/2x8@least-queued), preset: edge; policies: round-robin least-queued affinity
 trace formats: chrome jsonl csv (default chrome)
-see `paper --list` for every name the harness accepts";
+see `paper --list` for every name the harness accepts",
+        exhibit_names()
+    )
+}

@@ -1,19 +1,14 @@
-//! One renderer per paper exhibit.
+//! One renderer per paper exhibit; [`EXHIBITS`](crate::exhibits::EXHIBITS)
+//! names each one and the sweep it reads.
 
+use crate::exhibits::Swept;
 use crate::{f2, pct, Exhibit, TextTable};
-use vliw_hwcost::{fig5_sweep, scheme_cost};
+use vliw_hwcost::{fig5_sweep, scheme_cost, SchemeCost};
 use vliw_sim::experiments;
-use vliw_workloads::{all_benchmarks, table2_mixes};
+use vliw_workloads::table2_mixes;
 
 /// Table 1: benchmark suite with measured vs paper IPCr/IPCp.
-pub fn table1(scale: u64, par: usize) -> Exhibit {
-    table1_from(&experiments::table1(scale, par))
-}
-
-/// Render Table 1 from precomputed rows (as the `paper` binary does after
-/// running [`experiments::table1_plan`] once for both text and
-/// serialization).
-pub fn table1_from(rows: &[experiments::Table1Row]) -> Exhibit {
+pub fn table1(s: &Swept) -> Exhibit {
     let mut t = TextTable::new(&[
         "benchmark",
         "ILP",
@@ -22,7 +17,7 @@ pub fn table1_from(rows: &[experiments::Table1Row]) -> Exhibit {
         "paper IPCr",
         "paper IPCp",
     ]);
-    for r in rows {
+    for r in experiments::table1_rows(&s.set) {
         t.row(vec![
             r.name.to_string(),
             r.ilp.to_string(),
@@ -33,7 +28,6 @@ pub fn table1_from(rows: &[experiments::Table1Row]) -> Exhibit {
         ]);
     }
     Exhibit {
-        id: "table1".into(),
         text: format!("Table 1 — single-thread benchmark IPC\n{}", t.render()),
         csv: t.to_csv(),
     }
@@ -50,19 +44,14 @@ pub fn table2() -> Exhibit {
         );
     }
     Exhibit {
-        id: "table2".into(),
         text: format!("Table 2 — workload configurations\n{}", t.render()),
         csv: t.to_csv(),
     }
 }
 
 /// Figure 4: SMT IPC vs hardware thread count.
-pub fn fig4(scale: u64, par: usize) -> Exhibit {
-    fig4_from(&experiments::fig4(scale, par))
-}
-
-/// Render Figure 4 from precomputed sweep data.
-pub fn fig4_from(d: &experiments::Fig4Data) -> Exhibit {
+pub fn fig4(s: &Swept) -> Exhibit {
+    let d = experiments::fig4_data(&s.set);
     let mut t = TextTable::new(&["workload", "single-thread", "2-thread SMT", "4-thread SMT"]);
     for (m, row) in d.mixes.iter().zip(&d.ipc) {
         t.row(vec![m.to_string(), f2(row[0]), f2(row[1]), f2(row[2])]);
@@ -71,7 +60,6 @@ pub fn fig4_from(d: &experiments::Fig4Data) -> Exhibit {
     t.row(vec!["Average".into(), f2(a1), f2(a2), f2(a4)]);
     let gain = (a4 / a2 - 1.0) * 100.0;
     Exhibit {
-        id: "fig4".into(),
         text: format!(
             "Figure 4 — SMT performance vs thread count\n{}\n4-thread over 2-thread: {} (paper: +61%)\n",
             t.render(),
@@ -105,7 +93,6 @@ pub fn fig5() -> Exhibit {
         ]);
     }
     Exhibit {
-        id: "fig5".into(),
         text: format!(
             "Figure 5 — thread merge control cost vs thread count\n\
              (a) transistors, (b) gate delays; 4-cluster 4-issue machine\n{}",
@@ -116,12 +103,8 @@ pub fn fig5() -> Exhibit {
 }
 
 /// Figure 6: SMT advantage over CSMT, per mix.
-pub fn fig6(scale: u64, par: usize) -> Exhibit {
-    fig6_from(&experiments::fig6(scale, par))
-}
-
-/// Render Figure 6 from precomputed sweep data.
-pub fn fig6_from(d: &experiments::Fig6Data) -> Exhibit {
+pub fn fig6(s: &Swept) -> Exhibit {
+    let d = experiments::fig6_data(&s.set);
     let mut t = TextTable::new(&["workload", "4T SMT IPC", "4T CSMT IPC", "SMT advantage"]);
     for (m, smt, csmt, adv) in &d.rows {
         t.row(vec![m.to_string(), f2(*smt), f2(*csmt), pct(*adv)]);
@@ -133,7 +116,6 @@ pub fn fig6_from(d: &experiments::Fig6Data) -> Exhibit {
         pct(d.average()),
     ]);
     Exhibit {
-        id: "fig6".into(),
         text: format!(
             "Figure 6 — SMT performance advantage over CSMT (4 threads)\n{}\n(paper: average 27%, peak LLHH 58%)\n",
             t.render()
@@ -162,7 +144,6 @@ pub fn fig9() -> Exhibit {
         ]);
     }
     Exhibit {
-        id: "fig9".into(),
         text: format!(
             "Figure 9 — merging hardware cost per scheme (4 threads, 4x4 machine)\n{}",
             t.render()
@@ -172,26 +153,20 @@ pub fn fig9() -> Exhibit {
 }
 
 /// Figure 10: per-scheme, per-mix IPC.
-pub fn fig10(scale: u64, par: usize) -> Exhibit {
-    fig10_from(&experiments::fig10(scale, par))
-}
-
-/// Render Figure 10 from precomputed sweep data (the same `Fig10Data`
-/// also feeds Figures 11/12 and the headline claims — compute it once).
-pub fn fig10_from(d: &experiments::Fig10Data) -> Exhibit {
+pub fn fig10(s: &Swept) -> Exhibit {
+    let d = experiments::fig10_data(&s.set);
     let mut header: Vec<&str> = vec!["scheme"];
     header.extend(d.mixes.iter().copied());
     header.push("Average");
     let mut t = TextTable::new(&header);
-    for (i, s) in d.schemes.iter().enumerate() {
-        let mut row = vec![s.clone()];
+    for (i, scheme) in d.schemes.iter().enumerate() {
+        let mut row = vec![scheme.clone()];
         row.extend(d.ipc[i].iter().map(|&x| f2(x)));
         let avg = d.ipc[i].iter().sum::<f64>() / d.ipc[i].len() as f64;
         row.push(f2(avg));
         t.row(row);
     }
     Exhibit {
-        id: "fig10".into(),
         text: format!(
             "Figure 10 — merging schemes performance (IPC)\n{}",
             t.render()
@@ -200,42 +175,44 @@ pub fn fig10_from(d: &experiments::Fig10Data) -> Exhibit {
     }
 }
 
-/// Figures 11 & 12: performance vs cost scatter data.
-pub fn fig11_12(scale: u64, par: usize) -> (Exhibit, Exhibit) {
-    fig11_12_from(&experiments::fig10(scale, par))
-}
-
-/// Render Figures 11 & 12 from precomputed Figure-10 sweep data.
-pub fn fig11_12_from(perf: &experiments::Fig10Data) -> (Exhibit, Exhibit) {
-    let mut t11 = TextTable::new(&["scheme", "IPC", "transistors"]);
-    let mut t12 = TextTable::new(&["scheme", "IPC", "gate delays"]);
-    for scheme in vliw_core::catalog::paper_schemes() {
-        let c = scheme_cost(&scheme, 4, 4);
-        let ipc = perf.average_of(scheme.name()).unwrap_or(0.0);
-        t11.row(vec![c.name.clone(), f2(ipc), c.transistors.to_string()]);
-        t12.row(vec![c.name.clone(), f2(ipc), c.gate_delays.to_string()]);
-    }
-    (
-        Exhibit {
-            id: "fig11".into(),
-            text: format!("Figure 11 — performance vs transistors\n{}", t11.render()),
-            csv: t11.to_csv(),
-        },
-        Exhibit {
-            id: "fig12".into(),
-            text: format!("Figure 12 — performance vs gate delays\n{}", t12.render()),
-            csv: t12.to_csv(),
-        },
+/// Figure 11: performance vs transistors.
+pub fn fig11(s: &Swept) -> Exhibit {
+    cost_scatter(
+        s,
+        "Figure 11 — performance vs transistors",
+        "transistors",
+        |c| c.transistors.to_string(),
     )
 }
 
-/// §5.2 headline claims: 2SC3 vs the reference points.
-pub fn headline(scale: u64, par: usize) -> Exhibit {
-    headline_from(&experiments::fig10(scale, par))
+/// Figure 12: performance vs gate delays.
+pub fn fig12(s: &Swept) -> Exhibit {
+    cost_scatter(
+        s,
+        "Figure 12 — performance vs gate delays",
+        "gate delays",
+        |c| c.gate_delays.to_string(),
+    )
 }
 
-/// Render the headline claims from precomputed Figure-10 sweep data.
-pub fn headline_from(d: &experiments::Fig10Data) -> Exhibit {
+/// Mean Figure-10 IPC of every paper scheme against one merge-cost metric.
+fn cost_scatter(s: &Swept, title: &str, metric: &str, cost: fn(&SchemeCost) -> String) -> Exhibit {
+    let perf = experiments::fig10_data(&s.set);
+    let mut t = TextTable::new(&["scheme", "IPC", metric]);
+    for scheme in vliw_core::catalog::paper_schemes() {
+        let c = scheme_cost(&scheme, 4, 4);
+        let ipc = perf.average_of(scheme.name()).unwrap_or(0.0);
+        t.row(vec![c.name.clone(), f2(ipc), cost(&c)]);
+    }
+    Exhibit {
+        text: format!("{title}\n{}", t.render()),
+        csv: t.to_csv(),
+    }
+}
+
+/// §5.2 headline claims: 2SC3 vs the reference points.
+pub fn headline(s: &Swept) -> Exhibit {
+    let d = experiments::fig10_data(&s.set);
     let avg = |n: &str| d.average_of(n).unwrap_or(0.0);
     let sc3 = avg("2SC3");
     let rows = [
@@ -256,19 +233,13 @@ pub fn headline_from(d: &experiments::Fig10Data) -> Exhibit {
         t.row(vec![name.to_string(), pct(got), pct(want)]);
     }
     Exhibit {
-        id: "headline".into(),
         text: format!("§5.2 headline claims — scheme 2SC3\n{}", t.render()),
         csv: t.to_csv(),
     }
 }
 
 /// Geometry exhibit (beyond the paper): schemes across machine shapes.
-pub fn geometry(scale: u64, par: usize) -> Exhibit {
-    geometry_from(&experiments::geometry(scale, par))
-}
-
-/// Render the geometry exhibit from precomputed sweep rows.
-pub fn geometry_from(rows: &[experiments::GeometryRow]) -> Exhibit {
+pub fn geometry(s: &Swept) -> Exhibit {
     let mut t = TextTable::new(&[
         "machine",
         "scheme",
@@ -277,7 +248,7 @@ pub fn geometry_from(rows: &[experiments::GeometryRow]) -> Exhibit {
         "gate delays",
         "IPC/kT",
     ]);
-    for r in rows {
+    for r in experiments::geometry_data(&s.set) {
         t.row(vec![
             r.machine.label(),
             r.scheme.clone(),
@@ -288,7 +259,6 @@ pub fn geometry_from(rows: &[experiments::GeometryRow]) -> Exhibit {
         ]);
     }
     Exhibit {
-        id: "geometry".into(),
         text: format!(
             "Geometry sweep — merging schemes across machine shapes\n\
              (merge-control cost priced per actual geometry; IPC/kT = mean IPC\n\
@@ -301,12 +271,8 @@ pub fn geometry_from(rows: &[experiments::GeometryRow]) -> Exhibit {
 
 /// Trace exhibit (beyond the paper): cycle-level decomposition of the
 /// Figure-6 cell pair from full event traces.
-pub fn trace_exhibit(scale: u64, par: usize) -> Exhibit {
-    trace_from(&experiments::trace_exhibit(scale, par))
-}
-
-/// Render the trace exhibit from precomputed per-cell trace rows.
-pub fn trace_from(d: &experiments::TraceData) -> Exhibit {
+pub fn trace(s: &Swept) -> Exhibit {
+    let d = s.trace.as_ref().expect("the trace sweep runs traced");
     let mut t = TextTable::new(&[
         "cell",
         "workload",
@@ -338,7 +304,6 @@ pub fn trace_from(d: &experiments::TraceData) -> Exhibit {
         ]);
     }
     Exhibit {
-        id: "trace".into(),
         text: format!(
             "Trace decomposition — where the cycles go, from full event traces\n\
              (4T SMT vs 4T CSMT; stall cycles by kind sum over threads, so\n\
@@ -353,12 +318,8 @@ pub fn trace_from(d: &experiments::TraceData) -> Exhibit {
 
 /// Traffic exhibit (beyond the paper): latency vs offered load for the
 /// reference schemes on the 12-job open-system stream.
-pub fn traffic_exhibit(scale: u64, par: usize) -> Exhibit {
-    traffic_from(&experiments::traffic_exhibit(scale, par))
-}
-
-/// Render the traffic exhibit from precomputed per-cell rows.
-pub fn traffic_from(d: &experiments::TrafficData) -> Exhibit {
+pub fn traffic(s: &Swept) -> Exhibit {
+    let d = experiments::traffic_data(&s.set);
     let mut t = TextTable::new(&[
         "scheme",
         "arrivals",
@@ -388,7 +349,6 @@ pub fn traffic_from(d: &experiments::TrafficData) -> Exhibit {
         ]);
     }
     Exhibit {
-        id: "traffic".into(),
         text: format!(
             "Open-system traffic — sojourn latency vs offered load (beyond the paper)\n\
              (12-job LLHH-x3 stream under a Poisson arrival ladder; sojourn =\n\
@@ -404,12 +364,8 @@ pub fn traffic_from(d: &experiments::TrafficData) -> Exhibit {
 /// Fleet exhibit (beyond the paper): the fleet ladder under one saturating
 /// arrival process — homogeneous scaling plus the dispatcher showdown on
 /// the heterogeneous edge mix.
-pub fn fleet_exhibit(scale: u64, par: usize) -> Exhibit {
-    fleet_from(&experiments::fleet_exhibit(scale, par))
-}
-
-/// Render the fleet exhibit from precomputed per-fleet rows.
-pub fn fleet_from(d: &experiments::FleetData) -> Exhibit {
+pub fn fleet(s: &Swept) -> Exhibit {
+    let d = experiments::fleet_data(&s.set);
     // Rows of several arrival processes (`paper fleet --arrivals SPEC`)
     // need the process to tell them apart.
     let by_traffic = d.rows.iter().any(|r| r.traffic != d.rows[0].traffic);
@@ -456,7 +412,6 @@ pub fn fleet_from(d: &experiments::FleetData) -> Exhibit {
         t.row(row);
     }
     Exhibit {
-        id: "fleet".into(),
         text: format!(
             "Fleet dispatch — tail latency vs fleet shape (beyond the paper)\n\
              (12-job LLHH-x3 stream at {} on the {} scheme; each arrival is\n\
@@ -472,14 +427,18 @@ pub fn fleet_from(d: &experiments::FleetData) -> Exhibit {
     }
 }
 
-/// Sanity check on workload mix sizes used in this module.
-pub fn n_benchmarks() -> usize {
-    all_benchmarks().len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exhibits::{exhibit, Axes, Sweep, Sweeps};
+    use vliw_sim::plan::Session;
+
+    /// Render the exhibit called `name` through the exhibit table.
+    fn render(name: &str, scale: u64) -> Exhibit {
+        let session = Session::with_parallelism(8);
+        let axes = Axes::default();
+        Sweeps::new(&session, scale, &axes, None).render(exhibit(name).unwrap())
+    }
 
     #[test]
     fn static_exhibits_render() {
@@ -490,21 +449,21 @@ mod tests {
         assert!(f5.text.contains("SMT delay"));
         let f9 = fig9();
         assert!(f9.text.contains("2SC3"));
-        assert_eq!(n_benchmarks(), 12);
+        assert_eq!(vliw_workloads::all_benchmarks().len(), 12);
     }
 
     #[test]
     fn dynamic_exhibits_render_at_tiny_scale() {
-        let t1 = table1(50_000, 8);
+        let t1 = render("table1", 50_000);
         assert!(t1.text.contains("colorspace"));
-        let f6 = fig6(50_000, 8);
+        let f6 = render("fig6", 50_000);
         assert!(f6.text.contains("Average"));
     }
 
     #[test]
     fn traffic_exhibit_renders_the_load_ladder() {
-        let ex = traffic_exhibit(100_000, 8);
-        assert_eq!(ex.id, "traffic");
+        let ex = render("traffic", 100_000);
+        assert_eq!(Sweep::Traffic.id(), "traffic");
         assert!(ex.text.contains("Open-system traffic"));
         for load in experiments::TRAFFIC_LOADS {
             assert!(ex.text.contains(load), "missing {load}:\n{}", ex.text);
@@ -517,8 +476,8 @@ mod tests {
 
     #[test]
     fn fleet_exhibit_renders_the_ladder() {
-        let ex = fleet_exhibit(5_000, 8);
-        assert_eq!(ex.id, "fleet");
+        let ex = render("fleet", 5_000);
+        assert_eq!(Sweep::Fleet.id(), "fleet");
         assert!(ex.text.contains("Fleet dispatch"));
         for fleet in experiments::FLEET_LADDER {
             assert!(ex.csv.contains(fleet), "missing {fleet}:\n{}", ex.csv);

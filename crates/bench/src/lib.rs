@@ -1,20 +1,19 @@
 //! # vliw-bench — paper-figure regeneration harness
 //!
-//! Formatting, CSV output and the figure drivers behind the `paper`
-//! binary. Every table and figure of the paper has a `render_*` function
-//! in [`figures`] returning both a human-readable text block and
-//! machine-readable CSV; the binary writes them to stdout and `results/`.
+//! The library behind the `paper` binary. [`exhibits::EXHIBITS`] lists
+//! every table and figure with the sweep it reads; [`figures`] renders
+//! each one as a human-readable text block plus machine-readable CSV,
+//! which the binary writes to stdout and `results/`.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
+pub mod exhibits;
 pub mod figures;
 
 /// A rendered exhibit: text to print + CSV to save.
 #[derive(Debug, Clone)]
 pub struct Exhibit {
-    /// Exhibit id (`table1`, `fig9`, ...).
-    pub id: String,
     /// Human-readable block.
     pub text: String,
     /// CSV content (with header).
@@ -22,10 +21,10 @@ pub struct Exhibit {
 }
 
 impl Exhibit {
-    /// Write the CSV under `dir/<id>.csv`.
-    pub fn save_csv(&self, dir: &Path) -> std::io::Result<()> {
+    /// Write the CSV under `dir/<name>.csv`.
+    pub fn save_csv(&self, dir: &Path, name: &str) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(format!("{}.csv", self.id)), &self.csv)
+        std::fs::write(dir.join(format!("{name}.csv")), &self.csv)
     }
 }
 

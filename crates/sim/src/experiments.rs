@@ -1,13 +1,15 @@
 //! Figure/table-level experiment drivers.
 //!
-//! Every exhibit is expressed the same way now: a `*_plan` function builds
+//! Every exhibit is expressed the same way: a `*_plan` function builds
 //! the declarative [`Plan`] (which schemes × workloads × memory models at
-//! which scale), a `*_data`/`*_rows` function projects the executed
+//! which scale), and a `*_data`/`*_rows` function projects the executed
 //! [`ResultSet`] into the exhibit's shape by keyed lookup
 //! ([`ResultSet::get`] with a [`Cell`]) or by walking its cells
-//! ([`ResultSet::iter`]), and a convenience wrapper runs both. `vliw-bench`'s
-//! `paper` binary formats the shapes and can serialize the raw result sets
-//! via [`ResultSet::to_json`]/[`ResultSet::to_csv`].
+//! ([`ResultSet::iter`]); [`trace_data`] runs its plan traced and projects
+//! in one pass. `vliw-bench`'s exhibit table runs each plan once on one
+//! [`Session`] for the `paper` binary, which formats the shapes and can
+//! serialize the raw result sets via
+//! [`ResultSet::to_json`]/[`ResultSet::to_csv`].
 //!
 //! All drivers take a `scale` divisor (1 = the paper's full
 //! 100M-instruction runs).
@@ -68,12 +70,6 @@ pub fn table1_rows(set: &ResultSet) -> Vec<Table1Row> {
         .collect()
 }
 
-/// Regenerate Table 1: single-thread IPC of every benchmark with real and
-/// perfect memory.
-pub fn table1(scale: u64, parallelism: usize) -> Vec<Table1Row> {
-    table1_rows(&table1_plan(scale).run(&Session::with_parallelism(parallelism)))
-}
-
 /// Figure 4 data: per-mix and average IPC of SMT with 1, 2 and 4 hardware
 /// threads.
 #[derive(Debug, Clone)]
@@ -124,11 +120,6 @@ pub fn fig4_data(set: &ResultSet) -> Fig4Data {
     Fig4Data { mixes, ipc }
 }
 
-/// Regenerate Figure 4.
-pub fn fig4(scale: u64, parallelism: usize) -> Fig4Data {
-    fig4_data(&fig4_plan(scale).run(&Session::with_parallelism(parallelism)))
-}
-
 /// Figure 6 data: SMT's advantage over CSMT per mix, in percent.
 #[derive(Debug, Clone)]
 pub struct Fig6Data {
@@ -166,11 +157,6 @@ pub fn fig6_data(set: &ResultSet) -> Fig6Data {
         })
         .collect();
     Fig6Data { rows }
-}
-
-/// Regenerate Figure 6 (4-thread SMT vs 4-thread CSMT).
-pub fn fig6(scale: u64, parallelism: usize) -> Fig6Data {
-    fig6_data(&fig6_plan(scale).run(&Session::with_parallelism(parallelism)))
 }
 
 /// Figure 10 data: IPC of every scheme on every mix.
@@ -238,11 +224,6 @@ pub fn fig10_data(set: &ResultSet) -> Fig10Data {
         mixes,
         ipc,
     }
-}
-
-/// Regenerate Figure 10.
-pub fn fig10(scale: u64, parallelism: usize) -> Fig10Data {
-    fig10_data(&fig10_plan(scale).run(&Session::with_parallelism(parallelism)))
 }
 
 /// Scheme used by the scheduler-ablation sweep: 2-thread SMT (`1S`), so
@@ -338,11 +319,6 @@ pub fn geometry_data(set: &ResultSet) -> Vec<GeometryRow> {
         }
     }
     rows
-}
-
-/// Regenerate the geometry exhibit.
-pub fn geometry(scale: u64, parallelism: usize) -> Vec<GeometryRow> {
-    geometry_data(&geometry_plan(scale).run(&Session::with_parallelism(parallelism)))
 }
 
 /// One row of the trace exhibit: the cycle-level decomposition of one
@@ -441,11 +417,6 @@ pub fn trace_data(plan: &Plan, session: &Session) -> (ResultSet, TraceData) {
         rows,
     };
     (set, data)
-}
-
-/// Regenerate the trace exhibit.
-pub fn trace_exhibit(scale: u64, parallelism: usize) -> TraceData {
-    trace_data(&trace_plan(scale), &Session::with_parallelism(parallelism)).1
 }
 
 /// Schemes of the traffic exhibit: the paper's reference points (1-thread,
@@ -568,11 +539,6 @@ pub fn traffic_data(set: &ResultSet) -> TrafficData {
         scale: set.scale(),
         rows,
     }
-}
-
-/// Regenerate the traffic exhibit.
-pub fn traffic_exhibit(scale: u64, parallelism: usize) -> TrafficData {
-    traffic_data(&traffic_plan(scale).run(&Session::with_parallelism(parallelism)))
 }
 
 /// Scheme of the fleet exhibit: the headline hybrid, judged at fleet scale.
@@ -700,11 +666,6 @@ pub fn fleet_data(set: &ResultSet) -> FleetData {
     }
 }
 
-/// Regenerate the fleet exhibit.
-pub fn fleet_exhibit(scale: u64, parallelism: usize) -> FleetData {
-    fleet_data(&fleet_plan(scale).run(&Session::with_parallelism(parallelism)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,9 +673,13 @@ mod tests {
     // Tiny-scale smoke tests: the full-size validations live in the
     // integration suite and the paper harness.
 
+    fn run(plan: Plan, parallelism: usize) -> ResultSet {
+        plan.run(&Session::with_parallelism(parallelism))
+    }
+
     #[test]
     fn table1_smoke() {
-        let rows = table1(20_000, 4);
+        let rows = table1_rows(&run(table1_plan(20_000), 4));
         assert_eq!(rows.len(), 12);
         for r in &rows {
             assert!(
@@ -728,7 +693,7 @@ mod tests {
 
     #[test]
     fn fig4_smoke_ordering() {
-        let d = fig4(20_000, 4);
+        let d = fig4_data(&run(fig4_plan(20_000), 4));
         let [st, smt2, smt4] = d.averages();
         assert!(smt2 > st, "2T SMT {smt2:.2} must beat 1T {st:.2}");
         assert!(smt4 > smt2, "4T SMT {smt4:.2} must beat 2T {smt2:.2}");
@@ -736,7 +701,7 @@ mod tests {
 
     #[test]
     fn fig6_smoke_smt_wins() {
-        let d = fig6(20_000, 4);
+        let d = fig6_data(&run(fig6_plan(20_000), 4));
         assert!(d.average() > 0.0, "SMT must beat CSMT on average");
     }
 
@@ -752,7 +717,8 @@ mod tests {
 
     #[test]
     fn trace_exhibit_decomposes_both_schemes() {
-        let d = trace_exhibit(50_000, 2);
+        let session = Session::with_parallelism(2);
+        let (_, d) = trace_data(&trace_plan(50_000), &session);
         assert_eq!(d.scale, 50_000, "above the floor, scale passes through");
         assert_eq!(d.rows.len(), 2);
         assert_eq!(d.rows[0].label, "3SSS");
@@ -768,7 +734,10 @@ mod tests {
         }
         // The floor engages below it.
         assert_eq!(trace_plan(1).jobs().len(), 2);
-        assert_eq!(trace_exhibit(u64::MAX, 2).scale, u64::MAX);
+        assert_eq!(
+            trace_data(&trace_plan(u64::MAX), &session).1.scale,
+            u64::MAX
+        );
     }
 
     #[test]
@@ -805,7 +774,7 @@ mod tests {
 
     #[test]
     fn traffic_exhibit_sweeps_the_load_ladder() {
-        let d = traffic_exhibit(100_000, 4);
+        let d = traffic_data(&run(traffic_plan(100_000), 4));
         assert_eq!(d.scale, 100_000, "above the floor, scale passes through");
         assert_eq!(d.rows.len(), TRAFFIC_SCHEMES.len() * TRAFFIC_LOADS.len());
         for r in &d.rows {
@@ -837,12 +806,15 @@ mod tests {
         }
         // The floor engages below it.
         assert_eq!(traffic_plan(1).jobs().len(), 12);
-        assert_eq!(traffic_exhibit(u64::MAX, 2).scale, u64::MAX);
+        assert_eq!(
+            traffic_data(&run(traffic_plan(u64::MAX), 2)).scale,
+            u64::MAX
+        );
     }
 
     #[test]
     fn fleet_exhibit_climbs_the_ladder() {
-        let d = fleet_exhibit(5_000, 4);
+        let d = fleet_data(&run(fleet_plan(5_000), 4));
         assert_eq!(d.scale, FLEET_SCALE_FLOOR);
         assert_eq!(d.rows.len(), FLEET_LADDER.len());
         for (r, spec) in d.rows.iter().zip(FLEET_LADDER) {

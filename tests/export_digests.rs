@@ -1,20 +1,19 @@
 //! Golden export digests: the exact bytes every simulated `paper all`
 //! exhibit exports, pinned as FNV-1a 64 digests.
 //!
-//! Three shapes are pinned, each over the exhibit plans `paper all` runs
-//! (table1, fig4, fig6, fig10, geometry, trace, traffic, fleet) on one
-//! shared session, in that order:
+//! Three shapes are pinned, each over the sweeps `paper all` runs, read
+//! from the same exhibit table (`vliw_bench::exhibits`) and run the same
+//! way, on one shared session, in `paper`'s capture order:
 //!
 //! * `default` — the plans as the experiment drivers build them;
-//! * `explicit` — every optional axis named, applied the way `paper`
-//!   applies `--scheduler icount --machine 2x8 --arrivals poisson:0.02
-//!   --fleet paper-4x4*2`;
-//! * `metered` — the default plans through `Plan::run_metered` with a live
-//!   `Registry` (the trace exhibit stays unmetered, as in `paper
+//! * `explicit` — every optional axis named, as `paper --scheduler icount
+//!   --machine 2x8 --arrivals poisson:0.02 --fleet paper-4x4*2` does;
+//! * `metered` — the plans run through `Plan::run_metered` with a live
+//!   `Registry` (the trace sweep stays unmetered, as in `paper
 //!   --metrics`), plus the registry's deterministic Prometheus report.
 //!
 //! Each shape pins every set's `to_json` and `to_csv` bytes and the
-//! combined CSV `paper --csv` builds from the union of the sets' columns.
+//! combined CSV `paper --csv` writes (`Sweeps::to_csv`).
 //!
 //! Export bytes omit state the issue cycle also decides: per-block merge
 //! attempts and successes, the packet histogram, cache statistics and each
@@ -29,10 +28,11 @@
 //! re-pinned in one run.
 
 use std::fmt::Write as _;
+use vliw_bench::exhibits::{Axes, Sweeps, EXHIBITS};
 use vliw_tms::core::{catalog, parser, MergeKind, PriorityPolicy};
 use vliw_tms::isa::MachineSpec;
 use vliw_tms::sim::experiments;
-use vliw_tms::sim::plan::{Axis, Columns, Plan, ResultSet, Session, WorkloadRef};
+use vliw_tms::sim::plan::{Plan, ResultSet, Session, WorkloadRef};
 use vliw_tms::sim::sched::SchedulerSpec;
 use vliw_tms::sim::telemetry::Registry;
 
@@ -54,6 +54,19 @@ impl Shape {
             Shape::Metered => "metered",
         }
     }
+
+    /// The axes `paper` applies in this shape.
+    fn axes(self) -> Axes {
+        match self {
+            Shape::Explicit => Axes {
+                scheduler: Some(SchedulerSpec::Icount),
+                machine: Some("2x8".parse().unwrap()),
+                arrivals: Some("poisson:0.02".parse().unwrap()),
+                fleet: Some("paper-4x4*2".parse().unwrap()),
+            },
+            Shape::Default | Shape::Metered => Axes::default(),
+        }
+    }
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -65,83 +78,28 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The plans `paper all` runs, in `paper`'s capture order.
-fn exhibit_plans() -> [(&'static str, Plan); 8] {
-    [
-        ("table1", experiments::table1_plan(SCALE)),
-        ("fig4", experiments::fig4_plan(SCALE)),
-        ("fig6", experiments::fig6_plan(SCALE)),
-        ("fig10", experiments::fig10_plan(SCALE)),
-        ("geometry", experiments::geometry_plan(SCALE)),
-        ("trace", experiments::trace_plan(SCALE)),
-        ("traffic", experiments::traffic_plan(SCALE)),
-        ("fleet", experiments::fleet_plan(SCALE)),
-    ]
-}
-
-/// The `paper all` exhibit sets of one shape, in `paper`'s capture order.
-fn exhibit_sets(shape: Shape, reg: &Registry) -> Vec<(&'static str, ResultSet)> {
-    let session = Session::with_parallelism(2);
-    let with_axes = |plan: Plan| match shape {
-        Shape::Explicit => plan
-            .scheduler(SchedulerSpec::Icount)
-            .machine("2x8".parse().unwrap())
-            .arrival("poisson:0.02".parse().unwrap())
-            .fleet("paper-4x4*2".parse().unwrap()),
-        Shape::Default | Shape::Metered => plan,
-    };
-    exhibit_plans()
-        .into_iter()
-        .map(|(id, plan)| {
-            let plan = with_axes(plan);
-            let set = if id == "trace" {
-                experiments::trace_data(&plan, &session).0
-            } else if shape == Shape::Metered {
-                plan.run_metered(&session, reg)
-            } else {
-                plan.run(&session)
-            };
-            (id, set)
-        })
-        .collect()
-}
-
-/// The combined CSV `paper --csv` writes: one header shaped to the union
-/// of every set's columns (and the axis flags), each row prefixed with its
-/// exhibit id.
-fn combined_csv(sets: &[(&str, ResultSet)], flags: bool) -> String {
-    let mut columns = sets
-        .iter()
-        .fold(Columns::default(), |c, (_, s)| c | s.columns());
-    if flags {
-        for axis in [Axis::Scheduler, Axis::Machine, Axis::Fleet, Axis::Traffic] {
-            columns = columns.with(axis);
-        }
-    }
-    let mut s = format!("exhibit,{}\n", columns.csv_header());
-    for (id, set) in sets {
-        s.push_str(&set.csv_rows(Some(id), columns));
-    }
-    s
-}
-
 /// Every digest of one shape, labelled `shape/what`.
 fn digests(shape: Shape) -> Vec<(String, u64)> {
+    let session = Session::with_parallelism(2);
     let reg = Registry::new();
-    let sets = exhibit_sets(shape, &reg);
+    let axes = shape.axes();
+    let metered = (shape == Shape::Metered).then_some(&reg);
+    let mut sweeps = Sweeps::new(&session, SCALE, &axes, metered);
+    for sweep in EXHIBITS.iter().filter_map(|e| e.sweep()) {
+        sweeps.run(sweep);
+    }
     let at = |what: &str| format!("{}/{what}", shape.label());
     let mut out = Vec::new();
-    for (id, set) in &sets {
+    for (id, set) in sweeps.sets() {
         out.push((at(&format!("{id}.json")), fnv1a(set.to_json().as_bytes())));
         out.push((at(&format!("{id}.csv")), fnv1a(set.to_csv().as_bytes())));
     }
     if shape == Shape::Default {
-        for (id, set) in &sets {
+        for (id, set) in sweeps.sets() {
             out.push((at(&format!("{id}.state")), state_digest(set)));
         }
     }
-    let combined = combined_csv(&sets, shape == Shape::Explicit);
-    out.push((at("combined.csv"), fnv1a(combined.as_bytes())));
+    out.push((at("combined.csv"), fnv1a(sweeps.to_csv().as_bytes())));
     if shape == Shape::Metered {
         let prom = reg.report().to_prom(false);
         out.push((at("metrics.prom"), fnv1a(prom.as_bytes())));

@@ -1,24 +1,41 @@
 //! Integration tests pinning the paper's §5.2 claims and figure shapes at
 //! reduced scale. These are the "does the reproduction still reproduce?"
-//! regression tests; EXPERIMENTS.md records the full-scale numbers.
+//! regression tests; `paper all --scale 20` regenerates the full-scale
+//! numbers.
 //!
 //! The simulation-heavy pins (full scheme × mix grids at scale 1000) are
 //! `#[ignore]`d so the default `cargo test` tier stays fast; run them with
 //! `cargo test --release --tests -- --ignored` (CI's slow-tests job does).
+//! They share one `Session`, so each benchmark compiles once, and the two
+//! Figure-10 pins share one simulation of its grid.
 
+use std::sync::OnceLock;
 use vliw_tms::core::catalog;
 use vliw_tms::hwcost::scheme_cost;
-use vliw_tms::sim::experiments;
+use vliw_tms::sim::experiments::{self, Fig10Data};
+use vliw_tms::sim::plan::{Plan, ResultSet, Session};
 
 const SCALE: u64 = 1000; // 100k instructions per thread
 const PAR: usize = 8;
+
+/// Run `plan` on the session every pin shares.
+fn run(plan: Plan) -> ResultSet {
+    static SESSION: OnceLock<Session> = OnceLock::new();
+    plan.run(SESSION.get_or_init(|| Session::with_parallelism(PAR)))
+}
+
+/// The Figure-10 grid, simulated once for every pin that reads it.
+fn fig10() -> &'static Fig10Data {
+    static FIG10: OnceLock<Fig10Data> = OnceLock::new();
+    FIG10.get_or_init(|| experiments::fig10_data(&run(experiments::fig10_plan(SCALE))))
+}
 
 /// Figure 4: multithreading scales — 4T SMT > 2T SMT > single thread, and
 /// the 4T-over-2T gain is in the paper's ballpark (+61%).
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn fig4_smt_scales_with_threads() {
-    let d = experiments::fig4(SCALE, PAR);
+    let d = experiments::fig4_data(&run(experiments::fig4_plan(SCALE)));
     let [st, smt2, smt4] = d.averages();
     assert!(smt2 > st * 1.3, "2T {smt2:.2} vs 1T {st:.2}");
     assert!(smt4 > smt2 * 1.3, "4T {smt4:.2} vs 2T {smt2:.2}");
@@ -34,7 +51,7 @@ fn fig4_smt_scales_with_threads() {
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn fig6_smt_advantage_over_csmt() {
-    let d = experiments::fig6(SCALE, PAR);
+    let d = experiments::fig6_data(&run(experiments::fig6_plan(SCALE)));
     for (mix, smt, csmt, _) in &d.rows {
         assert!(smt >= csmt, "{mix}: SMT {smt:.2} < CSMT {csmt:.2}");
     }
@@ -49,7 +66,7 @@ fn fig6_smt_advantage_over_csmt() {
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn headline_2sc3_tradeoff() {
-    let d = experiments::fig10(SCALE, PAR);
+    let d = fig10();
     let avg = |n: &str| d.average_of(n).unwrap();
     let sc3 = avg("2SC3");
     assert!(
@@ -73,7 +90,7 @@ fn headline_2sc3_tradeoff() {
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn fig10_scheme_ordering() {
-    let d = experiments::fig10(SCALE, PAR);
+    let d = fig10();
     let avg = |n: &str| d.average_of(n).unwrap();
     // Endpoints.
     for name in vliw_tms::core::catalog::paper_scheme_names() {
@@ -125,7 +142,7 @@ fn fig9_cost_claims() {
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn table1_class_ordering() {
-    let rows = experiments::table1(SCALE, PAR);
+    let rows = experiments::table1_rows(&run(experiments::table1_plan(SCALE)));
     let class_avg = |c: char| {
         let xs: Vec<f64> = rows.iter().filter(|r| r.ilp == c).map(|r| r.ipcp).collect();
         xs.iter().sum::<f64>() / xs.len() as f64
