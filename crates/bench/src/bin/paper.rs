@@ -72,13 +72,15 @@
 //!                  piped exhibit output is unaffected)
 //! ```
 //!
-//! Exhibit names, `--filter`, `--scheduler`, `--machine`, `--arrivals`,
-//! `--trace`, and `--trace-format` are validated up front — before any
-//! simulation runs —
-//! and an unknown name prints the list of valid ones instead of panicking
-//! mid-sweep (`--machine` also rejects geometries that cannot compile the
-//! Table-1 suite; `--trace` verifies the file is writable by creating it,
-//! and requires at least one simulated exhibit to be selected).
+//! Exhibit names, `--scale`, `--filter`, `--scheduler`, `--machine`,
+//! `--arrivals`, `--trace`, `--trace-format` and every output path are
+//! validated up front — before any simulation runs — and a bad value exits
+//! 2 with the usage text; an unknown name prints the list of valid ones
+//! (`--machine` also rejects geometries that cannot compile the Table-1
+//! suite; `--trace` requires at least one simulated exhibit to be
+//! selected). Each `--json`, `--csv`, `--trace` and `--metrics` file is
+//! created empty and the `--out` directory created before the first sweep,
+//! so an unwritable path fails at once.
 //!
 //! Every exhibit, the sweep it reads and its renderer are one row of
 //! [`vliw_bench::exhibits::EXHIBITS`]; validation, `--list`, `--filter`,
@@ -133,7 +135,8 @@ fn main() {
                 scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a number"));
+                    .filter(|&n: &u64| n > 0)
+                    .unwrap_or_else(|| die("--scale needs a positive number"));
             }
             "--full" => scale = 1,
             "--threads" | "--par" => {
@@ -354,8 +357,17 @@ fn main() {
         target
     });
     let trace_format = trace_format.unwrap_or(TraceFormat::Chrome);
-    if let Some(path) = &metrics_path {
-        create_or_die("--metrics", path);
+    for (flag, path) in [
+        ("--json", &json_path),
+        ("--csv", &csv_path),
+        ("--metrics", &metrics_path),
+    ] {
+        if let Some(path) = path {
+            create_or_die(flag, path);
+        }
+    }
+    if let Err(err) = std::fs::create_dir_all(&out) {
+        die(&format!("cannot write --out {}: {err}", out.display()));
     }
     // One registry for the whole invocation: every metered plan registers
     // the same schema idempotently and the deterministic class accumulates

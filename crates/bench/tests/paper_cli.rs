@@ -20,8 +20,9 @@
 //! time. On a mismatch the test prints every actual digest in the table's
 //! own syntax.
 //!
-//! The usage errors must exit 2, print the valid exhibit names and
-//! simulate nothing.
+//! The usage errors must exit 2 and simulate nothing: a bad exhibit name,
+//! `--filter` or `--trace` selection prints the valid exhibit names, and
+//! `--scale 0` or an unwritable output path prints the usage text.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -342,6 +343,42 @@ fn usage_errors_exit_2_and_name_every_exhibit() {
             err.contains(NAMES),
             "{args:?} must list the exhibits: {err}"
         );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} must fail before simulating"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bad_scale_and_unwritable_outputs_exit_2_before_simulating() {
+    let dir = scratch("unwritable");
+    let file = dir.join("file");
+    std::fs::write(&file, b"").unwrap();
+    let missing = dir.join("missing").join("x");
+    let (out, under_file) = (dir.join("out"), file.join("out"));
+    let (out, missing) = (path(&out), path(&missing));
+    let cases: [&[&str]; 5] = [
+        &["fig5", "--scale", "0", "--out", out],
+        &["table1", "--scale", SCALE, "--json", missing, "--out", out],
+        &["table1", "--scale", SCALE, "--csv", missing, "--out", out],
+        &["table1", "--scale", SCALE, "--out", path(&under_file)],
+        &[
+            "table1",
+            "--scale",
+            SCALE,
+            "--metrics",
+            missing,
+            "--out",
+            out,
+        ],
+    ];
+    for args in cases {
+        let out = paper(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("usage: paper"), "{args:?}: {err}");
         assert!(
             out.stdout.is_empty(),
             "{args:?} must fail before simulating"
