@@ -102,10 +102,12 @@
 //! any carries that column on *every* row — one header must fit all sets,
 //! so rows are shaped to the union of the captured axes.
 
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use vliw_bench::exhibits::{exhibit, Axes, Sweeps, EXHIBITS};
 use vliw_sim::experiments;
-use vliw_sim::plan::{DispatcherSpec, FleetError, FleetSpec, MachineSpec, Session, TrafficError};
+use vliw_sim::plan::{DispatcherSpec, FleetSpec, MachineSpec, Session};
 use vliw_sim::sched::SchedulerSpec;
 use vliw_trace::TraceFormat;
 
@@ -132,42 +134,24 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
+                scale = value(&mut args, "--scale", "a positive number")
+                    .parse()
+                    .ok()
                     .filter(|&n: &u64| n > 0)
                     .unwrap_or_else(|| die("--scale needs a positive number"));
             }
             "--full" => scale = 1,
             "--threads" | "--par" => {
-                par = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
+                par = value(&mut args, "--threads", "a positive number")
+                    .parse()
+                    .ok()
                     .filter(|&n: &usize| n > 0)
                     .unwrap_or_else(|| die("--threads needs a positive number"));
             }
-            "--filter" => {
-                filter = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--filter needs a substring")),
-                );
-            }
-            "--scheduler" => {
-                let name = args
-                    .next()
-                    .unwrap_or_else(|| die("--scheduler needs a policy name"));
-                axes.scheduler = Some(
-                    name.parse()
-                        .unwrap_or_else(|e: vliw_sim::SimError| die(&e.to_string())),
-                );
-            }
+            "--filter" => filter = Some(value(&mut args, &a, "a substring")),
+            "--scheduler" => axes.scheduler = Some(parsed(&mut args, &a, "a policy name")),
             "--machine" => {
-                let name = args
-                    .next()
-                    .unwrap_or_else(|| die("--machine needs a geometry spec"));
-                let spec: MachineSpec = name
-                    .parse()
-                    .unwrap_or_else(|e: vliw_isa::MachineError| die(&e.to_string()));
+                let spec: MachineSpec = parsed(&mut args, &a, "a geometry spec");
                 if !spec.runs_full_suite() {
                     die(&format!(
                         "machine {spec} cannot run the benchmark suite (it needs at least \
@@ -176,22 +160,9 @@ fn main() {
                 }
                 axes.machine = Some(spec);
             }
-            "--arrivals" => {
-                let name = args
-                    .next()
-                    .unwrap_or_else(|| die("--arrivals needs a traffic spec"));
-                axes.arrivals = Some(
-                    name.parse()
-                        .unwrap_or_else(|e: TrafficError| die(&e.to_string())),
-                );
-            }
+            "--arrivals" => axes.arrivals = Some(parsed(&mut args, &a, "a traffic spec")),
             "--fleet" => {
-                let name = args
-                    .next()
-                    .unwrap_or_else(|| die("--fleet needs a fleet spec"));
-                let spec: FleetSpec = name
-                    .parse()
-                    .unwrap_or_else(|e: FleetError| die(&e.to_string()));
+                let spec: FleetSpec = parsed(&mut args, &a, "a fleet spec");
                 if let Some(bad) = spec.machines().iter().find(|m| !m.runs_full_suite()) {
                     die(&format!(
                         "fleet member {bad} cannot run the benchmark suite (it needs at \
@@ -201,43 +172,14 @@ fn main() {
                 axes.fleet = Some(spec);
             }
             "--list" => list = true,
-            "--out" => {
-                out = PathBuf::from(args.next().unwrap_or_else(|| die("--out needs a path")));
-            }
-            "--json" => {
-                json_path = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--json needs a path")),
-                ));
-            }
-            "--csv" => {
-                csv_path = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--csv needs a path")),
-                ));
-            }
-            "--trace" => {
-                trace_path = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--trace needs a path")),
-                ));
-            }
-            "--trace-format" => {
-                let name = args
-                    .next()
-                    .unwrap_or_else(|| die("--trace-format needs a format name"));
-                trace_format = Some(
-                    name.parse()
-                        .unwrap_or_else(|e: vliw_trace::UnknownTraceFormat| die(&e.to_string())),
-                );
-            }
-            "--metrics" => {
-                metrics_path = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--metrics needs a path")),
-                ));
-            }
+            "--out" => out = value(&mut args, &a, "a path").into(),
+            "--json" => json_path = Some(value(&mut args, &a, "a path").into()),
+            "--csv" => csv_path = Some(value(&mut args, &a, "a path").into()),
+            "--trace" => trace_path = Some(value(&mut args, &a, "a path").into()),
+            "--trace-format" => trace_format = Some(parsed(&mut args, &a, "a format name")),
+            "--metrics" => metrics_path = Some(value(&mut args, &a, "a path").into()),
             "--metrics-format" => {
-                let name = args
-                    .next()
-                    .unwrap_or_else(|| die("--metrics-format needs a format name"));
-                metrics_json = Some(match name.as_str() {
+                metrics_json = Some(match value(&mut args, &a, "a format name").as_str() {
                     "prom" => false,
                     "json" => true,
                     other => die(&format!(
@@ -249,10 +191,7 @@ fn main() {
             "--progress" => progress = true,
             "--lint" => lint = true,
             "--lint-format" => {
-                let name = args
-                    .next()
-                    .unwrap_or_else(|| die("--lint-format needs a format name"));
-                lint_json = Some(match name.as_str() {
+                lint_json = Some(match value(&mut args, &a, "a format name").as_str() {
                     "text" => false,
                     "json" => true,
                     other => die(&format!(
@@ -446,6 +385,22 @@ fn main() {
         t0.elapsed().as_secs_f64(),
         out.display()
     );
+}
+
+/// The value after `flag`, or exit 2 naming `what` it needs.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
+}
+
+/// The value after `flag`, parsed; exit 2 with the parse error otherwise.
+fn parsed<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T
+where
+    T::Err: Display,
+{
+    value(args, flag, what)
+        .parse()
+        .unwrap_or_else(|e: T::Err| die(&e.to_string()))
 }
 
 /// Create (or truncate) an output file now, so an unwritable path dies

@@ -4,7 +4,6 @@
 //! what it ran.
 
 use crate::{figures, Exhibit};
-use std::fmt::Write as _;
 use vliw_sim::experiments::{self, TraceData};
 use vliw_sim::plan::{
     Axis, Columns, FleetSpec, MachineSpec, Plan, ResultSet, Session, TrafficSpec,
@@ -224,24 +223,15 @@ impl<'a> Sweeps<'a> {
             return &self.runs[i].1;
         }
         let plan = self.axes.apply(sweep.plan(self.scale));
-        let swept = match (sweep, self.registry) {
+        let (set, trace) = match (sweep, self.registry) {
             (Sweep::Trace, _) => {
                 let (set, data) = experiments::trace_data(&plan, self.session);
-                Swept {
-                    set,
-                    trace: Some(data),
-                }
+                (set, Some(data))
             }
-            (_, Some(reg)) => Swept {
-                set: plan.run_metered(self.session, reg),
-                trace: None,
-            },
-            (_, None) => Swept {
-                set: plan.run(self.session),
-                trace: None,
-            },
+            (_, Some(reg)) => (plan.run_metered(self.session, reg), None),
+            (_, None) => (plan.run(self.session), None),
         };
-        self.runs.push((sweep, swept));
+        self.runs.push((sweep, Swept { set, trace }));
         &self.runs[self.runs.len() - 1].1
     }
 
@@ -252,15 +242,15 @@ impl<'a> Sweeps<'a> {
 
     /// The `paper --json` export: the scale and every result set.
     pub fn to_json(&self) -> String {
-        let mut s = format!("{{\"scale\":{},\"exhibits\":[", self.scale);
-        for (i, (id, set)) in self.sets().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"id\":\"{id}\",\"set\":{}}}", set.to_json());
-        }
-        s.push_str("]}");
-        s
+        let sets: Vec<String> = self
+            .sets()
+            .map(|(id, set)| format!("{{\"id\":\"{id}\",\"set\":{}}}", set.to_json()))
+            .collect();
+        format!(
+            "{{\"scale\":{},\"exhibits\":[{}]}}",
+            self.scale,
+            sets.join(",")
+        )
     }
 
     /// The `paper --csv` export: every result set's rows, prefixed with

@@ -27,10 +27,7 @@ pub fn table1(s: &Swept) -> Exhibit {
             f2(r.paper_ipcp),
         ]);
     }
-    Exhibit {
-        text: format!("Table 1 — single-thread benchmark IPC\n{}", t.render()),
-        csv: t.to_csv(),
-    }
+    t.exhibit("Table 1 — single-thread benchmark IPC")
 }
 
 /// Table 2: workload configurations (verbatim reproduction).
@@ -43,10 +40,7 @@ pub fn table2() -> Exhibit {
                 .collect(),
         );
     }
-    Exhibit {
-        text: format!("Table 2 — workload configurations\n{}", t.render()),
-        csv: t.to_csv(),
-    }
+    t.exhibit("Table 2 — workload configurations")
 }
 
 /// Figure 4: SMT IPC vs hardware thread count.
@@ -59,14 +53,9 @@ pub fn fig4(s: &Swept) -> Exhibit {
     let [a1, a2, a4] = d.averages();
     t.row(vec!["Average".into(), f2(a1), f2(a2), f2(a4)]);
     let gain = (a4 / a2 - 1.0) * 100.0;
-    Exhibit {
-        text: format!(
-            "Figure 4 — SMT performance vs thread count\n{}\n4-thread over 2-thread: {} (paper: +61%)\n",
-            t.render(),
-            pct(gain)
-        ),
-        csv: t.to_csv(),
-    }
+    let mut ex = t.exhibit("Figure 4 — SMT performance vs thread count");
+    ex.text += &format!("\n4-thread over 2-thread: {} (paper: +61%)\n", pct(gain));
+    ex
 }
 
 /// Figure 5: merge-control cost vs thread count (both panels).
@@ -92,14 +81,10 @@ pub fn fig5() -> Exhibit {
             r.smt_delays.to_string(),
         ]);
     }
-    Exhibit {
-        text: format!(
-            "Figure 5 — thread merge control cost vs thread count\n\
-             (a) transistors, (b) gate delays; 4-cluster 4-issue machine\n{}",
-            t.render()
-        ),
-        csv: t.to_csv(),
-    }
+    t.exhibit(
+        "Figure 5 — thread merge control cost vs thread count\n\
+         (a) transistors, (b) gate delays; 4-cluster 4-issue machine",
+    )
 }
 
 /// Figure 6: SMT advantage over CSMT, per mix.
@@ -115,13 +100,9 @@ pub fn fig6(s: &Swept) -> Exhibit {
         String::new(),
         pct(d.average()),
     ]);
-    Exhibit {
-        text: format!(
-            "Figure 6 — SMT performance advantage over CSMT (4 threads)\n{}\n(paper: average 27%, peak LLHH 58%)\n",
-            t.render()
-        ),
-        csv: t.to_csv(),
-    }
+    let mut ex = t.exhibit("Figure 6 — SMT performance advantage over CSMT (4 threads)");
+    ex.text += "\n(paper: average 27%, peak LLHH 58%)\n";
+    ex
 }
 
 /// Figure 9: per-scheme merge hardware cost.
@@ -143,13 +124,7 @@ pub fn fig9() -> Exhibit {
             c.smt_blocks.to_string(),
         ]);
     }
-    Exhibit {
-        text: format!(
-            "Figure 9 — merging hardware cost per scheme (4 threads, 4x4 machine)\n{}",
-            t.render()
-        ),
-        csv: t.to_csv(),
-    }
+    t.exhibit("Figure 9 — merging hardware cost per scheme (4 threads, 4x4 machine)")
 }
 
 /// Figure 10: per-scheme, per-mix IPC.
@@ -166,13 +141,7 @@ pub fn fig10(s: &Swept) -> Exhibit {
         row.push(f2(avg));
         t.row(row);
     }
-    Exhibit {
-        text: format!(
-            "Figure 10 — merging schemes performance (IPC)\n{}",
-            t.render()
-        ),
-        csv: t.to_csv(),
-    }
+    t.exhibit("Figure 10 — merging schemes performance (IPC)")
 }
 
 /// Figure 11: performance vs transistors.
@@ -204,10 +173,7 @@ fn cost_scatter(s: &Swept, title: &str, metric: &str, cost: fn(&SchemeCost) -> S
         let ipc = perf.average_of(scheme.name()).unwrap_or(0.0);
         t.row(vec![c.name.clone(), f2(ipc), cost(&c)]);
     }
-    Exhibit {
-        text: format!("{title}\n{}", t.render()),
-        csv: t.to_csv(),
-    }
+    t.exhibit(title)
 }
 
 /// §5.2 headline claims: 2SC3 vs the reference points.
@@ -232,10 +198,7 @@ pub fn headline(s: &Swept) -> Exhibit {
     for (name, got, want) in rows {
         t.row(vec![name.to_string(), pct(got), pct(want)]);
     }
-    Exhibit {
-        text: format!("§5.2 headline claims — scheme 2SC3\n{}", t.render()),
-        csv: t.to_csv(),
-    }
+    t.exhibit("§5.2 headline claims — scheme 2SC3")
 }
 
 /// Geometry exhibit (beyond the paper): schemes across machine shapes.
@@ -258,15 +221,11 @@ pub fn geometry(s: &Swept) -> Exhibit {
             r.ipc_per_ktrans.map(f2).unwrap_or_default(),
         ]);
     }
-    Exhibit {
-        text: format!(
-            "Geometry sweep — merging schemes across machine shapes\n\
-             (merge-control cost priced per actual geometry; IPC/kT = mean IPC\n\
-             per kilotransistor of merge logic, blank for ST's zero hardware)\n{}",
-            t.render()
-        ),
-        csv: t.to_csv(),
-    }
+    t.exhibit(
+        "Geometry sweep — merging schemes across machine shapes\n\
+         (merge-control cost priced per actual geometry; IPC/kT = mean IPC\n\
+         per kilotransistor of merge logic, blank for ST's zero hardware)",
+    )
 }
 
 /// Trace exhibit (beyond the paper): cycle-level decomposition of the
@@ -303,17 +262,13 @@ pub fn trace(s: &Swept) -> Exhibit {
             r.events.to_string(),
         ]);
     }
-    Exhibit {
-        text: format!(
-            "Trace decomposition — where the cycles go, from full event traces\n\
-             (4T SMT vs 4T CSMT; stall cycles by kind sum over threads, so\n\
-             stall/cycle can exceed 1 on a multithreaded core; run length\n\
-             floored at 1/{} of the paper's budget)\n{}",
-            experiments::TRACE_SCALE_FLOOR,
-            t.render()
-        ),
-        csv: t.to_csv(),
-    }
+    t.exhibit(&format!(
+        "Trace decomposition — where the cycles go, from full event traces\n\
+         (4T SMT vs 4T CSMT; stall cycles by kind sum over threads, so\n\
+         stall/cycle can exceed 1 on a multithreaded core; run length\n\
+         floored at 1/{} of the paper's budget)",
+        experiments::TRACE_SCALE_FLOOR,
+    ))
 }
 
 /// Traffic exhibit (beyond the paper): latency vs offered load for the
@@ -348,17 +303,13 @@ pub fn traffic(s: &Swept) -> Exhibit {
             f2(r.ipc),
         ]);
     }
-    Exhibit {
-        text: format!(
-            "Open-system traffic — sojourn latency vs offered load (beyond the paper)\n\
-             (12-job LLHH-x3 stream under a Poisson arrival ladder; sojourn =\n\
-             arrival to completion in cycles; jobs arriving at a full admission\n\
-             queue are shed; run length floored at 1/{} of the paper's budget)\n{}",
-            experiments::TRAFFIC_SCALE_FLOOR,
-            t.render()
-        ),
-        csv: t.to_csv(),
-    }
+    t.exhibit(&format!(
+        "Open-system traffic — sojourn latency vs offered load (beyond the paper)\n\
+         (12-job LLHH-x3 stream under a Poisson arrival ladder; sojourn =\n\
+         arrival to completion in cycles; jobs arriving at a full admission\n\
+         queue are shed; run length floored at 1/{} of the paper's budget)",
+        experiments::TRAFFIC_SCALE_FLOOR,
+    ))
 }
 
 /// Fleet exhibit (beyond the paper): the fleet ladder under one saturating
@@ -411,20 +362,16 @@ pub fn fleet(s: &Swept) -> Exhibit {
         }
         t.row(row);
     }
-    Exhibit {
-        text: format!(
-            "Fleet dispatch — tail latency vs fleet shape (beyond the paper)\n\
-             (12-job LLHH-x3 stream at {} on the {} scheme; each arrival is\n\
-             routed to one machine's admission queue by the dispatcher; routed\n\
-             lists per-machine job counts in fleet order; run length floored\n\
-             at 1/{} of the paper's budget)\n{}",
-            experiments::FLEET_ARRIVALS,
-            experiments::FLEET_SCHEME,
-            experiments::FLEET_SCALE_FLOOR,
-            t.render()
-        ),
-        csv: t.to_csv(),
-    }
+    t.exhibit(&format!(
+        "Fleet dispatch — tail latency vs fleet shape (beyond the paper)\n\
+         (12-job LLHH-x3 stream at {} on the {} scheme; each arrival is\n\
+         routed to one machine's admission queue by the dispatcher; routed\n\
+         lists per-machine job counts in fleet order; run length floored\n\
+         at 1/{} of the paper's budget)",
+        experiments::FLEET_ARRIVALS,
+        experiments::FLEET_SCHEME,
+        experiments::FLEET_SCALE_FLOOR,
+    ))
 }
 
 #[cfg(test)]

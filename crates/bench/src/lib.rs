@@ -81,6 +81,15 @@ impl TextTable {
         out
     }
 
+    /// An exhibit of this table: `title`, then the rendered table, plus
+    /// its CSV.
+    pub fn exhibit(&self, title: &str) -> Exhibit {
+        Exhibit {
+            text: format!("{title}\n{}", self.render()),
+            csv: self.to_csv(),
+        }
+    }
+
     /// Render as CSV.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
