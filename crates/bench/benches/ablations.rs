@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for three of the simulator's design choices:
 //!
 //! * priority rotation policy (fixed / round-robin / least-recently-issued);
 //! * loop unrolling (the trace-scheduling stand-in) on vs off;

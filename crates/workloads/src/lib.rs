@@ -13,8 +13,8 @@
 //! Each Table-1 benchmark is therefore modelled as a *synthetic kernel
 //! program* — seeded, deterministic IR generated by [`kernelgen`], compiled
 //! by `vliw-compiler` — whose four knobs are calibrated so the
-//! single-threaded `IPCr`/`IPCp` land near the paper's Table 1 (see
-//! EXPERIMENTS.md for paper-vs-measured values).
+//! single-threaded `IPCr`/`IPCp` land near the paper's Table 1 (`paper
+//! table1` prints measured values next to the paper's).
 //!
 //! * [`spec`] — benchmark descriptions and the 12 calibrated specs.
 //! * [`kernelgen`] — spec → IR function.

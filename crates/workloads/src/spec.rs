@@ -108,8 +108,8 @@ impl BenchmarkSpec {
 /// The twelve Table-1 benchmarks with calibrated knobs.
 ///
 /// Calibration targets the paper's IPCp (schedule-limited) and IPCr
-/// (cache-limited) on the 16-issue 4-cluster machine; measured values are
-/// recorded in EXPERIMENTS.md.
+/// (cache-limited) on the 16-issue 4-cluster machine; `paper table1`
+/// prints the measured values next to the paper's.
 pub fn all_benchmarks() -> &'static [BenchmarkSpec] {
     static TABLE1: OnceLock<Vec<BenchmarkSpec>> = OnceLock::new();
     TABLE1.get_or_init(build_table1).as_slice()
