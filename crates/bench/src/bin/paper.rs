@@ -277,8 +277,8 @@ fn main() {
     if trace_format.is_some() && trace_path.is_none() {
         die("--trace-format requires --trace");
     }
-    let trace_target = trace_path.as_ref().map(|path| {
-        let target = selected
+    let trace_target = trace_path.as_ref().map(|_| {
+        selected
             .iter()
             .find_map(|e| Some((e.name, e.sweep()?)))
             .unwrap_or_else(|| {
@@ -291,12 +291,11 @@ fn main() {
                     "--trace needs at least one simulated exhibit selected ({} are static)",
                     fixed.join("/")
                 ))
-            });
-        create_or_die("--trace", path);
-        target
+            })
     });
     let trace_format = trace_format.unwrap_or(TraceFormat::Chrome);
     for (flag, path) in [
+        ("--trace", &trace_path),
         ("--json", &json_path),
         ("--csv", &csv_path),
         ("--metrics", &metrics_path),

@@ -359,8 +359,9 @@ fn bad_scale_and_unwritable_outputs_exit_2_before_simulating() {
     let missing = dir.join("missing").join("x");
     let (out, under_file) = (dir.join("out"), file.join("out"));
     let (out, missing) = (path(&out), path(&missing));
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 6] = [
         &["fig5", "--scale", "0", "--out", out],
+        &["table1", "--scale", SCALE, "--trace", missing, "--out", out],
         &["table1", "--scale", SCALE, "--json", missing, "--out", out],
         &["table1", "--scale", SCALE, "--csv", missing, "--out", out],
         &["table1", "--scale", SCALE, "--out", path(&under_file)],
