@@ -360,6 +360,82 @@ mod tests {
     }
 
     #[test]
+    fn singleton_fleet_differs_from_the_open_run_only_after_the_last_completion() {
+        // A one-lane fleet and the open run of the same machine see the same
+        // arrivals and make the same scheduling decisions, with two
+        // documented differences. At a tie a lane handles the boundary's
+        // expiry before the injection, while the open run queues the arrival
+        // first. So the workloads here place no arrival on a boundary. And
+        // a drained lane still runs to its next expiry, while the open run
+        // stops at the last completion.
+        let cache = ImageCache::new();
+        let singleton: FleetSpec = "paper-4x4".parse().expect("fleet spec");
+        for traffic in ["poisson:0.001", "bursty:0.001:4:4", "diurnal:0.001:3:20000"] {
+            for wl in [
+                WorkloadRef::from("LLHH"),
+                crate::experiments::traffic_workload(),
+            ] {
+                let cfg = SimConfig::paper(catalog::by_name("2SC3").unwrap(), 20_000)
+                    .with_traffic(traffic.parse().expect("traffic spec"));
+                let label = format!("{traffic} on {}", wl.name());
+                let ts = cfg.timeslice;
+                let arrivals = ArrivalProcess::take_cycles(cfg.traffic, cfg.seed, wl.n_threads());
+                assert!(
+                    arrivals.iter().all(|at| at % ts != 0),
+                    "{label}: an arrival lands on a timeslice boundary"
+                );
+                let threads = (0..wl.n_threads())
+                    .map(|i| {
+                        let image = wl.image_for(i, &cache, &cfg.machine);
+                        SoftThread::new(&image.0, image.1.clone(), i as u64, cfg.seed)
+                    })
+                    .collect();
+                let open = Machine::new(&cfg, threads).expect("workload").run();
+                let fleet = run_fleet(&cache, &cfg, &singleton, &wl, 1);
+                assert_eq!(
+                    format!("{:?}", open.threads),
+                    format!("{:?}", fleet.threads),
+                    "{label}: per-thread stats"
+                );
+                let (o, f) = (&open.traffic, &fleet.traffic);
+                assert!(o.completed > 0, "{label}: nothing completed");
+                assert_eq!(
+                    (o.offered, o.completed, o.shed),
+                    (f.offered, f.completed, f.shed),
+                    "{label}: admission counts"
+                );
+                assert_eq!(
+                    (o.p50_sojourn, o.p95_sojourn, o.p99_sojourn),
+                    (f.p50_sojourn, f.p95_sojourn, f.p99_sojourn),
+                    "{label}: sojourn quantiles"
+                );
+                assert_eq!(
+                    (o.mean_sojourn, o.mean_wait),
+                    (f.mean_sojourn, f.mean_wait),
+                    "{label}: mean sojourn and wait"
+                );
+                let gap = open.cycles.div_ceil(ts) * ts - open.cycles;
+                assert_eq!(fleet.cycles, open.cycles + gap, "{label}: makespan");
+                assert_eq!(
+                    fleet.idle_context_cycles,
+                    open.idle_context_cycles + cfg.n_contexts() as u64 * gap,
+                    "{label}: idle context cycles"
+                );
+                assert_eq!(
+                    fleet.vertical_waste_cycles,
+                    open.vertical_waste_cycles + gap,
+                    "{label}: vertical waste"
+                );
+                assert_eq!(
+                    fleet.context_switches,
+                    open.context_switches + u64::from(gap > 0),
+                    "{label}: context switches"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn heterogeneous_fleet_sums_issue_width() {
         let cache = ImageCache::new();
         let wl = WorkloadRef::from("LLHH");
