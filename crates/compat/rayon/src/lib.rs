@@ -9,7 +9,8 @@
 //! downstream figure) is identical to sequential execution.
 //!
 //! Supported surface: [`prelude`] (slice `par_iter`, `Vec`/`Range`
-//! `into_par_iter`, `map`, `collect` into `Vec`, `for_each`, `sum`),
+//! `into_par_iter`, `map`, `collect` into `Vec`, `for_each`, `sum`, and
+//! slice `par_iter_mut().for_each`),
 //! [`ThreadPoolBuilder`] with `num_threads` + `build`/`build_global`, scoped
 //! [`ThreadPool::install`], and [`current_num_threads`].
 
@@ -168,7 +169,8 @@ where
 /// The traits users import; `use rayon::prelude::*;`.
 pub mod prelude {
     pub use crate::{
-        IndexedParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
+        IndexedParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
+        IntoParallelRefMutIterator, ParallelIterator,
     };
 }
 
@@ -290,6 +292,50 @@ impl<'a, T: Sync + 'a> IntoParallelIterator for &'a Vec<T> {
     type Iter = SliceParIter<'a, T>;
     fn into_par_iter(self) -> SliceParIter<'a, T> {
         SliceParIter { slice: self }
+    }
+}
+
+/// Conversion into a mutably borrowing parallel iterator (`.par_iter_mut()`).
+/// Implemented for slices only; a `Vec` reaches it through auto-deref.
+pub trait IntoParallelRefMutIterator<'a> {
+    /// Iterator type produced.
+    type Iter;
+    /// Convert.
+    fn par_iter_mut(&'a mut self) -> Self::Iter;
+}
+
+/// Parallel iterator over `&mut [T]`. Each worker takes one contiguous
+/// chunk, so every element is visited exactly once by exactly one thread.
+pub struct SliceParIterMut<'a, T> {
+    slice: &'a mut [T],
+}
+
+impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
+    type Iter = SliceParIterMut<'a, T>;
+    fn par_iter_mut(&'a mut self) -> SliceParIterMut<'a, T> {
+        SliceParIterMut { slice: self }
+    }
+}
+
+impl<T: Send> SliceParIterMut<'_, T> {
+    /// Apply `f` to every element in parallel, one contiguous chunk per
+    /// worker inside [`std::thread::scope`]. A worker's panic propagates
+    /// when the scope joins.
+    pub fn for_each<F>(self, f: F)
+    where
+        F: Fn(&mut T) + Sync,
+    {
+        let workers = current_num_threads().clamp(1, self.slice.len().max(1));
+        if workers == 1 {
+            self.slice.iter_mut().for_each(f);
+            return;
+        }
+        let f = &f;
+        std::thread::scope(|scope| {
+            for chunk in self.slice.chunks_mut(self.slice.len().div_ceil(workers)) {
+                scope.spawn(move || chunk.iter_mut().for_each(f));
+            }
+        });
     }
 }
 
@@ -430,6 +476,35 @@ mod tests {
             hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         });
         assert_eq!(hits.into_inner(), 100);
+    }
+
+    #[test]
+    fn par_iter_mut_visits_every_element_once() {
+        for workers in 1..=4 {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .build()
+                .unwrap();
+            for len in [0usize, 1, 3, 7, 64] {
+                let mut xs = vec![0u32; len];
+                pool.install(|| xs.par_iter_mut().for_each(|x| *x += 1));
+                assert!(xs.iter().all(|&x| x == 1), "{workers} workers, {len} items");
+            }
+        }
+    }
+
+    #[test]
+    fn par_iter_mut_propagates_a_worker_panic() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let mut xs: Vec<u32> = (0..8).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.install(|| {
+                xs.par_iter_mut().for_each(|x| {
+                    assert_ne!(*x, 6, "worker panic");
+                })
+            })
+        }));
+        assert!(caught.is_err(), "the panic must reach the caller");
     }
 
     #[test]
