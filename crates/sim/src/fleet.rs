@@ -9,13 +9,21 @@
 //! lands on*, so a heterogeneous fleet executes genuinely different
 //! schedules per geometry.
 //!
-//! Determinism contract: lanes advance in lockstep to each arrival cycle
-//! (a fully idle lane still advances its clock), routing decisions are
-//! sequential over consistent [`LaneView`] snapshots, and lane work is
-//! spread over a [`rayon`] pool whose results never feed back into
-//! ordering — so the output is byte-identical for any worker count, and
-//! bit-identical across both [`crate::CoreModel`]s (each lane inherits
-//! the core-equivalence contract of a single machine).
+//! Each lane is a [`Machine`] built by [`Machine::open_lane`] and stepped
+//! through the same OS loop as a single machine. The lanes advance in
+//! lockstep to each arrival cycle (a fully idle lane still advances its
+//! clock), and routing decisions are sequential over consistent
+//! [`LaneView`] snapshots. Lane work is spread over a [`rayon`] pool,
+//! each worker owning a contiguous run of lanes, and its results never
+//! feed back into ordering. So the output is byte-identical for any
+//! worker count, and bit-identical across both [`crate::CoreModel`]s
+//! (each lane inherits the core-equivalence contract of a single
+//! machine).
+//!
+//! A singleton fleet matches the open run of the same machine in every
+//! per-thread statistic and latency, but a drained lane still runs to its
+//! next timeslice expiry, so the fleet's makespan is the open run's
+//! rounded up to a whole timeslice.
 
 use crate::config::SimConfig;
 use crate::os::{LaneOutcome, Machine};
@@ -25,11 +33,12 @@ use crate::stats::RunStats;
 use crate::thread::{ProgramMeta, SoftThread};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
-use std::sync::Mutex;
 use vliw_core::MergeStats;
 use vliw_fleet::{FleetSpec, FleetStats, LaneView, MachineLaneStats};
 use vliw_mem::CacheStats;
-use vliw_trace::{StallBreakdown, StallKind, Trace, TraceEvent};
+use vliw_trace::{
+    NullSink, RecordingSink, StallBreakdown, StallKind, Trace, TraceEvent, TraceSink,
+};
 use vliw_traffic::{ArrivalProcess, LatencySummary, TrafficStats};
 
 /// Static width hint of a compiled member: mean operations per VLIW
@@ -65,13 +74,13 @@ pub fn run_fleet(
     workload: &WorkloadRef,
     parallelism: usize,
 ) -> RunStats {
-    run_fleet_inner(cache, cfg, fleet, workload, parallelism, false).0
+    run_fleet_inner(cache, cfg, fleet, workload, parallelism, &mut NullSink)
 }
 
 /// Like [`run_fleet`], additionally collecting the fleet-level [`Trace`]:
-/// one [`TraceEvent::RoutedTo`] per arrival, in arrival order. Per-lane
-/// cycle-level events are not recorded (each lane runs its monomorphized
-/// untraced path); trace a single-machine run for those.
+/// one [`TraceEvent::RoutedTo`] per arrival, in arrival order. The lanes
+/// themselves run untraced, so no cycle-level event of any machine is
+/// recorded; trace a single-machine run for those.
 pub fn run_fleet_traced(
     cache: &ImageCache,
     cfg: &SimConfig,
@@ -79,7 +88,8 @@ pub fn run_fleet_traced(
     workload: &WorkloadRef,
     parallelism: usize,
 ) -> (RunStats, Trace) {
-    let (stats, events) = run_fleet_inner(cache, cfg, fleet, workload, parallelism, true);
+    let mut sink = RecordingSink::new();
+    let stats = run_fleet_inner(cache, cfg, fleet, workload, parallelism, &mut sink);
     let threads = workload
         .member_names()
         .iter()
@@ -87,7 +97,7 @@ pub fn run_fleet_traced(
         .map(|(i, n)| (i as u32, n.to_string()))
         .collect();
     let trace = Trace {
-        events,
+        events: sink.into_events(),
         n_contexts: cfg.n_contexts() as u8,
         threads,
         end_cycle: stats.cycles,
@@ -96,23 +106,20 @@ pub fn run_fleet_traced(
     (stats, trace)
 }
 
-fn run_fleet_inner(
+fn run_fleet_inner<S: TraceSink>(
     cache: &ImageCache,
     cfg: &SimConfig,
     fleet: &FleetSpec,
     workload: &WorkloadRef,
     parallelism: usize,
-    record: bool,
-) -> (RunStats, Vec<TraceEvent>) {
+    sink: &mut S,
+) -> RunStats {
     let machines = fleet.machines();
     let lane_cfgs: Vec<SimConfig> = machines
         .iter()
         .map(|&m| cfg.clone().with_machine(m))
         .collect();
-    let lanes: Vec<Mutex<Machine>> = lane_cfgs
-        .iter()
-        .map(|c| Mutex::new(Machine::open_lane(c)))
-        .collect();
+    let mut lanes: Vec<Machine> = lane_cfgs.iter().map(Machine::open_lane).collect();
     let n = workload.n_threads();
     let arrivals = ArrivalProcess::take_cycles(cfg.traffic, cfg.seed, n);
     // Width hints come from the reference compile (cfg.machine), one per
@@ -123,7 +130,6 @@ fn run_fleet_inner(
         .collect();
     let mut dispatcher = fleet.dispatcher.build();
     let mut routed: Vec<u64> = vec![0; lanes.len()];
-    let mut events: Vec<TraceEvent> = Vec::new();
     let pool = ThreadPoolBuilder::new()
         .num_threads(parallelism.clamp(1, lanes.len().max(1)))
         .build()
@@ -132,26 +138,21 @@ fn run_fleet_inner(
         for (i, &at) in arrivals.iter().enumerate() {
             // Lockstep: every lane reaches the arrival cycle before the
             // routing decision reads its load.
-            lanes
-                .par_iter()
-                .for_each(|l| l.lock().expect("lane mutex").lane_advance(at));
+            lanes.par_iter_mut().for_each(|lane| lane.lane_advance(at));
             let views: Vec<LaneView> = lanes
                 .iter()
-                .zip(machines.iter().zip(routed.iter()))
-                .map(|(l, (&machine, &r))| {
-                    let lane = l.lock().expect("lane mutex");
-                    LaneView {
-                        machine,
-                        queue_len: lane.lane_queue_len(),
-                        in_flight: lane.lane_in_flight(),
-                        routed: r,
-                    }
+                .zip(machines.iter().zip(&routed))
+                .map(|(lane, (&machine, &r))| LaneView {
+                    machine,
+                    queue_len: lane.lane_queue_len(),
+                    in_flight: lane.lane_in_flight(),
+                    routed: r,
                 })
                 .collect();
             let to = dispatcher.route(&views, hints[i]);
             routed[to] += 1;
-            if record {
-                events.push(TraceEvent::RoutedTo {
+            if S::ENABLED {
+                sink.record(TraceEvent::RoutedTo {
                     cycle: at,
                     tid: i as u32,
                     to: to as u32,
@@ -159,17 +160,14 @@ fn run_fleet_inner(
             }
             let image = workload.image_for(i, cache, &lane_cfgs[to].machine);
             let t = SoftThread::new(&image.0, image.1.clone(), i as u64, cfg.seed);
-            lanes[to].lock().expect("lane mutex").lane_inject(t);
+            lanes[to].lane_inject(t);
         }
         lanes
-            .par_iter()
-            .for_each(|l| l.lock().expect("lane mutex").lane_run_to_completion());
+            .par_iter_mut()
+            .for_each(Machine::lane_run_to_completion);
     });
-    let outcomes: Vec<LaneOutcome> = lanes
-        .into_iter()
-        .map(|l| l.into_inner().expect("lane mutex").lane_collect())
-        .collect();
-    (merge(&machines, &routed, outcomes), events)
+    let outcomes: Vec<LaneOutcome> = lanes.into_iter().map(Machine::lane_collect).collect();
+    merge(&machines, &routed, outcomes)
 }
 
 /// Merge per-lane outcomes into one fleet-level [`RunStats`].

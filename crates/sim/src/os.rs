@@ -7,19 +7,33 @@
 //! the policy picks the contexts to flush and the refill order. The
 //! default [`crate::sched::SchedulerSpec::PaperRandom`] reproduces the
 //! paper's model — full eviction, random refill "to improve fairness and
-//! to alleviate any bias" — bit-for-bit. The run ends when one thread
-//! retires its instruction budget.
+//! to alleviate any bias" — bit-for-bit.
 //!
 //! [`Machine`] itself is a thin driver: it owns the core, the thread pool
 //! and the metrics (switches, migrations, idle-context cycles), builds
 //! [`SchedView`] snapshots for the policy, and mechanically applies the
 //! returned decisions. It always backfills every free context while the
 //! pool is non-empty, so no policy can starve the core.
+//!
+//! One loop drives every run mode. Each step runs the core to the next
+//! OS event (a timeslice expiry or an arrival) or the caller's bound,
+//! then reacts:
+//! * a *closed* batch has every thread in the pool from cycle 0 and stops
+//!   when the first thread retires its budget;
+//! * an *open* machine stages its threads on arrival cycles, and a fleet
+//!   *lane* (see [`crate::fleet`]) receives threads the fleet driver
+//!   injects. Both retire each job at its own budget and admit the next
+//!   ones through a bounded queue.
+//!
+//! Otherwise the step handles every due expiry and arrival and admits.
+//! [`Machine::run_traced`] repeats the step until the run is over; the
+//! fleet driver repeats it through [`Machine::lane_advance`] and
+//! [`Machine::lane_run_to_completion`].
 
 use crate::config::SimConfig;
 use crate::core::Core;
 use crate::error::SimError;
-use crate::events::{EventQueue, QueueStats};
+use crate::events::EventQueue;
 use crate::sched::{affinity_groups, SchedView, Scheduler, ThreadView};
 use crate::stats::{RunStats, ThreadStats};
 use crate::thread::SoftThread;
@@ -29,22 +43,20 @@ use vliw_trace::{
     NullSink, RecordingSink, RingSink, StallBreakdown, StallKind, Trace, TraceEvent, TraceSink,
     TraceSpec,
 };
-use vliw_traffic::{
-    AdmissionQueue, ArrivalProcess, LatencySummary, Lifecycle, TrafficSpec, TrafficStats,
-};
+use vliw_traffic::{AdmissionQueue, ArrivalProcess, LatencySummary, Lifecycle, TrafficStats};
 
-/// An OS-level wakeup in the machine's event queue. Closed (batch) runs
-/// only ever schedule timeslice expiries; open-system runs additionally
-/// schedule one arrival per staged thread. The queue's `(cycle, seq)`
-/// ordering keeps the two sources deterministic relative to each other —
-/// arrivals are scheduled first, so at a tied cycle the arriving thread
-/// joins the queue before the expiry's refill runs.
+/// An OS-level wakeup in the machine's event queue: timeslice expiries in
+/// every mode, plus one arrival per staged thread on an open machine. The
+/// queue's `(cycle, seq)` ordering keeps the two sources deterministic
+/// relative to each other — arrivals are scheduled first, so at a tied
+/// cycle the arriving thread joins the queue before the expiry's refill
+/// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OsEvent {
     /// The running quantum ends: flush/refill per the scheduler policy.
     TimesliceExpiry,
-    /// The next staged software thread arrives at the machine
-    /// (open-system mode; staged threads arrive in event order).
+    /// The next staged software thread arrives at the machine (staged
+    /// threads arrive in event order).
     Arrival,
 }
 
@@ -74,31 +86,21 @@ pub struct Machine {
     issue_width: u32,
     trace_spec: TraceSpec,
     instr_budget: u64,
-    traffic: TrafficSpec,
-    /// Open-system mode: threads that have not arrived yet, paired with
-    /// their deterministic arrival cycles (nondecreasing; front arrives
-    /// first). Always empty in closed mode.
-    staged: VecDeque<(u64, SoftThread)>,
-    /// Open-system mode: arrived-but-unadmitted threads.
+    /// A closed batch, whose run ends at the first retired budget, rather
+    /// than an open machine or lane, whose jobs each retire their own.
+    closed: bool,
+    /// OS wakeups, kept across steps so expiries keep their phase between
+    /// a lane's external stepping bounds. One expiry is always scheduled.
+    events: EventQueue<OsEvent>,
+    /// Open machine: threads that have not arrived yet, in arrival order.
+    staged: VecDeque<SoftThread>,
+    /// Arrived-but-unadmitted threads (open machine or lane).
     queue: AdmissionQueue<SoftThread>,
-    /// Open-system mode: per-thread lifecycle timestamps, indexed by tid.
-    /// `None` for threads that have not arrived (or were shed). Empty in
-    /// closed mode.
+    /// Per-thread lifecycle timestamps, indexed by tid. `None` for threads
+    /// that have not arrived (or were shed). Empty in closed mode.
     lifecycles: Vec<Option<Lifecycle>>,
-    /// Open-system mode: threads that retired their full budget.
+    /// Threads that retired their full budget (open machine or lane).
     completed: Vec<SoftThread>,
-    /// Filled at the end of an open run; stays `Default` (all zeros) in
-    /// closed mode.
-    traffic_stats: TrafficStats,
-    /// Fleet-lane mode (see [`Machine::open_lane`]): the lane's persistent
-    /// OS event queue, carried across `lane_advance` calls so timeslice
-    /// expiries keep their phase between external stepping boundaries.
-    /// `None` for self-driving (non-lane) machines.
-    lane_events: Option<EventQueue<OsEvent>>,
-    /// OS event-queue counters harvested at the end of a self-driving run
-    /// (the queue itself is a run-loop local); merged into
-    /// [`crate::stats::EngineStats`] at collection.
-    os_queue_stats: QueueStats,
 }
 
 /// What one fleet lane hands back at collection time: its run statistics
@@ -136,27 +138,47 @@ impl Machine {
         if threads.is_empty() {
             return Err(SimError::EmptyWorkload);
         }
-        let sched_name: Arc<str> = scheduler.name().into();
         // Closed mode: everything goes straight into the scheduler pool.
         // Open mode: threads are staged on deterministic arrival cycles
         // (a pure function of the traffic spec and the run seed) and
         // reach the pool only through the admission queue.
-        let (pool, staged, lifecycles) = if cfg.traffic.is_closed() {
-            (threads, VecDeque::new(), Vec::new())
+        Ok(if cfg.traffic.is_closed() {
+            Machine::build(cfg, scheduler, true, threads, Vec::new())
         } else {
             let arrivals = ArrivalProcess::take_cycles(cfg.traffic, cfg.seed, threads.len());
-            let max_tid = threads.iter().map(|t| t.tid).max().unwrap_or(0) as usize;
-            let staged: VecDeque<(u64, SoftThread)> = arrivals.into_iter().zip(threads).collect();
-            (Vec::new(), staged, vec![None; max_tid + 1])
-        };
-        // Admission (the policy's initial pool order + the first context
-        // fill) happens at the start of `run_traced`, not here, so a trace
-        // sink observes the admission events and the cold install fetches.
-        Ok(Machine {
+            let staged = arrivals.into_iter().zip(threads).collect();
+            Machine::build(cfg, scheduler, false, Vec::new(), staged)
+        })
+    }
+
+    /// The one constructor: `pool` holds a closed batch, `staged` an open
+    /// machine's threads with their arrival cycles (nondecreasing).
+    /// Admission (the policy's initial pool order + the first context
+    /// fill) happens at the start of `run_traced`, not here, so a trace
+    /// sink observes the admission events and the cold install fetches.
+    fn build(
+        cfg: &SimConfig,
+        scheduler: Box<dyn Scheduler>,
+        closed: bool,
+        pool: Vec<SoftThread>,
+        staged: Vec<(u64, SoftThread)>,
+    ) -> Machine {
+        let mut events = EventQueue::new();
+        // Arrivals are scheduled before the first expiry, so at a tied
+        // cycle the (cycle, seq) order lets the arrival enqueue first.
+        let staged = staged
+            .into_iter()
+            .map(|(cycle, t)| {
+                events.schedule(cycle, OsEvent::Arrival);
+                t
+            })
+            .collect();
+        events.schedule(cfg.timeslice.max(1), OsEvent::TimesliceExpiry);
+        Machine {
             core: Core::new(cfg),
             pool,
+            sched_name: scheduler.name().into(),
             scheduler,
-            sched_name,
             groups: affinity_groups(&cfg.scheme),
             timeslice: cfg.timeslice.max(1),
             max_cycles: cfg.max_cycles,
@@ -166,15 +188,13 @@ impl Machine {
             issue_width: cfg.machine.total_issue() as u32,
             trace_spec: cfg.trace,
             instr_budget: cfg.instr_budget,
-            traffic: cfg.traffic,
+            closed,
+            events,
             staged,
             queue: AdmissionQueue::bounded(QUEUE_CAP_PER_CONTEXT * cfg.n_contexts()),
-            lifecycles,
+            lifecycles: Vec::new(),
             completed: Vec::new(),
-            traffic_stats: TrafficStats::default(),
-            lane_events: None,
-            os_queue_stats: QueueStats::default(),
-        })
+        }
     }
 
     /// Snapshot the machine state into policy-visible views.
@@ -337,167 +357,99 @@ impl Machine {
     /// core and memory system emit). Statistics are identical to
     /// [`Machine::run`] — tracing observes, never perturbs.
     ///
-    /// Dispatches on the configured [`TrafficSpec`]: the historical
-    /// closed-batch loop for [`TrafficSpec::Closed`] (bit-for-bit the
-    /// pre-traffic code path), the open-system loop otherwise.
-    pub fn run_traced<S: TraceSink>(self, sink: &mut S) -> RunStats {
-        if self.traffic.is_closed() {
-            self.run_closed_traced(sink)
-        } else {
-            self.run_open_traced(sink)
+    /// A closed batch ends when the *first* thread retires the budget; an
+    /// open machine ends when it drains, each job having retired its own
+    /// full budget. Either ends at `max_cycles`.
+    pub fn run_traced<S: TraceSink>(mut self, sink: &mut S) -> RunStats {
+        // Admission: a closed batch's initial pool order and first fill
+        // (an open machine's pool is still empty).
+        self.admit_waiting(sink);
+        while self.core.cycle() < self.max_cycles && !self.finished() {
+            self.advance_to_event(self.max_cycles, sink);
         }
+        self.collect().stats
     }
 
-    /// The closed-batch loop: every thread is present from cycle 0 and
-    /// the run ends when the *first* thread retires the budget.
-    fn run_closed_traced<S: TraceSink>(mut self, sink: &mut S) -> RunStats {
-        // Admission: the policy's initial pool order, then the first fill.
-        self.reorder_pool(true);
-        self.fill_contexts(sink);
-        // OS-level wakeups go through a deterministic event queue; in
-        // closed mode the only source is the timeslice expiry (exactly one
-        // scheduled at any moment), and the core runs until the earliest
-        // event.
-        let mut os_events: EventQueue<OsEvent> = EventQueue::new();
-        os_events.schedule(self.timeslice, OsEvent::TimesliceExpiry);
-        while !self.core.budget_reached && self.core.cycle() < self.max_cycles {
-            let next_event = os_events
-                .peek_cycle()
-                .expect("a timeslice expiry is always scheduled");
-            let limit = next_event.min(self.max_cycles);
-            let idle = self.core.idle_contexts() as u64;
-            let before = self.core.cycle();
-            self.core.run_traced(limit, sink);
-            self.idle_context_cycles += idle * (self.core.cycle() - before);
-            if self.core.budget_reached {
-                break;
-            }
-            if self.core.cycle() >= next_event {
-                let (expired, event) = os_events.pop().expect("peeked event still queued");
-                debug_assert_eq!(event, OsEvent::TimesliceExpiry);
-                self.quantum_expired(sink);
-                os_events.schedule(expired + self.timeslice, OsEvent::TimesliceExpiry);
-            }
-        }
-        self.os_queue_stats = os_events.stats();
-        self.collect()
-    }
-
-    /// The open-system loop: threads arrive on their staged cycles, wait
-    /// in the bounded admission queue under a multiprogramming limit, and
-    /// *each* job retires its own full instruction budget — the run ends
-    /// when the system drains (or at `max_cycles`).
-    fn run_open_traced<S: TraceSink>(mut self, sink: &mut S) -> RunStats {
-        let mut os_events: EventQueue<OsEvent> = EventQueue::new();
-        // Arrivals are scheduled before the first expiry, so at a tied
-        // cycle the (cycle, seq) order lets the arrival enqueue first.
-        for &(cycle, _) in &self.staged {
-            os_events.schedule(cycle, OsEvent::Arrival);
-        }
-        os_events.schedule(self.timeslice, OsEvent::TimesliceExpiry);
-        while self.core.cycle() < self.max_cycles && !self.open_done() {
-            let next_event = os_events
-                .peek_cycle()
-                .expect("a timeslice expiry is always scheduled");
-            let limit = next_event.min(self.max_cycles);
-            let idle = self.core.idle_contexts() as u64;
-            let before = self.core.cycle();
-            self.core.run_traced(limit, sink);
-            self.idle_context_cycles += idle * (self.core.cycle() - before);
-            if self.core.budget_reached {
-                // A job finished mid-slice: completion, not end-of-run.
+    /// The one OS loop body: run the core to the next OS event or `to`,
+    /// whichever comes first, charging every idle context for the span.
+    /// Then a closed batch that reached its budget stops; an open machine
+    /// or lane retires its finished jobs and admits (a completion, not the
+    /// end of the run); otherwise every due expiry and arrival is handled
+    /// and waiting jobs are admitted.
+    fn advance_to_event<S: TraceSink>(&mut self, to: u64, sink: &mut S) {
+        let limit = self.events.peek_cycle().map_or(to, |next| next.min(to));
+        let idle = self.core.idle_contexts() as u64;
+        let before = self.core.cycle();
+        self.core.run_traced(limit, sink);
+        self.idle_context_cycles += idle * (self.core.cycle() - before);
+        if self.core.budget_reached {
+            if !self.closed {
                 self.retire_completed(sink);
                 self.admit_waiting(sink);
-                continue;
             }
-            // Drain every event due at the reached cycle (an arrival and
-            // an expiry can coincide).
-            while os_events
-                .peek_cycle()
-                .is_some_and(|c| c <= self.core.cycle())
-            {
-                let (at, event) = os_events.pop().expect("peeked event still queued");
-                match event {
-                    OsEvent::TimesliceExpiry => {
-                        self.quantum_expired(sink);
-                        os_events.schedule(at + self.timeslice, OsEvent::TimesliceExpiry);
+            return;
+        }
+        // Drain every event due at the reached cycle (an arrival and an
+        // expiry can coincide).
+        while self
+            .events
+            .peek_cycle()
+            .is_some_and(|c| c <= self.core.cycle())
+        {
+            let (at, event) = self.events.pop().expect("peeked event still queued");
+            match event {
+                OsEvent::TimesliceExpiry => {
+                    self.quantum_expired(sink);
+                    self.events
+                        .schedule(at + self.timeslice, OsEvent::TimesliceExpiry);
+                }
+                OsEvent::Arrival => {
+                    if let Some(t) = self.staged.pop_front() {
+                        self.offer(at, t, sink);
                     }
-                    OsEvent::Arrival => self.thread_arrived(at, sink),
                 }
             }
-            self.admit_waiting(sink);
         }
-        // Summarize before `collect` drains the queue's leftovers.
-        let end = self.core.cycle();
-        let mut sojourn = LatencySummary::new();
-        let mut wait = LatencySummary::new();
-        for lc in self.lifecycles.iter().flatten() {
-            if let Some(s) = lc.sojourn() {
-                sojourn.record(s);
-            }
-            if let Some(w) = lc.wait() {
-                wait.record(w);
-            }
-        }
-        self.traffic_stats = TrafficStats::summarize(
-            self.queue.offered(),
-            self.completed.len() as u64,
-            self.queue.shed(),
-            &sojourn,
-            &wait,
-            self.queue.mean_depth(end),
-        );
-        self.os_queue_stats = os_events.stats();
-        self.collect()
+        self.admit_waiting(sink);
     }
 
-    /// Whether the open system has fully drained: nothing staged, queued,
-    /// pooled, or installed.
-    fn open_done(&self) -> bool {
-        self.staged.is_empty()
-            && self.queue.is_empty()
-            && self.pool.is_empty()
-            && self.core.contexts.iter().all(Option::is_none)
+    /// Whether the run is over: a closed batch reached its budget (only a
+    /// closed batch leaves the core's budget latch set), or the machine
+    /// holds no work.
+    fn finished(&self) -> bool {
+        self.core.budget_reached || self.lane_is_drained()
     }
 
-    /// Handle one arrival event: the front staged thread is offered to
-    /// the admission queue (or shed, and dropped, if it is full).
-    fn thread_arrived<S: TraceSink>(&mut self, at: u64, sink: &mut S) {
-        let (_, t) = self
-            .staged
-            .pop_front()
-            .expect("one arrival event per staged thread");
+    /// Offer an arriving thread to the bounded admission queue at the
+    /// current cycle (or shed it, and drop it, if the queue is full);
+    /// returns whether it was shed.
+    fn offer<S: TraceSink>(&mut self, at: u64, t: SoftThread, sink: &mut S) -> bool {
         let tid = t.tid;
+        if self.lifecycles.len() <= tid as usize {
+            self.lifecycles.resize(tid as usize + 1, None);
+        }
         // Queue bookkeeping is stamped with machine-observed time (the
         // queue requires nondecreasing stamps); the lifecycle and trace
         // keep the true arrival cycle, which is the same value whenever
         // the event is processed on time.
-        let now = self.core.cycle();
-        match self.queue.offer(now, t) {
-            Ok(()) => {
-                self.lifecycles[tid as usize] = Some(Lifecycle::arrived(at));
-                if S::ENABLED {
-                    sink.record(TraceEvent::ThreadArrival {
-                        cycle: at,
-                        tid,
-                        shed: false,
-                    });
-                    sink.record(TraceEvent::QueueDepth {
-                        cycle: at,
-                        depth: self.queue.len() as u32,
-                    });
-                }
-            }
-            Err(_shed) => {
-                if S::ENABLED {
-                    sink.record(TraceEvent::ThreadArrival {
-                        cycle: at,
-                        tid,
-                        shed: true,
-                    });
-                }
+        let shed = self.queue.offer(self.core.cycle(), t).is_err();
+        if !shed {
+            self.lifecycles[tid as usize] = Some(Lifecycle::arrived(at));
+        }
+        if S::ENABLED {
+            sink.record(TraceEvent::ThreadArrival {
+                cycle: at,
+                tid,
+                shed,
+            });
+            if !shed {
+                sink.record(TraceEvent::QueueDepth {
+                    cycle: at,
+                    depth: self.queue.len() as u32,
+                });
             }
         }
+        shed
     }
 
     /// Drain the admission queue into the scheduler pool while the
@@ -552,7 +504,7 @@ impl Machine {
                     tid: t.tid,
                 });
             }
-            if let Some(lc) = self.lifecycles[t.tid as usize].as_mut() {
+            if let Some(Some(lc)) = self.lifecycles.get_mut(t.tid as usize) {
                 lc.completion = Some(now);
             }
             self.completed.push(t);
@@ -563,90 +515,37 @@ impl Machine {
     // ------------------------------------------------------------------
     // Fleet-lane API: external stepping for the fleet driver.
     //
-    // A *lane* is one machine of a fleet. Unlike the self-driving entry
-    // points above, a lane starts empty (arrivals come from the fleet's
-    // shared arrival process, routed by a dispatcher) and is advanced in
-    // bounded steps by `vliw_sim::fleet::run_fleet`, which interleaves
-    // `lane_advance` (parallel across machines) with `lane_inject`
-    // (sequential routing decisions). Every lane method is deterministic,
-    // so the driver's output is byte-identical regardless of how many
-    // workers advance the lanes.
+    // A *lane* is one machine of a fleet. Unlike a self-driving machine, a
+    // lane starts empty (arrivals come from the fleet's shared arrival
+    // process, routed by a dispatcher) and is advanced in bounded steps by
+    // `vliw_sim::fleet::run_fleet`, which interleaves `lane_advance`
+    // (parallel across machines) with `lane_inject` (sequential routing
+    // decisions). Every lane method is deterministic, so the driver's
+    // output is byte-identical regardless of how many workers advance the
+    // lanes.
     // ------------------------------------------------------------------
 
     /// Build an *empty* open-mode machine to be driven as a fleet lane:
-    /// no staged arrivals (threads enter only through [`Machine::lane_inject`]),
-    /// a bounded admission queue, and a persistent timeslice event queue.
+    /// no staged arrivals (threads enter only through [`Machine::lane_inject`])
+    /// and a bounded admission queue.
     ///
     /// The configured [`SimConfig::traffic`] is ignored — the fleet owns
     /// the arrival process; each lane behaves open-system (every admitted
     /// job retires its own budget and completes individually).
     pub fn open_lane(cfg: &SimConfig) -> Machine {
         let scheduler = cfg.scheduler.build(cfg.seed);
-        let sched_name: Arc<str> = scheduler.name().into();
-        let mut lane_events: EventQueue<OsEvent> = EventQueue::new();
-        lane_events.schedule(cfg.timeslice.max(1), OsEvent::TimesliceExpiry);
-        Machine {
-            core: Core::new(cfg),
-            pool: Vec::new(),
-            scheduler,
-            sched_name,
-            groups: affinity_groups(&cfg.scheme),
-            timeslice: cfg.timeslice.max(1),
-            max_cycles: cfg.max_cycles,
-            context_switches: 0,
-            migrations: 0,
-            idle_context_cycles: 0,
-            issue_width: cfg.machine.total_issue() as u32,
-            trace_spec: cfg.trace,
-            instr_budget: cfg.instr_budget,
-            traffic: cfg.traffic,
-            staged: VecDeque::new(),
-            queue: AdmissionQueue::bounded(QUEUE_CAP_PER_CONTEXT * cfg.n_contexts()),
-            lifecycles: Vec::new(),
-            completed: Vec::new(),
-            traffic_stats: TrafficStats::default(),
-            lane_events: Some(lane_events),
-            os_queue_stats: QueueStats::default(),
-        }
+        Machine::build(cfg, scheduler, false, Vec::new(), Vec::new())
     }
 
     /// Advance the lane to (at most) cycle `to`: run the core, retire
     /// completed jobs, handle due timeslice expiries, and admit queued
-    /// jobs — the open-system loop under an external cycle ceiling. A
-    /// fully idle lane still advances its clock, so independent lanes
-    /// stay in lockstep between arrivals.
+    /// jobs. A fully idle lane still advances its clock, so independent
+    /// lanes stay in lockstep between arrivals.
     pub fn lane_advance(&mut self, to: u64) {
         let to = to.min(self.max_cycles);
-        let mut os_events = self
-            .lane_events
-            .take()
-            .expect("lane_advance on a non-lane machine");
-        while self.core.cycle() < to {
-            let next_event = os_events
-                .peek_cycle()
-                .expect("a timeslice expiry is always scheduled");
-            let limit = next_event.min(to);
-            let idle = self.core.idle_contexts() as u64;
-            let before = self.core.cycle();
-            self.core.run_traced(limit, &mut NullSink);
-            self.idle_context_cycles += idle * (self.core.cycle() - before);
-            if self.core.budget_reached {
-                self.retire_completed(&mut NullSink);
-                self.admit_waiting(&mut NullSink);
-                continue;
-            }
-            while os_events
-                .peek_cycle()
-                .is_some_and(|c| c <= self.core.cycle())
-            {
-                let (at, event) = os_events.pop().expect("peeked event still queued");
-                debug_assert_eq!(event, OsEvent::TimesliceExpiry);
-                self.quantum_expired(&mut NullSink);
-                os_events.schedule(at + self.timeslice, OsEvent::TimesliceExpiry);
-            }
-            self.admit_waiting(&mut NullSink);
+        while self.core.cycle() < to && !self.core.budget_reached {
+            self.advance_to_event(to, &mut NullSink);
         }
-        self.lane_events = Some(os_events);
     }
 
     /// Inject an arriving thread (routed here by the fleet dispatcher) at
@@ -654,40 +553,30 @@ impl Machine {
     /// (or shed it), then admit and install as the multiprogramming limit
     /// allows. Returns whether the thread was shed at the queue's door.
     pub fn lane_inject(&mut self, t: SoftThread) -> bool {
-        let now = self.core.cycle();
-        let tid = t.tid;
-        if self.lifecycles.len() <= tid as usize {
-            self.lifecycles.resize(tid as usize + 1, None);
-        }
-        let shed = match self.queue.offer(now, t) {
-            Ok(()) => {
-                self.lifecycles[tid as usize] = Some(Lifecycle::arrived(now));
-                false
-            }
-            Err(_shed) => true,
-        };
+        let shed = self.offer(self.core.cycle(), t, &mut NullSink);
         self.admit_waiting(&mut NullSink);
         shed
     }
 
     /// Drain the lane: advance expiry by expiry until nothing is queued,
-    /// pooled, or installed (or `max_cycles` caps the run).
+    /// pooled, or installed (or `max_cycles` caps the run). So a drained
+    /// lane still runs to its next expiry, where the open run of the same
+    /// machine stops at its last completion.
     pub fn lane_run_to_completion(&mut self) {
-        while self.core.cycle() < self.max_cycles && !self.lane_is_drained() {
-            let next = self
-                .lane_events
-                .as_ref()
-                .expect("lane_run_to_completion on a non-lane machine")
-                .peek_cycle()
-                .expect("a timeslice expiry is always scheduled");
+        while self.core.cycle() < self.max_cycles && !self.finished() {
+            let next = self.events.peek_cycle().unwrap_or(self.max_cycles);
+            // One step even when `next` is the current cycle: a job that
+            // retired exactly on an expiry leaves that expiry due here.
+            self.advance_to_event(self.max_cycles, &mut NullSink);
             self.lane_advance(next);
         }
     }
 
-    /// Whether the lane holds no work: empty queue, empty pool, and no
-    /// installed threads.
+    /// Whether the machine holds no work: nothing staged, queued, pooled,
+    /// or installed.
     pub fn lane_is_drained(&self) -> bool {
-        self.queue.is_empty()
+        self.staged.is_empty()
+            && self.queue.is_empty()
             && self.pool.is_empty()
             && self.core.contexts.iter().all(Option::is_none)
     }
@@ -711,31 +600,8 @@ impl Machine {
     /// Summarize and collect the lane: its own [`RunStats`] (traffic block
     /// filled from this lane's counters) plus the raw latency multisets
     /// for exact fleet-wide quantile merging.
-    pub fn lane_collect(mut self) -> LaneOutcome {
-        let end = self.core.cycle();
-        let mut sojourns = LatencySummary::new();
-        let mut waits = LatencySummary::new();
-        for lc in self.lifecycles.iter().flatten() {
-            if let Some(s) = lc.sojourn() {
-                sojourns.record(s);
-            }
-            if let Some(w) = lc.wait() {
-                waits.record(w);
-            }
-        }
-        self.traffic_stats = TrafficStats::summarize(
-            self.queue.offered(),
-            self.completed.len() as u64,
-            self.queue.shed(),
-            &sojourns,
-            &waits,
-            self.queue.mean_depth(end),
-        );
-        LaneOutcome {
-            stats: self.collect(),
-            sojourns,
-            waits,
-        }
+    pub fn lane_collect(self) -> LaneOutcome {
+        self.collect()
     }
 
     /// Run to completion collecting a [`Trace`] alongside the statistics.
@@ -749,7 +615,7 @@ impl Machine {
         let mut threads: Vec<(u32, String)> = self
             .pool
             .iter()
-            .chain(self.staged.iter().map(|(_, t)| t))
+            .chain(&self.staged)
             .map(|t| (t.tid, t.name.to_string()))
             .collect();
         threads.sort_by_key(|&(tid, _)| tid);
@@ -780,17 +646,34 @@ impl Machine {
         (stats, trace)
     }
 
-    /// Gather statistics from the core and all threads.
-    fn collect(mut self) -> RunStats {
-        // Engine health: the core's idle-span structure (trailing span
-        // flushed) plus whichever OS event queue drove the run — the
-        // run-loop local (harvested into `os_queue_stats`) or the lane's
-        // persistent queue.
-        let mut engine = self.core.take_idle_spans();
-        engine.absorb_queue(self.os_queue_stats);
-        if let Some(q) = &self.lane_events {
-            engine.absorb_queue(q.stats());
+    /// Gather statistics from the core and all threads, plus the latency
+    /// samples of every arrived job. A closed batch has none, so its
+    /// traffic block is all zeros.
+    fn collect(mut self) -> LaneOutcome {
+        // Summarize the traffic before draining the queue's leftovers.
+        let end = self.core.cycle();
+        let mut sojourns = LatencySummary::new();
+        let mut waits = LatencySummary::new();
+        for lc in self.lifecycles.iter().flatten() {
+            if let Some(s) = lc.sojourn() {
+                sojourns.record(s);
+            }
+            if let Some(w) = lc.wait() {
+                waits.record(w);
+            }
         }
+        let traffic = TrafficStats::summarize(
+            self.queue.offered(),
+            self.completed.len() as u64,
+            self.queue.shed(),
+            &sojourns,
+            &waits,
+            self.queue.mean_depth(end),
+        );
+        // Engine health: the core's idle-span structure (trailing span
+        // flushed) plus the OS event queue that drove the run.
+        let mut engine = self.core.take_idle_spans();
+        engine.absorb_queue(self.events.stats());
         for ctx in 0..self.core.contexts.len() {
             if let Some(t) = self.core.evict(ctx) {
                 self.pool.push(t);
@@ -801,11 +684,10 @@ impl Machine {
         // jobs that never arrived. Shed jobs were dropped at the queue's
         // door and are counted only in the traffic statistics.
         self.pool.append(&mut self.completed);
-        let end = self.core.cycle();
         while let Some(t) = self.queue.pop(end) {
             self.pool.push(t);
         }
-        self.pool.extend(self.staged.drain(..).map(|(_, t)| t));
+        self.pool.extend(self.staged.drain(..));
         self.pool.sort_by_key(|t| t.tid);
         let mut stall_breakdown = StallBreakdown::new();
         for t in &self.pool {
@@ -828,7 +710,7 @@ impl Machine {
                 rng_state: t.rng_state(),
             })
             .collect();
-        RunStats {
+        let stats = RunStats {
             cycles: self.core.cycle(),
             total_ops: self.core.total_ops(),
             total_instrs: self.core.total_instrs(),
@@ -844,12 +726,17 @@ impl Machine {
             migrations: self.migrations,
             idle_context_cycles: self.idle_context_cycles,
             stall_breakdown,
-            traffic: self.traffic_stats,
+            traffic,
             fleet: None,
             engine,
             cache_hits: 0,
             cache_misses: 0,
             trace_dropped: 0,
+        };
+        LaneOutcome {
+            stats,
+            sojourns,
+            waits,
         }
     }
 }
@@ -1273,6 +1160,43 @@ mod tests {
             format!("{:?}", a.stats.threads),
             format!("{:?}", b.stats.threads)
         );
+    }
+
+    #[test]
+    fn lane_drains_when_a_job_retires_on_an_expiry() {
+        // A job that retires on the very cycle of an expiry leaves that
+        // expiry due when the step ends. Find the first completion cycle
+        // with no expiry in the way, then make it the first expiry.
+        let lane = |timeslice: u64| {
+            let mut cfg = SimConfig::paper(catalog::smt_cascade(4), 20_000);
+            cfg.timeslice = timeslice;
+            let mut lane = Machine::open_lane(&cfg);
+            for t in threads(&["idct", "mcf"], 5) {
+                lane.lane_inject(t);
+            }
+            lane
+        };
+        let mut free = lane(1 << 40);
+        free.lane_run_to_completion();
+        let mut done: Vec<u64> = free
+            .lifecycles
+            .iter()
+            .flatten()
+            .filter_map(|lc| lc.completion)
+            .collect();
+        done.sort_unstable();
+        assert!(done.len() == 2 && done[0] < done[1], "completions {done:?}");
+        let mut tied = lane(done[0]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            tied.lane_run_to_completion();
+            tx.send(tied.lane_collect()).ok();
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the lane drains");
+        assert_eq!(out.stats.traffic.completed, 2);
+        assert!(out.stats.context_switches > 0);
     }
 
     #[test]
