@@ -1,16 +1,16 @@
-//! Tracing-overhead benchmarks: the zero-cost-when-off claim, measured.
+//! Tracing-overhead benchmarks: the cost of the enabled trace sinks.
 //!
 //! Three variants of the same end-to-end machine run (4-thread SMT on the
 //! LLHH mix, short budget):
 //!
-//! * `baseline` — `Machine::run()`, the untraced entry point;
-//! * `null_sink` — `Machine::run_traced(&mut NullSink)` — the generic hot
-//!   loop monomorphized with the disabled sink. The `TraceSink::ENABLED`
-//!   associated constant makes every emission guard `if false`, so this
-//!   must match `baseline` (and `run()` literally *is* this call);
-//! * `recording_sink` / `ring_sink` — the enabled paths; their overhead is
-//!   the cost of building + storing events and must stay bounded (well
-//!   under ~3x the baseline per cycle, dominated by the Vec pushes).
+//! * `null_sink` — `Machine::run_traced(&mut NullSink)`, the generic hot
+//!   loop monomorphized with the disabled sink. `Machine::run` is this
+//!   very call, so it is the untraced baseline. The
+//!   `TraceSink::ENABLED` associated constant makes every emission guard
+//!   `if false`;
+//! * `recording_sink` / `ring_sink_4k` — the enabled paths; their overhead
+//!   is the cost of building + storing events and must stay bounded (well
+//!   under ~3x the untraced run per cycle, dominated by the Vec pushes).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -61,9 +61,6 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let w = Workload::new();
     let mut group = c.benchmark_group("trace_overhead");
     group.sample_size(12);
-    group.bench_function("baseline_run", |b| {
-        b.iter(|| black_box(w.machine(&cfg).run()))
-    });
     group.bench_function("null_sink", |b| {
         b.iter(|| black_box(w.machine(&cfg).run_traced(&mut NullSink)))
     });

@@ -237,7 +237,7 @@ impl Core {
     /// Every emission site is guarded by [`TraceSink::ENABLED`], an
     /// associated constant: monomorphized with [`NullSink`] the guards are
     /// `if false` and this compiles to exactly [`Core::step`]'s code — the
-    /// zero-cost-when-off contract the `trace_overhead` bench checks.
+    /// zero-cost-when-off contract.
     pub fn step_traced<S: TraceSink>(&mut self, sink: &mut S) -> StepOutcome {
         let n = self.contexts.len();
         let mut inputs = [PortInput::stalled(); vliw_core::MAX_PORTS];
