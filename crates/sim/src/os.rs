@@ -25,7 +25,8 @@
 //!   injects. Both retire each job at its own budget and admit the next
 //!   ones through a bounded queue.
 //!
-//! Otherwise the step handles every due expiry and arrival and admits.
+//! When no budget was reached, the step handles every due expiry and
+//! arrival and admits waiting jobs.
 //! [`Machine::run_traced`] repeats the step until the run is over; the
 //! fleet driver repeats it through [`Machine::lane_advance`] and
 //! [`Machine::lane_run_to_completion`].
@@ -1187,6 +1188,9 @@ mod tests {
         done.sort_unstable();
         assert!(done.len() == 2 && done[0] < done[1], "completions {done:?}");
         let mut tied = lane(done[0]);
+        // A lane that never drains would hang the test, so it drains on a
+        // thread of its own and the timeout turns a hang into a failure
+        // (the spinning thread is then left detached).
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             tied.lane_run_to_completion();
@@ -1197,6 +1201,28 @@ mod tests {
             .expect("the lane drains");
         assert_eq!(out.stats.traffic.completed, 2);
         assert!(out.stats.context_switches > 0);
+    }
+
+    #[test]
+    fn lane_stepping_a_self_driving_machine_never_panics() {
+        // Every machine has the one event queue, so the lane API drives a
+        // closed batch to its first budget and an open machine through
+        // its staged arrivals.
+        let cfg = SimConfig::paper(catalog::smt_cascade(4), 20_000);
+        let mut closed = Machine::new(&cfg, threads(&["mcf", "idct"], 3)).unwrap();
+        closed.lane_advance(u64::MAX);
+        closed.lane_run_to_completion();
+        assert!(closed
+            .lane_collect()
+            .stats
+            .threads
+            .iter()
+            .any(|t| t.instrs >= cfg.instr_budget));
+        let open_cfg = cfg.clone().with_traffic("poisson:0.001".parse().unwrap());
+        let mut open = Machine::new(&open_cfg, threads(&["mcf", "idct"], 3)).unwrap();
+        open.lane_run_to_completion();
+        assert!(open.lane_is_drained());
+        assert_eq!(open.lane_collect().stats.traffic.completed, 2);
     }
 
     #[test]
