@@ -174,14 +174,15 @@ impl Machine {
                 t
             })
             .collect();
-        events.schedule(cfg.timeslice.max(1), OsEvent::TimesliceExpiry);
+        let timeslice = cfg.timeslice.max(1);
+        events.schedule(timeslice, OsEvent::TimesliceExpiry);
         Machine {
             core: Core::new(cfg),
             pool,
             sched_name: scheduler.name().into(),
             scheduler,
             groups: affinity_groups(&cfg.scheme),
-            timeslice: cfg.timeslice.max(1),
+            timeslice,
             max_cycles: cfg.max_cycles,
             context_switches: 0,
             migrations: 0,
