@@ -300,13 +300,15 @@ mod tests {
     fn fleet_output_is_worker_count_independent() {
         let cache = ImageCache::new();
         let wl = WorkloadRef::from("LLHH");
-        let fleet = FleetSpec::edge();
-        let runs: Vec<String> = [1usize, 2, 4]
-            .iter()
-            .map(|&p| format!("{:?}", run_fleet(&cache, &cfg(), &fleet, &wl, p)))
-            .collect();
-        assert_eq!(runs[0], runs[1], "1 vs 2 workers");
-        assert_eq!(runs[0], runs[2], "1 vs 4 workers");
+        let quad: FleetSpec = "paper-4x4*4".parse().expect("fleet spec");
+        for fleet in [FleetSpec::edge(), quad] {
+            let runs: Vec<String> = [1usize, 2, 4]
+                .iter()
+                .map(|&p| format!("{:?}", run_fleet(&cache, &cfg(), &fleet, &wl, p)))
+                .collect();
+            assert_eq!(runs[0], runs[1], "{fleet}: 1 vs 2 workers");
+            assert_eq!(runs[0], runs[2], "{fleet}: 1 vs 4 workers");
+        }
     }
 
     #[test]
