@@ -1,264 +1,115 @@
-//! Wall-clock comparison of the event-driven fast core against the
-//! cycle-accurate oracle, with a committed snapshot
-//! (`BENCH_event_core.json` at the repo root).
-//!
-//! Unlike the criterion benches, this harness writes its own JSON: the
-//! snapshot is an in-repo record of the fast core's value (the
-//! fast-vs-oracle *speedup ratio* per cell), and CI regenerates it and
-//! fails when the ratio regresses. Ratios are compared rather than
-//! absolute times because the ratio is (approximately) machine-portable
-//! while nanoseconds are not.
-//!
-//! Modes:
-//! * default — measure, print a table, rewrite `BENCH_event_core.json`.
-//! * `BENCH_EVENT_CORE_CHECK=1` — measure, compare each cell's speedup
-//!   against the committed snapshot, exit nonzero if any cell's ratio
-//!   fell below 90% of the committed value (the >10% regression gate) or
-//!   if a memory-bound cell lost its headline ≥5× speedup.
+//! Host speed of the event-driven fast core against the cycle-accurate
+//! oracle (`BENCH_event_core.json`), one [`snapshot`] cell per stall
+//! profile: the oracle/fast speedup, where higher is better.
 //!
 //! Before timing anything, every cell's `RunStats` is asserted
 //! bit-identical between the two cores (`Debug`-string equality over the
-//! full state) — a snapshot comparing two *different* computations would
-//! be meaningless.
+//! full state): a snapshot comparing two *different* computations would be
+//! meaningless.
 
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::Duration;
+use vliw_bench::snapshot::{self, Better};
 use vliw_core::catalog;
 use vliw_sim::runner::{run_mix, ImageCache};
-use vliw_sim::{CoreModel, SimConfig};
+use vliw_sim::{CoreModel, RunStats, SimConfig};
 use vliw_workloads::mixes::mix;
 
 /// 1/200 of the paper's runs: 500k-instruction budget, 5k-cycle quantum.
 const SCALE: u64 = 200;
-/// Timed repetitions per (cell, core); each side's minimum is reported.
-const ITERS: usize = 7;
+/// At 15 reps the far-memory median held inside the recorded band of
+/// every other run; at 7 a slow-memory run fell out of it.
+const REPS: usize = 15;
+/// The headline: at least 5× faster than the oracle on far memory.
+const FAR_CLAIM: f64 = 5.0;
 
-struct Cell {
-    scheme: &'static str,
-    workload: &'static str,
+struct Cell<'a> {
+    cache: &'a ImageCache,
     kind: &'static str,
-    /// Miss penalty in cycles (the paper's baseline is 20 — 50ns DRAM at
-    /// 400MHz; larger values model slower memory, see [`CELLS`]).
-    miss_penalty: u32,
-}
-
-/// The grid: a compute-bound mix (worst case for the event core — near
-/// zero skippable spans, the overhead bound), the paper's LLHH mix, the
-/// memory-bound LLLL mix on a 4-context machine, and LLLL timesliced on
-/// a single context (every miss is an all-stalled span) swept across
-/// miss latency. The paper's 20 cycles is 50ns DRAM on the 400MHz
-/// ST231; 200 models slow/contended memory (500ns); 800 models far
-/// memory (2us — remote/disaggregated). The sweep shows the event
-/// core's advantage scaling with the stall fraction, the regime it
-/// exists for: at 2us nearly every cycle is skippable idle span.
-const CELLS: &[Cell] = &[
-    Cell {
-        scheme: "3SSS",
-        workload: "HHHH",
-        kind: "compute-bound",
-        miss_penalty: 20,
-    },
-    Cell {
-        scheme: "3SSS",
-        workload: "LLHH",
-        kind: "mixed",
-        miss_penalty: 20,
-    },
-    Cell {
-        scheme: "3SSS",
-        workload: "LLLL",
-        kind: "memory-bound",
-        miss_penalty: 20,
-    },
-    Cell {
-        scheme: "ST",
-        workload: "LLLL",
-        kind: "memory-bound-1ctx",
-        miss_penalty: 20,
-    },
-    Cell {
-        scheme: "ST",
-        workload: "LLLL",
-        kind: "memory-bound-slowmem",
-        miss_penalty: 200,
-    },
-    Cell {
-        scheme: "ST",
-        workload: "LLLL",
-        kind: "memory-bound-far",
-        miss_penalty: 800,
-    },
-];
-
-struct Measured {
-    scheme: &'static str,
     workload: &'static str,
-    kind: &'static str,
-    cycles: u64,
-    oracle_ms: f64,
-    fast_ms: f64,
-    speedup: f64,
+    claim: Option<f64>,
+    /// The oracle's config, then the fast core's.
+    cfgs: [SimConfig; 2],
 }
 
-fn config(cell: &Cell, model: CoreModel) -> SimConfig {
-    let mut cfg =
-        SimConfig::paper(catalog::by_name(cell.scheme).unwrap(), SCALE).with_core_model(model);
-    cfg.mem.icache.miss_penalty = cell.miss_penalty;
-    cfg.mem.dcache.miss_penalty = cell.miss_penalty;
-    cfg
-}
-
-fn time_once(cache: &ImageCache, cfg: &SimConfig, workload: &str) -> f64 {
-    let m = mix(workload).unwrap();
-    let t0 = Instant::now();
-    let r = run_mix(cache, cfg, m).unwrap();
-    let dt = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(r.stats.cycles > 0);
-    dt
-}
-
-/// Time both cores on one cell, interleaved oracle/fast per iteration so
-/// machine noise (frequency drift, neighbour load) lands on both sides
-/// rather than biasing whichever block ran second. Each side reports its
-/// *minimum* — the least-interference estimate, far more stable across
-/// runs than the median on a shared machine: `(oracle_ms, fast_ms)`.
-fn measure_pair(cache: &ImageCache, cell: &Cell) -> (f64, f64) {
-    let oracle_cfg = config(cell, CoreModel::CycleAccurate);
-    let fast_cfg = config(cell, CoreModel::EventDriven);
-    let mut oracle = f64::INFINITY;
-    let mut fast = f64::INFINITY;
-    for _ in 0..ITERS {
-        oracle = oracle.min(time_once(cache, &oracle_cfg, cell.workload));
-        fast = fast.min(time_once(cache, &fast_cfg, cell.workload));
+impl<'a> Cell<'a> {
+    /// `scheme` on `workload` with both caches' miss penalty at
+    /// `miss_penalty` cycles (the paper's is 20: 50ns DRAM at 400MHz).
+    fn new(
+        cache: &'a ImageCache,
+        kind: &'static str,
+        scheme: &str,
+        workload: &'static str,
+        miss_penalty: u32,
+    ) -> Self {
+        let cfgs = [CoreModel::CycleAccurate, CoreModel::EventDriven].map(|model| {
+            let mut cfg =
+                SimConfig::paper(catalog::by_name(scheme).unwrap(), SCALE).with_core_model(model);
+            cfg.mem.icache.miss_penalty = miss_penalty;
+            cfg.mem.dcache.miss_penalty = miss_penalty;
+            cfg
+        });
+        Cell {
+            cache,
+            kind,
+            workload,
+            claim: None,
+            cfgs,
+        }
     }
-    (oracle, fast)
-}
 
-fn snapshot_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_event_core.json")
-}
-
-fn render_json(cells: &[Measured]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"event_core\",\n");
-    s.push_str(&format!("  \"scale\": {SCALE},\n"));
-    s.push_str(&format!("  \"iters\": {ITERS},\n"));
-    s.push_str("  \"note\": \"oracle_ms/fast_ms are machine-specific; CI compares only the speedup ratio\",\n");
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scheme\":\"{}\",\"workload\":\"{}\",\"kind\":\"{}\",\"cycles\":{},\"oracle_ms\":{:.2},\"fast_ms\":{:.2},\"speedup\":{:.2}}}{}\n",
-            c.scheme,
-            c.workload,
-            c.kind,
-            c.cycles,
-            c.oracle_ms,
-            c.fast_ms,
-            c.speedup,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
+    fn run(&self, side: usize) -> RunStats {
+        let r = run_mix(self.cache, &self.cfgs[side], mix(self.workload).unwrap()).unwrap();
+        assert!(r.stats.cycles > 0);
+        r.stats
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
-/// Pull `"speedup":<x>` off the committed snapshot line for a cell.
-/// `kind` is part of the key: the same scheme/workload pair appears at
-/// several miss penalties.
-fn committed_speedup(snapshot: &str, scheme: &str, workload: &str, kind: &str) -> Option<f64> {
-    let key = format!("\"scheme\":\"{scheme}\",\"workload\":\"{workload}\",\"kind\":\"{kind}\"");
-    let line = snapshot.lines().find(|l| l.contains(&key))?;
-    let rest = line.split("\"speedup\":").nth(1)?;
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+impl snapshot::Cell for Cell<'_> {
+    fn name(&self) -> &str {
+        self.kind
+    }
+    fn sides(&self) -> [&str; 2] {
+        ["oracle", "fast"]
+    }
+    fn better(&self) -> Better {
+        Better::Higher
+    }
+    fn claim(&self) -> Option<f64> {
+        self.claim
+    }
+    fn rep(&mut self, first: usize) -> [Duration; 2] {
+        snapshot::time_sides(first, |side| self.run(side))
+    }
 }
 
 fn main() {
-    let check = std::env::var("BENCH_EVENT_CORE_CHECK").is_ok_and(|v| v == "1");
     let cache = ImageCache::new();
-
-    // Equivalence smoke first: the snapshot must compare two runs of the
-    // SAME computation.
-    for cell in CELLS {
-        let m = mix(cell.workload).unwrap();
-        let oracle = run_mix(&cache, &config(cell, CoreModel::CycleAccurate), m).unwrap();
-        let fast = run_mix(&cache, &config(cell, CoreModel::EventDriven), m).unwrap();
+    // A compute-bound mix (worst case for the event core: almost no
+    // skippable span, the overhead bound), the paper's LLHH mix, the
+    // memory-bound LLLL mix on a 4-context machine, and LLLL timesliced on
+    // one context (every miss is an all-stalled span) at 20-, 200- (500ns,
+    // slow or contended memory) and 800-cycle (2us, far or disaggregated
+    // memory) misses: the event core's advantage grows with the stall
+    // fraction, the regime it exists for.
+    let mut cells = [
+        Cell::new(&cache, "compute-bound", "3SSS", "HHHH", 20),
+        Cell::new(&cache, "mixed", "3SSS", "LLHH", 20),
+        Cell::new(&cache, "memory-bound", "3SSS", "LLLL", 20),
+        Cell::new(&cache, "memory-bound-1ctx", "ST", "LLLL", 20),
+        Cell::new(&cache, "memory-bound-slowmem", "ST", "LLLL", 200),
+        Cell {
+            claim: Some(FAR_CLAIM),
+            ..Cell::new(&cache, "memory-bound-far", "ST", "LLLL", 800)
+        },
+    ];
+    for cell in &cells {
         assert_eq!(
-            format!("{:?}", oracle.stats),
-            format!("{:?}", fast.stats),
+            format!("{:?}", cell.run(0)),
+            format!("{:?}", cell.run(1)),
             "{}/{}: cores diverged — fix equivalence before benchmarking",
-            cell.scheme,
+            cell.kind,
             cell.workload
         );
     }
-
-    let mut measured = Vec::new();
-    for cell in CELLS {
-        let fast_cfg = config(cell, CoreModel::EventDriven);
-        let cycles = run_mix(&cache, &fast_cfg, mix(cell.workload).unwrap())
-            .unwrap()
-            .stats
-            .cycles;
-        let (oracle_ms, fast_ms) = measure_pair(&cache, cell);
-        let speedup = oracle_ms / fast_ms;
-        println!(
-            "event_core/{}_{} ({}): {} cycles, oracle {:.2} ms, fast {:.2} ms, speedup {:.2}x",
-            cell.scheme, cell.workload, cell.kind, cycles, oracle_ms, fast_ms, speedup
-        );
-        measured.push(Measured {
-            scheme: cell.scheme,
-            workload: cell.workload,
-            kind: cell.kind,
-            cycles,
-            oracle_ms,
-            fast_ms,
-            speedup,
-        });
-    }
-
-    if check {
-        let snapshot = std::fs::read_to_string(snapshot_path())
-            .expect("BENCH_event_core.json missing — run the bench once without check mode");
-        let mut failed = false;
-        for c in &measured {
-            let committed = committed_speedup(&snapshot, c.scheme, c.workload, c.kind)
-                .unwrap_or_else(|| panic!("{}/{} missing from snapshot", c.scheme, c.workload));
-            // >10% relative regression fails; the extra 0.2x absolute
-            // allowance keeps the near-1x cells (whose run-to-run ratio
-            // noise exceeds 10%) from flaking while still catching a
-            // real slowdown of the fast core.
-            let floor = committed - (committed * 0.1).max(0.2);
-            let ok = c.speedup >= floor;
-            println!(
-                "check {}/{}: measured {:.2}x vs committed {:.2}x (floor {:.2}x) — {}",
-                c.scheme,
-                c.workload,
-                c.speedup,
-                committed,
-                floor,
-                if ok { "ok" } else { "REGRESSION" }
-            );
-            failed |= !ok;
-            // The headline claim is load-bearing: a memory-bound cell
-            // must keep its >=5x speedup regardless of the snapshot.
-            if c.kind.starts_with("memory-bound") && committed >= 5.0 && c.speedup < 5.0 {
-                println!(
-                    "check {}/{}: memory-bound speedup {:.2}x fell below the 5x headline",
-                    c.scheme, c.workload, c.speedup
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            eprintln!("event_core: fast core regressed >10% against BENCH_event_core.json");
-            std::process::exit(1);
-        }
-    } else {
-        let json = render_json(&measured);
-        std::fs::write(snapshot_path(), &json).expect("write BENCH_event_core.json");
-        println!("wrote {}", snapshot_path().display());
-    }
+    snapshot::run("event_core", REPS, &mut cells);
 }

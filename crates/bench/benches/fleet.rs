@@ -1,217 +1,78 @@
-//! Wall-clock cost of fleet-scale simulation, with a committed snapshot
-//! (`BENCH_fleet.json` at the repo root) extending the perf trajectory of
-//! `BENCH_event_core.json` / `BENCH_traffic.json`.
+//! Host cost of the fleet dispatch layer (`BENCH_fleet.json`), one
+//! [`snapshot`] cell: a singleton fleet (`paper-4x4`) against the open
+//! `run_mix` of the same machine under the same arrival stream, the
+//! fleet/open ratio, where lower is better. The fleet side adds lane
+//! bookkeeping, lockstep advances, one routing decision per arrival and
+//! the stats merge.
 //!
-//! Two families of cells:
-//!
-//! * `dispatch-overhead` — a *singleton* fleet (`paper-4x4`) vs the
-//!   identical open-system `run_mix` on the same machine under the same
-//!   arrival stream: the cost of the dispatch layer itself (lane
-//!   bookkeeping, lockstep advances, the routing step, stats merging).
-//!   The *ratio* (`fleet_ms / open_ms`) is (approximately)
-//!   machine-portable; CI regenerates it and fails when it regresses.
-//! * `scaling` — the 12-job stream on `paper-4x4*4` driven with 1, 2 and
-//!   4 rayon workers. Absolute ms and the speedup-vs-1-worker ratios are
-//!   machine-specific and recorded for the trajectory only; what IS
-//!   asserted (always, in both modes) is that the merged `RunStats` are
-//!   bit-identical across worker counts — the determinism contract that
-//!   makes the parallelism safe to use anywhere.
-//!
-//! Modes:
-//! * default — measure, print a table, rewrite `BENCH_fleet.json`.
-//! * `BENCH_FLEET_CHECK=1` — measure, compare each dispatch-overhead
-//!   cell's ratio against the committed snapshot, exit nonzero if any
-//!   grew past the committed value by more than 10% (with a 0.2x
-//!   absolute allowance for run-to-run noise on near-1x cells).
+//! Before timing, both runs must conserve their jobs.
 
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::Duration;
+use vliw_bench::snapshot::{self, Better};
 use vliw_core::catalog;
-use vliw_sim::experiments::traffic_workload;
 use vliw_sim::plan::WorkloadRef;
 use vliw_sim::runner::{run_mix, ImageCache};
-use vliw_sim::{run_fleet, FleetSpec, SimConfig};
+use vliw_sim::{run_fleet, FleetSpec, RunStats, SimConfig};
 use vliw_workloads::mixes::mix;
 
-/// 1/200 of the paper's runs (matches `BENCH_traffic.json`).
+/// 1/200 of the paper's runs (as in `BENCH_traffic.json`).
 const SCALE: u64 = 200;
-/// Timed repetitions per cell; each side's minimum is reported.
-const ITERS: usize = 7;
-/// The headline hybrid drives every cell.
-const SCHEME: &str = "2SC3";
-/// Arrival stream for every cell: saturating, so lanes stay busy and the
-/// scaling cells measure simulation work, not idle lockstep advances.
-const ARRIVALS: &str = "poisson:0.0005";
-/// Worker counts of the scaling family (1 is the baseline).
-const WORKERS: [usize; 3] = [1, 2, 4];
+const REPS: usize = 15;
 
-struct OverheadMeasured {
-    fleet: &'static str,
-    open_cycles: u64,
-    fleet_cycles: u64,
-    open_ms: f64,
-    fleet_ms: f64,
-    overhead: f64,
+struct Cell {
+    cache: ImageCache,
+    cfg: SimConfig,
+    fleet: FleetSpec,
+    workload: WorkloadRef,
 }
 
-struct ScalingMeasured {
-    workers: usize,
-    ms: f64,
-    speedup: f64,
-}
-
-fn config() -> SimConfig {
-    SimConfig::paper(catalog::by_name(SCHEME).unwrap(), SCALE)
-        .with_traffic(ARRIVALS.parse().unwrap())
-}
-
-fn snapshot_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fleet.json")
-}
-
-fn render_json(cell: &OverheadMeasured, scaling: &[ScalingMeasured]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"fleet\",\n");
-    s.push_str(&format!("  \"scale\": {SCALE},\n"));
-    s.push_str(&format!("  \"iters\": {ITERS},\n"));
-    s.push_str("  \"note\": \"*_ms/speedup are machine-specific; CI compares only the fleet/open dispatch-overhead ratio\",\n");
-    s.push_str("  \"cells\": [\n");
-    s.push_str(&format!(
-        "    {{\"fleet\":\"{}\",\"kind\":\"dispatch-overhead\",\"open_cycles\":{},\"fleet_cycles\":{},\"open_ms\":{:.2},\"fleet_ms\":{:.2},\"overhead\":{:.2}}}\n",
-        cell.fleet, cell.open_cycles, cell.fleet_cycles, cell.open_ms, cell.fleet_ms, cell.overhead,
-    ));
-    s.push_str("  ],\n");
-    s.push_str("  \"scaling\": [\n");
-    for (i, m) in scaling.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"fleet\":\"paper-4x4*4\",\"workers\":{},\"ms\":{:.2},\"speedup\":{:.2}}}{}\n",
-            m.workers,
-            m.ms,
-            m.speedup,
-            if i + 1 == scaling.len() { "" } else { "," },
-        ));
+impl Cell {
+    /// The fleet run, then the open run.
+    fn run(&self, side: usize) -> RunStats {
+        let stats = match side {
+            0 => run_fleet(&self.cache, &self.cfg, &self.fleet, &self.workload, 1),
+            _ => {
+                run_mix(&self.cache, &self.cfg, mix("LLHH").unwrap())
+                    .unwrap()
+                    .stats
+            }
+        };
+        assert!(stats.cycles > 0);
+        stats
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
-/// Pull `"overhead":<x>` off the committed snapshot's dispatch cell line.
-fn committed_overhead(snapshot: &str) -> Option<f64> {
-    let line = snapshot
-        .lines()
-        .find(|l| l.contains("\"kind\":\"dispatch-overhead\""))?;
-    let rest = line.split("\"overhead\":").nth(1)?;
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+impl snapshot::Cell for Cell {
+    fn name(&self) -> &str {
+        "paper-4x4"
+    }
+    fn sides(&self) -> [&str; 2] {
+        ["fleet", "open"]
+    }
+    fn better(&self) -> Better {
+        Better::Lower
+    }
+    fn rep(&mut self, first: usize) -> [Duration; 2] {
+        snapshot::time_sides(first, |side| self.run(side))
+    }
 }
 
 fn main() {
-    let check = std::env::var("BENCH_FLEET_CHECK").is_ok_and(|v| v == "1");
-    let cache = ImageCache::new();
-    let cfg = config();
-
-    // ---- dispatch-overhead: singleton fleet vs the bare open run -------
-    // Same machine, same 4-job mix, same arrival stream; the fleet path
-    // adds lane bookkeeping, one routing decision per arrival and the
-    // stats merge. Interleave the sides so machine noise lands on both.
-    let singleton: FleetSpec = "paper-4x4".parse().unwrap();
-    let llhh = WorkloadRef::from("LLHH");
-    let m = mix("LLHH").unwrap();
-    let open_stats = run_mix(&cache, &cfg, m).unwrap().stats;
-    let fleet_stats = run_fleet(&cache, &cfg, &singleton, &llhh, 1);
-    for (label, t) in [
-        ("open", &open_stats.traffic),
-        ("fleet", &fleet_stats.traffic),
-    ] {
+    // The headline hybrid under a saturating stream, so the lane stays busy.
+    let mut cell = Cell {
+        cache: ImageCache::new(),
+        cfg: SimConfig::paper(catalog::by_name("2SC3").unwrap(), SCALE)
+            .with_traffic("poisson:0.0005".parse().unwrap()),
+        fleet: "paper-4x4".parse().unwrap(),
+        workload: WorkloadRef::from("LLHH"),
+    };
+    for (label, side) in [("fleet", 0), ("open", 1)] {
+        let t = cell.run(side).traffic;
         assert_eq!(
             t.completed + t.shed,
             t.offered,
             "{label}: lifecycle accounting leaked a job"
         );
     }
-    let (mut open_ms, mut fleet_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..ITERS {
-        let t0 = Instant::now();
-        let r = run_mix(&cache, &cfg, m).unwrap();
-        open_ms = open_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        assert!(r.stats.cycles > 0);
-        let t0 = Instant::now();
-        let s = run_fleet(&cache, &cfg, &singleton, &llhh, 1);
-        fleet_ms = fleet_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        assert!(s.cycles > 0);
-    }
-    let cell = OverheadMeasured {
-        fleet: "paper-4x4",
-        open_cycles: open_stats.cycles,
-        fleet_cycles: fleet_stats.cycles,
-        open_ms,
-        fleet_ms,
-        overhead: fleet_ms / open_ms,
-    };
-    println!(
-        "fleet/dispatch-overhead paper-4x4: open {} cy / {:.2} ms, fleet {} cy / {:.2} ms, overhead {:.2}x",
-        cell.open_cycles, cell.open_ms, cell.fleet_cycles, cell.fleet_ms, cell.overhead
-    );
-
-    // ---- scaling: 12 jobs on 4 machines, 1/2/4 rayon workers -----------
-    let quad: FleetSpec = "paper-4x4*4".parse().unwrap();
-    let stream = traffic_workload();
-    let baseline = run_fleet(&cache, &cfg, &quad, &stream, 1);
-    let mut scaling = Vec::new();
-    let mut ms1 = f64::NAN;
-    for workers in WORKERS {
-        let stats = run_fleet(&cache, &cfg, &quad, &stream, workers);
-        assert_eq!(
-            format!("{:?}", stats),
-            format!("{:?}", baseline),
-            "{workers} workers: fleet run must be worker-count independent"
-        );
-        let mut best = f64::INFINITY;
-        for _ in 0..ITERS {
-            let t0 = Instant::now();
-            let s = run_fleet(&cache, &cfg, &quad, &stream, workers);
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            assert!(s.cycles > 0);
-        }
-        if workers == 1 {
-            ms1 = best;
-        }
-        let speedup = ms1 / best;
-        println!("fleet/scaling paper-4x4*4 x{workers} workers: {best:.2} ms ({speedup:.2}x vs 1)");
-        scaling.push(ScalingMeasured {
-            workers,
-            ms: best,
-            speedup,
-        });
-    }
-
-    if check {
-        let snapshot = std::fs::read_to_string(snapshot_path())
-            .expect("BENCH_fleet.json missing — run the bench once without check mode");
-        let committed =
-            committed_overhead(&snapshot).expect("dispatch-overhead cell missing from snapshot");
-        // Overhead growing >10% past the committed ratio fails; the 0.2x
-        // absolute allowance keeps this near-1x cell (whose run-to-run
-        // ratio noise exceeds 10%) from flaking.
-        let ceiling = committed + (committed * 0.1).max(0.2);
-        let ok = cell.overhead <= ceiling;
-        println!(
-            "check dispatch-overhead: measured {:.2}x vs committed {:.2}x (ceiling {:.2}x) — {}",
-            cell.overhead,
-            committed,
-            ceiling,
-            if ok { "ok" } else { "REGRESSION" }
-        );
-        if !ok {
-            eprintln!("fleet: dispatch overhead regressed >10% against BENCH_fleet.json");
-            std::process::exit(1);
-        }
-    } else {
-        let json = render_json(&cell, &scaling);
-        std::fs::write(snapshot_path(), &json).expect("write BENCH_fleet.json");
-        println!("wrote {}", snapshot_path().display());
-    }
+    snapshot::run("fleet", REPS, std::slice::from_mut(&mut cell));
 }

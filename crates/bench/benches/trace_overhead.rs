@@ -1,19 +1,16 @@
-//! Tracing-overhead benchmarks: the cost of the enabled trace sinks.
+//! Host cost of the enabled trace sinks (`BENCH_trace_overhead.json`), one
+//! [`snapshot`] cell per sink: a 4-thread SMT run on the LLHH mix into a
+//! `RecordingSink` or a 4k-event `RingSink` against the same run into
+//! `NullSink`, the sink/null ratio, where lower is better.
 //!
-//! Three variants of the same end-to-end machine run (4-thread SMT on the
-//! LLHH mix, short budget):
-//!
-//! * `null_sink` — `Machine::run_traced(&mut NullSink)`, the generic hot
-//!   loop monomorphized with the disabled sink. `Machine::run` is this
-//!   very call, so it is the untraced baseline. The
-//!   `TraceSink::ENABLED` associated constant makes every emission guard
-//!   `if false`;
-//! * `recording_sink` / `ring_sink_4k` — the enabled paths; their overhead
-//!   is the cost of building + storing events and must stay bounded (well
-//!   under ~3x the untraced run per cycle, dominated by the Vec pushes).
+//! `Machine::run` is `run_traced(&mut NullSink)`, whose
+//! `TraceSink::ENABLED` constant turns every emission guard into
+//! `if false`, so the null side is the untraced run. The enabled sides pay
+//! for building and storing events.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
+use std::time::Duration;
+use vliw_bench::snapshot::{self, Better};
 use vliw_core::catalog;
 use vliw_isa::MachineConfig;
 use vliw_sim::os::Machine;
@@ -21,65 +18,80 @@ use vliw_sim::thread::{ProgramMeta, SoftThread};
 use vliw_sim::SimConfig;
 use vliw_trace::{NullSink, RecordingSink, RingSink};
 
-/// Pre-compiled thread images, shared across iterations so the measured
-/// loop is the simulation itself, not benchmark compilation.
+const REPS: usize = 31;
+
+/// Pre-compiled thread images, shared by every run so the timed work is
+/// the simulation itself, not benchmark compilation.
 struct Workload {
+    cfg: SimConfig,
     images: Vec<(vliw_workloads::BenchmarkImage, Arc<ProgramMeta>)>,
 }
 
 impl Workload {
-    fn new() -> Self {
-        let machine = MachineConfig::paper_baseline();
-        Workload {
-            images: ["mcf", "blowfish", "x264", "idct"]
-                .iter()
-                .map(|name| {
-                    let img = vliw_workloads::build_named(name, &machine).unwrap();
-                    let meta = Arc::new(ProgramMeta::of(&img));
-                    (img, meta)
-                })
-                .collect(),
-        }
-    }
-
-    /// One fresh machine per iteration: runs are consumed by `run*`.
-    fn machine(&self, cfg: &SimConfig) -> Machine {
+    /// A fresh machine per run: runs consume it.
+    fn machine(&self) -> Machine {
         let threads: Vec<SoftThread> = self
             .images
             .iter()
             .enumerate()
-            .map(|(tid, (img, meta))| SoftThread::new(img, meta.clone(), tid as u64, cfg.seed))
+            .map(|(tid, (img, meta))| SoftThread::new(img, meta.clone(), tid as u64, self.cfg.seed))
             .collect();
-        Machine::new(cfg, threads).expect("non-empty workload")
+        Machine::new(&self.cfg, threads).expect("non-empty workload")
     }
 }
 
-fn bench_trace_overhead(c: &mut Criterion) {
-    // 1/10_000 of the paper's budget: ~10k retired instructions per run,
-    // long enough to exercise stalls, misses and quantum expiries.
-    let cfg = SimConfig::paper(catalog::smt_cascade(4), 10_000);
-    let w = Workload::new();
-    let mut group = c.benchmark_group("trace_overhead");
-    group.sample_size(12);
-    group.bench_function("null_sink", |b| {
-        b.iter(|| black_box(w.machine(&cfg).run_traced(&mut NullSink)))
-    });
-    group.bench_function("recording_sink", |b| {
-        b.iter(|| {
-            let mut sink = RecordingSink::new();
-            let stats = w.machine(&cfg).run_traced(&mut sink);
-            black_box((stats, sink.len()))
-        })
-    });
-    group.bench_function("ring_sink_4k", |b| {
-        b.iter(|| {
-            let mut sink = RingSink::new(4096);
-            let stats = w.machine(&cfg).run_traced(&mut sink);
-            black_box((stats, sink.dropped()))
-        })
-    });
-    group.finish();
+struct Cell<'a> {
+    workload: &'a Workload,
+    /// The enabled sink's name: "recording" or "ring".
+    sink: &'static str,
 }
 
-criterion_group!(benches, bench_trace_overhead);
-criterion_main!(benches);
+impl snapshot::Cell for Cell<'_> {
+    fn name(&self) -> &str {
+        self.sink
+    }
+    fn sides(&self) -> [&str; 2] {
+        [self.sink, "null"]
+    }
+    fn better(&self) -> Better {
+        Better::Lower
+    }
+    fn rep(&mut self, first: usize) -> [Duration; 2] {
+        snapshot::time_sides(first, |side| {
+            let machine = self.workload.machine();
+            match (side, self.sink) {
+                (1, _) => (machine.run_traced(&mut NullSink), 0),
+                (_, "recording") => {
+                    let mut sink = RecordingSink::new();
+                    (machine.run_traced(&mut sink), sink.len())
+                }
+                _ => {
+                    let mut sink = RingSink::new(4096);
+                    (machine.run_traced(&mut sink), sink.len())
+                }
+            }
+        })
+    }
+}
+
+fn main() {
+    let machine = MachineConfig::paper_baseline();
+    let workload = Workload {
+        // 1/10_000 of the paper's budget: ~10k retired instructions per
+        // run, long enough to exercise stalls, misses and quantum expiries.
+        cfg: SimConfig::paper(catalog::smt_cascade(4), 10_000),
+        images: ["mcf", "blowfish", "x264", "idct"]
+            .iter()
+            .map(|name| {
+                let img = vliw_workloads::build_named(name, &machine).unwrap();
+                let meta = Arc::new(ProgramMeta::of(&img));
+                (img, meta)
+            })
+            .collect(),
+    };
+    let mut cells = ["recording", "ring"].map(|sink| Cell {
+        workload: &workload,
+        sink,
+    });
+    snapshot::run("trace_overhead", REPS, &mut cells);
+}

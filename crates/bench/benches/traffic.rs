@@ -1,308 +1,95 @@
-//! Wall-clock cost of open-system mode, with a committed snapshot
-//! (`BENCH_traffic.json` at the repo root) extending the perf trajectory
-//! started by `BENCH_event_core.json`.
-//!
-//! Two families of cells:
-//!
-//! * `arrivals` — raw arrival-stream generation throughput
-//!   ([`ArrivalProcess::take_cycles`]) for each process family. Absolute
-//!   ns/arrival is machine-specific and recorded for the trajectory only;
-//!   CI does not gate on it.
-//! * `open-overhead` — end-to-end `run_mix` with an arrival process vs
-//!   the identical closed run: the cost of the OS-level event queue,
-//!   admission bookkeeping and lifecycle stamps. The *ratio*
-//!   (`open_ms / closed_ms`) is (approximately) machine-portable, and CI
-//!   regenerates it and fails when it regresses. The saturating cell
-//!   (every job arrives almost immediately, so the open run does the same
-//!   simulation work as the closed one) is the pure-overhead bound; the
-//!   queueing cell also pays for the idle spans before arrivals, which
-//!   the event core skips.
-//!
-//! Modes:
-//! * default — measure, print a table, rewrite `BENCH_traffic.json`.
-//! * `BENCH_TRAFFIC_CHECK=1` — measure, compare each open-overhead
-//!   cell's ratio against the committed snapshot, exit nonzero if any
-//!   grew past the committed value by more than 10% (with a 0.2x
-//!   absolute allowance for run-to-run noise on near-1x cells).
+//! Host cost of open-system mode (`BENCH_traffic.json`), one [`snapshot`]
+//! cell per arrival process: `run_mix` under the process against the same
+//! closed run, the open/closed ratio, where lower is better. The open side
+//! pays for the OS event queue, admission bookkeeping and lifecycle
+//! stamps.
 //!
 //! Before timing anything, an explicit `closed` spec is asserted
-//! bit-identical to the default closed run — open mode must cost nothing
-//! when it is not used, or the baseline side of the ratio is wrong.
+//! bit-identical to the default closed run (open mode must cost nothing
+//! when it is not used, or the baseline side of the ratio is wrong), and
+//! every open run must conserve its jobs.
 
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::Duration;
+use vliw_bench::snapshot::{self, Better};
 use vliw_core::catalog;
 use vliw_sim::runner::{run_mix, ImageCache};
-use vliw_sim::SimConfig;
-use vliw_traffic::{ArrivalProcess, TrafficSpec};
+use vliw_sim::{RunStats, SimConfig};
+use vliw_traffic::TrafficSpec;
 use vliw_workloads::mixes::mix;
 
 /// 1/200 of the paper's runs: 500k-instruction budget, 5k-cycle quantum.
 const SCALE: u64 = 200;
-/// Timed repetitions per cell; each side's minimum is reported.
-const ITERS: usize = 7;
-/// Arrivals generated per timing iteration of an `arrivals` cell.
-const GEN_ARRIVALS: usize = 1 << 18;
-/// Seed for the generation cells (any fixed value works; the stream is
-/// deterministic in (spec, seed)).
-const GEN_SEED: u64 = 0x5EED;
+const REPS: usize = 15;
+/// The paper's LLHH mix drives every cell.
+const WORKLOAD: &str = "LLHH";
 
-/// The generation ladder: one spec per process family, at rates near the
-/// exhibit's load ladder.
-const GEN_SPECS: &[&str] = &["poisson:0.02", "bursty:0.01:4:4", "diurnal:0.01:3:20000"];
-
-struct OverheadCell {
-    scheme: &'static str,
-    workload: &'static str,
-    spec: &'static str,
+struct Cell<'a> {
+    cache: &'a ImageCache,
     kind: &'static str,
+    /// The open run's config, then the closed one's.
+    cfgs: [SimConfig; 2],
 }
 
-/// The overhead grid: the saturating cell bounds pure bookkeeping cost
-/// (arrivals land faster than the machine drains, so the simulated work
-/// matches the closed run), the queueing cells add real admission-queue
-/// churn under the paper's LLHH mix on both a 4-context machine and
-/// timesliced ST, and the bursty cell exercises the burst fast-path in
-/// the generator.
-const OVERHEAD_CELLS: &[OverheadCell] = &[
-    OverheadCell {
-        scheme: "3SSS",
-        workload: "LLHH",
-        spec: "poisson:0.5",
-        kind: "saturating",
-    },
-    OverheadCell {
-        scheme: "3SSS",
-        workload: "LLHH",
-        spec: "poisson:0.0005",
-        kind: "queueing",
-    },
-    OverheadCell {
-        scheme: "ST",
-        workload: "LLHH",
-        spec: "bursty:0.0005:4:4",
-        kind: "queueing-1ctx",
-    },
-];
+impl<'a> Cell<'a> {
+    fn new(cache: &'a ImageCache, kind: &'static str, scheme: &str, spec: &str) -> Self {
+        let closed = SimConfig::paper(catalog::by_name(scheme).unwrap(), SCALE);
+        let open = closed.clone().with_traffic(spec.parse().unwrap());
+        Cell {
+            cache,
+            kind,
+            cfgs: [open, closed],
+        }
+    }
 
-struct GenMeasured {
-    spec: &'static str,
-    gen_ms: f64,
-    ns_per_arrival: f64,
-}
-
-struct OverheadMeasured {
-    scheme: &'static str,
-    workload: &'static str,
-    spec: &'static str,
-    kind: &'static str,
-    closed_cycles: u64,
-    open_cycles: u64,
-    closed_ms: f64,
-    open_ms: f64,
-    overhead: f64,
-}
-
-fn config(scheme: &str, traffic: Option<TrafficSpec>) -> SimConfig {
-    let cfg = SimConfig::paper(catalog::by_name(scheme).unwrap(), SCALE);
-    match traffic {
-        Some(t) => cfg.with_traffic(t),
-        None => cfg,
+    fn run(&self, cfg: &SimConfig) -> RunStats {
+        let r = run_mix(self.cache, cfg, mix(WORKLOAD).unwrap()).unwrap();
+        assert!(r.stats.cycles > 0);
+        r.stats
     }
 }
 
-fn time_once(cache: &ImageCache, cfg: &SimConfig, workload: &str) -> f64 {
-    let m = mix(workload).unwrap();
-    let t0 = Instant::now();
-    let r = run_mix(cache, cfg, m).unwrap();
-    let dt = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(r.stats.cycles > 0);
-    dt
-}
-
-/// Time the closed baseline and the open run interleaved per iteration so
-/// machine noise lands on both sides rather than biasing whichever block
-/// ran second; each side reports its minimum: `(closed_ms, open_ms)`.
-fn measure_pair(cache: &ImageCache, cell: &OverheadCell) -> (f64, f64) {
-    let spec: TrafficSpec = cell.spec.parse().unwrap();
-    let closed_cfg = config(cell.scheme, None);
-    let open_cfg = config(cell.scheme, Some(spec));
-    let mut closed = f64::INFINITY;
-    let mut open = f64::INFINITY;
-    for _ in 0..ITERS {
-        closed = closed.min(time_once(cache, &closed_cfg, cell.workload));
-        open = open.min(time_once(cache, &open_cfg, cell.workload));
+impl snapshot::Cell for Cell<'_> {
+    fn name(&self) -> &str {
+        self.kind
     }
-    (closed, open)
-}
-
-fn snapshot_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_traffic.json")
-}
-
-fn render_json(gen: &[GenMeasured], cells: &[OverheadMeasured]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"traffic\",\n");
-    s.push_str(&format!("  \"scale\": {SCALE},\n"));
-    s.push_str(&format!("  \"iters\": {ITERS},\n"));
-    s.push_str("  \"note\": \"*_ms/ns_per_arrival are machine-specific; CI compares only the open/closed overhead ratio\",\n");
-    s.push_str("  \"arrivals\": [\n");
-    for (i, g) in gen.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"spec\":\"{}\",\"arrivals\":{},\"gen_ms\":{:.2},\"ns_per_arrival\":{:.1}}}{}\n",
-            g.spec,
-            GEN_ARRIVALS,
-            g.gen_ms,
-            g.ns_per_arrival,
-            if i + 1 == gen.len() { "" } else { "," },
-        ));
+    fn sides(&self) -> [&str; 2] {
+        ["open", "closed"]
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scheme\":\"{}\",\"workload\":\"{}\",\"spec\":\"{}\",\"kind\":\"{}\",\"closed_cycles\":{},\"open_cycles\":{},\"closed_ms\":{:.2},\"open_ms\":{:.2},\"overhead\":{:.2}}}{}\n",
-            c.scheme,
-            c.workload,
-            c.spec,
-            c.kind,
-            c.closed_cycles,
-            c.open_cycles,
-            c.closed_ms,
-            c.open_ms,
-            c.overhead,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
+    fn better(&self) -> Better {
+        Better::Lower
     }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Pull `"overhead":<x>` off the committed snapshot line for a cell.
-fn committed_overhead(snapshot: &str, scheme: &str, spec: &str, kind: &str) -> Option<f64> {
-    let key = format!(
-        "\"scheme\":\"{scheme}\",\"workload\":\"LLHH\",\"spec\":\"{spec}\",\"kind\":\"{kind}\""
-    );
-    let line = snapshot.lines().find(|l| l.contains(&key))?;
-    let rest = line.split("\"overhead\":").nth(1)?;
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    fn rep(&mut self, first: usize) -> [Duration; 2] {
+        snapshot::time_sides(first, |side| self.run(&self.cfgs[side]))
+    }
 }
 
 fn main() {
-    let check = std::env::var("BENCH_TRAFFIC_CHECK").is_ok_and(|v| v == "1");
     let cache = ImageCache::new();
-
-    // Baseline smoke first: an explicit `closed` spec must be the default
-    // closed run bit-for-bit, or the denominator of every ratio is wrong.
-    for cell in OVERHEAD_CELLS {
-        let m = mix(cell.workload).unwrap();
-        let closed = run_mix(&cache, &config(cell.scheme, None), m).unwrap();
-        let explicit = run_mix(&cache, &config(cell.scheme, Some(TrafficSpec::Closed)), m).unwrap();
+    // Saturating: arrivals land faster than the machine drains, so the open
+    // run does the closed run's work and the ratio bounds pure bookkeeping.
+    // The queueing cells add admission-queue churn and the idle spans before
+    // arrivals, on a 4-context machine and on timesliced ST, and the bursty
+    // cell exercises the generator's burst path.
+    let mut cells = [
+        Cell::new(&cache, "saturating", "3SSS", "poisson:0.5"),
+        Cell::new(&cache, "queueing", "3SSS", "poisson:0.0005"),
+        Cell::new(&cache, "queueing-1ctx", "ST", "bursty:0.0005:4:4"),
+    ];
+    for cell in &cells {
+        let explicit = cell.cfgs[1].clone().with_traffic(TrafficSpec::Closed);
         assert_eq!(
-            format!("{:?}", closed.stats),
-            format!("{:?}", explicit.stats),
+            format!("{:?}", cell.run(&cell.cfgs[1])),
+            format!("{:?}", cell.run(&explicit)),
             "{}: explicit closed diverged from the default — fix before benchmarking",
-            cell.scheme
+            cell.kind
         );
-    }
-
-    let mut gen = Vec::new();
-    for spec_str in GEN_SPECS {
-        let spec: TrafficSpec = spec_str.parse().unwrap();
-        let mut best = f64::INFINITY;
-        for _ in 0..ITERS {
-            let t0 = Instant::now();
-            let cycles = ArrivalProcess::take_cycles(spec, GEN_SEED, GEN_ARRIVALS);
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            assert_eq!(cycles.len(), GEN_ARRIVALS);
-        }
-        let ns_per_arrival = best * 1e6 / GEN_ARRIVALS as f64;
-        println!(
-            "traffic/arrivals {spec}: {GEN_ARRIVALS} arrivals in {best:.2} ms ({ns_per_arrival:.1} ns/arrival)"
-        );
-        gen.push(GenMeasured {
-            spec: spec_str,
-            gen_ms: best,
-            ns_per_arrival,
-        });
-    }
-
-    let mut measured = Vec::new();
-    for cell in OVERHEAD_CELLS {
-        let spec: TrafficSpec = cell.spec.parse().unwrap();
-        let m = mix(cell.workload).unwrap();
-        let closed_cycles = run_mix(&cache, &config(cell.scheme, None), m)
-            .unwrap()
-            .stats
-            .cycles;
-        let open = run_mix(&cache, &config(cell.scheme, Some(spec)), m).unwrap();
+        let t = cell.run(&cell.cfgs[0]).traffic;
         assert_eq!(
-            open.stats.traffic.completed + open.stats.traffic.shed,
-            open.stats.traffic.offered,
-            "{}/{}: lifecycle accounting leaked a job",
-            cell.scheme,
-            cell.spec
+            t.completed + t.shed,
+            t.offered,
+            "{}: lifecycle accounting leaked a job",
+            cell.kind
         );
-        let (closed_ms, open_ms) = measure_pair(&cache, cell);
-        let overhead = open_ms / closed_ms;
-        println!(
-            "traffic/{}_{} ({}): closed {} cy / {:.2} ms, open {} cy / {:.2} ms, overhead {:.2}x",
-            cell.scheme,
-            cell.spec,
-            cell.kind,
-            closed_cycles,
-            closed_ms,
-            open.stats.cycles,
-            open_ms,
-            overhead
-        );
-        measured.push(OverheadMeasured {
-            scheme: cell.scheme,
-            workload: cell.workload,
-            spec: cell.spec,
-            kind: cell.kind,
-            closed_cycles,
-            open_cycles: open.stats.cycles,
-            closed_ms,
-            open_ms,
-            overhead,
-        });
     }
-
-    if check {
-        let snapshot = std::fs::read_to_string(snapshot_path())
-            .expect("BENCH_traffic.json missing — run the bench once without check mode");
-        let mut failed = false;
-        for c in &measured {
-            let committed = committed_overhead(&snapshot, c.scheme, c.spec, c.kind)
-                .unwrap_or_else(|| panic!("{}/{} missing from snapshot", c.scheme, c.spec));
-            // Overhead growing >10% past the committed ratio fails; the
-            // 0.2x absolute allowance keeps near-1x cells (whose
-            // run-to-run ratio noise exceeds 10%) from flaking.
-            let ceiling = committed + (committed * 0.1).max(0.2);
-            let ok = c.overhead <= ceiling;
-            println!(
-                "check {}/{}: measured {:.2}x vs committed {:.2}x (ceiling {:.2}x) — {}",
-                c.scheme,
-                c.spec,
-                c.overhead,
-                committed,
-                ceiling,
-                if ok { "ok" } else { "REGRESSION" }
-            );
-            failed |= !ok;
-        }
-        if failed {
-            eprintln!("traffic: open-system overhead regressed >10% against BENCH_traffic.json");
-            std::process::exit(1);
-        }
-    } else {
-        let json = render_json(&gen, &measured);
-        std::fs::write(snapshot_path(), &json).expect("write BENCH_traffic.json");
-        println!("wrote {}", snapshot_path().display());
-    }
+    snapshot::run("traffic", REPS, &mut cells);
 }

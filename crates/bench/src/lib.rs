@@ -4,12 +4,18 @@
 //! every table and figure with the sweep it reads; [`figures`] renders
 //! each one as a human-readable text block plus machine-readable CSV,
 //! which the binary writes to stdout and `results/`.
+//!
+//! [`snapshot`] is the one harness of the crate's benches: each bench
+//! names its cells, pairs of runs that compute the same thing, and the
+//! harness times them, writes the committed `BENCH_<bench>.json` and gates
+//! a run against it under `BENCH_CHECK=1`.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
 pub mod exhibits;
 pub mod figures;
+pub mod snapshot;
 
 /// A rendered exhibit: text to print + CSV to save.
 #[derive(Debug, Clone)]

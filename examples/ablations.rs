@@ -8,6 +8,15 @@
 //! Each study is one declarative [`Plan`] per configuration; the mix list
 //! and all specs are resolved when the plan is built, before the rayon
 //! fan-out.
+//!
+//! ```text
+//! cargo run --release --example ablations
+//! ```
+//!
+//! Paper exhibit: Figure 10 (the 2SC3 hybrid on the Table-2 mixes) under
+//! beyond-the-paper ablations — the priority rotation that decides merge
+//! conflicts, the Table-1 ILP the compiler exposes, and the thread counts
+//! past 4 that the paper leaves out for space.
 
 use vliw_core::{parser, PriorityPolicy};
 use vliw_sim::plan::{Cell, MemoryModel, Plan, Session, WorkloadRef};
