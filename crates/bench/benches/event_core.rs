@@ -78,7 +78,7 @@ impl snapshot::Cell for Cell<'_> {
         self.claim
     }
     fn rep(&mut self, first: usize) -> [Duration; 2] {
-        snapshot::time_sides(first, |side| self.run(side))
+        snapshot::time_sides(first, 1, |side| self.run(side))
     }
 }
 

@@ -7,12 +7,11 @@
 //! and warms both machines' cores untimed, then times the same window of
 //! steps on each, in alternating chunks so host-speed phases land on both
 //! alike. A side's rep time is its median chunk time times the chunk
-//! count: a chunk the host interrupted would otherwise double a 3 ms rep.
-//! So a side's `*_ms` is the time of `STEPS` steps, and ×100 gives ns per
-//! step.
+//! count (a chunk the host interrupted would otherwise double a 3 ms rep),
+//! so its `*_ms` is the time of 10,000 steps, and ×100 gives ns per step.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use vliw_bench::snapshot::{self, Better};
 use vliw_core::catalog;
 use vliw_isa::MachineSpec;
@@ -27,9 +26,9 @@ const MACHINES: [MachineSpec; 2] = [MachineSpec::Narrow8x2, MachineSpec::Paper4x
 const MEMBERS: [&str; 4] = ["mcf", "cjpeg", "x264", "idct"];
 /// Cycles run before timing, so caches and branch state are warm.
 const WARM_CYCLES: u64 = 20_000;
-/// Steps per rep, in alternating chunks, and reps per cell.
-const STEPS: u64 = 10_000;
+/// Steps per chunk, chunks per side in a rep (10,000 steps), and reps.
 const CHUNK: u64 = 500;
+const CHUNKS: u32 = 20;
 const REPS: usize = 31;
 
 struct Cell<'a> {
@@ -68,20 +67,12 @@ impl snapshot::Cell for Cell<'_> {
     }
     fn rep(&mut self, first: usize) -> [Duration; 2] {
         let mut cores = MACHINES.map(|m| self.warmed_core(m));
-        let mut chunks: [Vec<Duration>; 2] = Default::default();
-        for _ in 0..STEPS / CHUNK {
-            for side in [first, 1 - first] {
-                let start = Instant::now();
-                for _ in 0..CHUNK {
-                    black_box(cores[side].step());
-                }
-                chunks[side].push(start.elapsed());
+        snapshot::time_sides(first, CHUNKS as usize, |side| {
+            for _ in 0..CHUNK {
+                black_box(cores[side].step());
             }
-        }
-        chunks.map(|mut c| {
-            c.sort();
-            c[c.len() / 2] * c.len() as u32
         })
+        .map(|chunk| chunk * CHUNKS)
     }
 }
 

@@ -18,7 +18,9 @@ use vliw_sim::thread::{ProgramMeta, SoftThread};
 use vliw_sim::SimConfig;
 use vliw_trace::{NullSink, RecordingSink, RingSink};
 
+/// Reps per cell, and alternating calls per side in a rep.
 const REPS: usize = 31;
+const CALLS: usize = 5;
 
 /// Pre-compiled thread images, shared by every run so the timed work is
 /// the simulation itself, not benchmark compilation.
@@ -57,7 +59,7 @@ impl snapshot::Cell for Cell<'_> {
         Better::Lower
     }
     fn rep(&mut self, first: usize) -> [Duration; 2] {
-        snapshot::time_sides(first, |side| {
+        snapshot::time_sides(first, CALLS, |side| {
             let machine = self.workload.machine();
             match (side, self.sink) {
                 (1, _) => (machine.run_traced(&mut NullSink), 0),

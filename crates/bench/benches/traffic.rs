@@ -17,9 +17,13 @@ use vliw_sim::{RunStats, SimConfig};
 use vliw_traffic::TrafficSpec;
 use vliw_workloads::mixes::mix;
 
-/// 1/200 of the paper's runs: 500k-instruction budget, 5k-cycle quantum.
-const SCALE: u64 = 200;
+/// 1/1000 of the paper's runs: 100k-instruction budget, 1k-cycle quantum.
+const SCALE: u64 = 1000;
+/// Reps, and alternating calls per side in a rep. Five ~50 ms calls per
+/// side hold a rep's ratio tighter on a noisy host than one 250 ms call
+/// at 1/200 scale, whose per-rep ratios spread over ±25%.
 const REPS: usize = 15;
+const CALLS: usize = 5;
 /// The paper's LLHH mix drives every cell.
 const WORKLOAD: &str = "LLHH";
 
@@ -59,7 +63,7 @@ impl snapshot::Cell for Cell<'_> {
         Better::Lower
     }
     fn rep(&mut self, first: usize) -> [Duration; 2] {
-        snapshot::time_sides(first, |side| self.run(&self.cfgs[side]))
+        snapshot::time_sides(first, CALLS, |side| self.run(&self.cfgs[side]))
     }
 }
 

@@ -52,18 +52,29 @@ pub trait Cell {
     fn rep(&mut self, first: usize) -> [Duration; 2];
 }
 
-/// Times `side(first)`, then `side(1 - first)`, and returns the two host
-/// times in side order: [`Cell::rep`] for a cell whose sides are one call
-/// each. Each call's result is dropped after its clock stops.
-pub fn time_sides<R>(first: usize, mut side: impl FnMut(usize) -> R) -> [Duration; 2] {
-    let mut times = [Duration::ZERO; 2];
-    for s in [first, 1 - first] {
-        let start = Instant::now();
-        let result = side(s);
-        times[s] = start.elapsed();
-        drop(result);
+/// Times `side(first)`, then `side(1 - first)`, `calls` times over, and
+/// returns each side's median call time, in side order: [`Cell::rep`] for
+/// a cell whose sides are calls. Short calls taken in turn see the same
+/// host speed, and the median drops a call the host interrupted. Each
+/// call's result is dropped after its clock stops.
+pub fn time_sides<R>(
+    first: usize,
+    calls: usize,
+    mut side: impl FnMut(usize) -> R,
+) -> [Duration; 2] {
+    let mut times = [vec![], vec![]];
+    for _ in 0..calls {
+        for s in [first, 1 - first] {
+            let start = Instant::now();
+            let result = side(s);
+            times[s].push(start.elapsed());
+            drop(result);
+        }
     }
-    times
+    times.map(|mut t| {
+        t.sort();
+        t[t.len() / 2]
+    })
 }
 
 /// Measures `cells` over `reps` reps, prints each cell's summary, and then
