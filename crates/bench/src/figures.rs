@@ -1,11 +1,33 @@
 //! One renderer per paper exhibit; [`EXHIBITS`](crate::exhibits::EXHIBITS)
 //! names each one and the sweep it reads.
+//!
+//! A simulated exhibit reads its sweep's [`ResultSet`] directly: cells by
+//! keyed lookup ([`ResultSet::get`]), averages over workloads from
+//! [`ResultSet::mean_over`] alone, per-geometry prices from
+//! [`ResultSet::merge_cost`] and [`ResultSet::ipc_per_area`], and one row
+//! per cell from [`ResultSet::iter`]. Only Table 1, Figure 6 and the trace
+//! exhibit go through a projection in [`experiments`], because each
+//! computes something the set does not hold.
 
 use crate::exhibits::Swept;
 use crate::{f2, pct, Exhibit, TextTable};
 use vliw_hwcost::{fig5_sweep, scheme_cost, SchemeCost};
 use vliw_sim::experiments;
+use vliw_sim::plan::{Axis, Cell, ResultSet};
 use vliw_workloads::table2_mixes;
+
+/// IPC of the one cell of `set` that `cell` names.
+fn ipc(set: &ResultSet, cell: &Cell) -> f64 {
+    set.get(cell)
+        .expect("the sweep covers every cell it renders")
+        .ipc()
+}
+
+/// Mean IPC of `scheme` across `set`'s workloads.
+fn mean_ipc(set: &ResultSet, scheme: &str) -> f64 {
+    set.mean_over(Axis::Workload, &Cell::default().scheme(scheme))
+        .expect("the sweep runs every scheme it renders")
+}
 
 /// Table 1: benchmark suite with measured vs paper IPCr/IPCp.
 pub fn table1(s: &Swept) -> Exhibit {
@@ -45,14 +67,28 @@ pub fn table2() -> Exhibit {
 
 /// Figure 4: SMT IPC vs hardware thread count.
 pub fn fig4(s: &Swept) -> Exhibit {
-    let d = experiments::fig4_data(&s.set);
+    let set = &s.set;
     let mut t = TextTable::new(&["workload", "single-thread", "2-thread SMT", "4-thread SMT"]);
-    for (m, row) in d.mixes.iter().zip(&d.ipc) {
-        t.row(vec![m.to_string(), f2(row[0]), f2(row[1]), f2(row[2])]);
+    for w in set.workloads() {
+        let mut row = vec![w.name().to_string()];
+        row.extend(
+            set.schemes()
+                .iter()
+                .map(|sc| f2(ipc(set, &Cell::new(sc.name(), w.name())))),
+        );
+        t.row(row);
     }
-    let [a1, a2, a4] = d.averages();
-    t.row(vec!["Average".into(), f2(a1), f2(a2), f2(a4)]);
-    let gain = (a4 / a2 - 1.0) * 100.0;
+    let avg: Vec<f64> = set
+        .schemes()
+        .iter()
+        .map(|sc| mean_ipc(set, sc.name()))
+        .collect();
+    t.row(
+        std::iter::once("Average".into())
+            .chain(avg.iter().map(|&a| f2(a)))
+            .collect(),
+    );
+    let gain = (avg[2] / avg[1] - 1.0) * 100.0;
     let mut ex = t.exhibit("Figure 4 — SMT performance vs thread count");
     ex.text += &format!("\n4-thread over 2-thread: {} (paper: +61%)\n", pct(gain));
     ex
@@ -129,16 +165,19 @@ pub fn fig9() -> Exhibit {
 
 /// Figure 10: per-scheme, per-mix IPC.
 pub fn fig10(s: &Swept) -> Exhibit {
-    let d = experiments::fig10_data(&s.set);
-    let mut header: Vec<&str> = vec!["scheme"];
-    header.extend(d.mixes.iter().copied());
+    let set = &s.set;
+    let mut header = vec!["scheme"];
+    header.extend(set.workloads().iter().map(|w| w.name()));
     header.push("Average");
     let mut t = TextTable::new(&header);
-    for (i, scheme) in d.schemes.iter().enumerate() {
-        let mut row = vec![scheme.clone()];
-        row.extend(d.ipc[i].iter().map(|&x| f2(x)));
-        let avg = d.ipc[i].iter().sum::<f64>() / d.ipc[i].len() as f64;
-        row.push(f2(avg));
+    for scheme in set.schemes() {
+        let mut row = vec![scheme.name().to_string()];
+        row.extend(
+            set.workloads()
+                .iter()
+                .map(|w| f2(ipc(set, &Cell::new(scheme.name(), w.name())))),
+        );
+        row.push(f2(mean_ipc(set, scheme.name())));
         t.row(row);
     }
     t.exhibit("Figure 10 — merging schemes performance (IPC)")
@@ -166,20 +205,21 @@ pub fn fig12(s: &Swept) -> Exhibit {
 
 /// Mean Figure-10 IPC of every paper scheme against one merge-cost metric.
 fn cost_scatter(s: &Swept, title: &str, metric: &str, cost: fn(&SchemeCost) -> String) -> Exhibit {
-    let perf = experiments::fig10_data(&s.set);
     let mut t = TextTable::new(&["scheme", "IPC", metric]);
-    for scheme in vliw_core::catalog::paper_schemes() {
-        let c = scheme_cost(&scheme, 4, 4);
-        let ipc = perf.average_of(scheme.name()).unwrap_or(0.0);
-        t.row(vec![c.name.clone(), f2(ipc), cost(&c)]);
+    for scheme in s.set.schemes() {
+        let c = scheme_cost(scheme.scheme(), 4, 4);
+        t.row(vec![
+            c.name.clone(),
+            f2(mean_ipc(&s.set, scheme.name())),
+            cost(&c),
+        ]);
     }
     t.exhibit(title)
 }
 
 /// §5.2 headline claims: 2SC3 vs the reference points.
 pub fn headline(s: &Swept) -> Exhibit {
-    let d = experiments::fig10_data(&s.set);
-    let avg = |n: &str| d.average_of(n).unwrap_or(0.0);
+    let avg = |n: &str| mean_ipc(&s.set, n);
     let sc3 = avg("2SC3");
     let rows = [
         (
@@ -211,15 +251,23 @@ pub fn geometry(s: &Swept) -> Exhibit {
         "gate delays",
         "IPC/kT",
     ]);
-    for r in experiments::geometry_data(&s.set) {
-        t.row(vec![
-            r.machine.label(),
-            r.scheme.clone(),
-            f2(r.mean_ipc),
-            r.transistors.to_string(),
-            r.gate_delays.to_string(),
-            r.ipc_per_ktrans.map(f2).unwrap_or_default(),
-        ]);
+    let set = &s.set;
+    for &machine in set.machines() {
+        for scheme in set.schemes() {
+            let cell = Cell::default().scheme(scheme.name()).machine(machine);
+            let cost = set.merge_cost(&cell).expect("the grid has the cell");
+            let mean = set
+                .mean_over(Axis::Workload, &cell)
+                .expect("the grid has the cell");
+            t.row(vec![
+                machine.label(),
+                scheme.name().to_string(),
+                f2(mean),
+                cost.transistors.to_string(),
+                cost.gate_delays.to_string(),
+                set.ipc_per_area(&cell).map(f2).unwrap_or_default(),
+            ]);
+        }
     }
     t.exhibit(
         "Geometry sweep — merging schemes across machine shapes\n\
@@ -274,7 +322,6 @@ pub fn trace(s: &Swept) -> Exhibit {
 /// Traffic exhibit (beyond the paper): latency vs offered load for the
 /// reference schemes on the 12-job open-system stream.
 pub fn traffic(s: &Swept) -> Exhibit {
-    let d = experiments::traffic_data(&s.set);
     let mut t = TextTable::new(&[
         "scheme",
         "arrivals",
@@ -288,19 +335,20 @@ pub fn traffic(s: &Swept) -> Exhibit {
         "mean queue",
         "IPC",
     ]);
-    for r in &d.rows {
+    for (key, r) in s.set.iter() {
+        let q = &r.stats.traffic;
         t.row(vec![
-            r.scheme.clone(),
-            r.traffic.to_string(),
-            format!("{}", r.rate),
-            r.offered.to_string(),
-            r.completed.to_string(),
-            r.shed.to_string(),
-            r.p50.to_string(),
-            r.p95.to_string(),
-            r.p99.to_string(),
-            f2(r.mean_queue_depth),
-            f2(r.ipc),
+            key.scheme.name().to_string(),
+            key.traffic.to_string(),
+            format!("{}", key.traffic.offered_rate()),
+            q.offered.to_string(),
+            q.completed.to_string(),
+            q.shed.to_string(),
+            q.p50_sojourn.to_string(),
+            q.p95_sojourn.to_string(),
+            q.p99_sojourn.to_string(),
+            f2(q.mean_queue_depth),
+            f2(r.ipc()),
         ]);
     }
     t.exhibit(&format!(
@@ -316,10 +364,9 @@ pub fn traffic(s: &Swept) -> Exhibit {
 /// arrival process — homogeneous scaling plus the dispatcher showdown on
 /// the heterogeneous edge mix.
 pub fn fleet(s: &Swept) -> Exhibit {
-    let d = experiments::fleet_data(&s.set);
     // Rows of several arrival processes (`paper fleet --arrivals SPEC`)
     // need the process to tell them apart.
-    let by_traffic = d.rows.iter().any(|r| r.traffic != d.rows[0].traffic);
+    let by_traffic = s.set.traffics().len() > 1;
     let mut header = vec![
         "fleet",
         "machines",
@@ -337,28 +384,31 @@ pub fn fleet(s: &Swept) -> Exhibit {
         header.insert(1, "arrivals");
     }
     let mut t = TextTable::new(&header);
-    for r in &d.rows {
-        let routed = r
-            .routed
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join("/");
+    for (key, r) in s.set.iter() {
+        let fleet = key.fleet.expect("fleet grid cells run on a fleet");
+        let q = &r.stats.traffic;
+        let lanes = &r
+            .stats
+            .fleet
+            .as_ref()
+            .expect("fleet cells carry FleetStats")
+            .machines;
+        let routed: Vec<String> = lanes.iter().map(|m| m.routed.to_string()).collect();
         let mut row = vec![
-            r.fleet.label(),
-            r.machines.to_string(),
-            r.dispatcher.clone(),
-            r.offered.to_string(),
-            r.completed.to_string(),
-            r.shed.to_string(),
-            routed,
-            r.p50.to_string(),
-            r.p95.to_string(),
-            r.p99.to_string(),
-            f2(r.ipc),
+            fleet.label(),
+            fleet.n_machines().to_string(),
+            fleet.dispatcher.name().to_string(),
+            q.offered.to_string(),
+            q.completed.to_string(),
+            q.shed.to_string(),
+            routed.join("/"),
+            q.p50_sojourn.to_string(),
+            q.p95_sojourn.to_string(),
+            q.p99_sojourn.to_string(),
+            f2(r.ipc()),
         ];
         if by_traffic {
-            row.insert(1, r.traffic.to_string());
+            row.insert(1, key.traffic.to_string());
         }
         t.row(row);
     }

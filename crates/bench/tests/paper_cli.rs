@@ -22,7 +22,8 @@
 //!
 //! The usage errors must exit 2 and simulate nothing: a bad exhibit name,
 //! `--filter` or `--trace` selection prints the valid exhibit names, and
-//! `--scale 0` or an unwritable output path prints the usage text.
+//! `--scale 0`, an unwritable output path or a `--machine`/`--fleet`
+//! geometry that cannot run the benchmark suite prints the usage text.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -359,7 +360,10 @@ fn bad_scale_and_unwritable_outputs_exit_2_before_simulating() {
     let missing = dir.join("missing").join("x");
     let (out, under_file) = (dir.join("out"), file.join("out"));
     let (out, missing) = (path(&out), path(&missing));
-    let cases: [&[&str]; 6] = [
+    // A machine without a multiplier cannot compile most of the suite.
+    let lean = "4x4+0+1";
+    let lean_fleet = format!("paper-4x4/{lean}");
+    let cases: [&[&str]; 8] = [
         &["fig5", "--scale", "0", "--out", out],
         &["table1", "--scale", SCALE, "--trace", missing, "--out", out],
         &["table1", "--scale", SCALE, "--json", missing, "--out", out],
@@ -374,6 +378,16 @@ fn bad_scale_and_unwritable_outputs_exit_2_before_simulating() {
             "--out",
             out,
         ],
+        &["table1", "--scale", SCALE, "--machine", lean, "--out", out],
+        &[
+            "table1",
+            "--scale",
+            SCALE,
+            "--fleet",
+            &lean_fleet,
+            "--out",
+            out,
+        ],
     ];
     for args in cases {
         let out = paper(args);
@@ -384,6 +398,12 @@ fn bad_scale_and_unwritable_outputs_exit_2_before_simulating() {
             out.stdout.is_empty(),
             "{args:?} must fail before simulating"
         );
+        if args.iter().any(|a| a.contains(lean)) {
+            assert!(
+                err.contains(&format!("{lean} cannot run")),
+                "{args:?}: {err}"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -108,6 +108,11 @@ impl Reservation {
 }
 
 /// Assign clusters for a whole function.
+///
+/// # Panics
+///
+/// If no cluster has a unit for some op's class; [`compile`](crate::compile)
+/// rejects such a function with an error before it gets here.
 pub fn assign_clusters(machine: &MachineConfig, func: &IrFunction) -> ClusteredFunction {
     let n_clusters = machine.n_clusters;
     // Home cluster per vreg; u8::MAX = not yet defined. Live-ins that are

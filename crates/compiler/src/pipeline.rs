@@ -4,7 +4,7 @@
 //! emit instructions → lay out` — the whole VEX-style pipeline in one call.
 
 use crate::cluster::{assign_clusters, ClusteredBlock, ClusteredFunction};
-use crate::ir::{IrFunction, Terminator};
+use crate::ir::{IrFunction, IrOp, Terminator};
 use crate::program::{Program, TermKind};
 use crate::regalloc::{allocate, RegAssignment};
 use crate::sched::{schedule_block, verify_schedule, BlockSchedule};
@@ -42,12 +42,24 @@ impl Default for CompileOptions {
 }
 
 /// Compile an IR function into an executable [`Program`].
+///
+/// Fails, naming the op class, when no cluster of `machine` has a unit for
+/// one of `func`'s ops (a multiply on a machine without multipliers, say).
 pub fn compile(
     machine: &MachineConfig,
     func: &IrFunction,
     opts: CompileOptions,
 ) -> Result<Program, String> {
     func.validate()?;
+    let unplaceable =
+        |op: &&IrOp| (0..machine.n_clusters).all(|c| machine.class_capacity(c, op.class()) == 0);
+    if let Some(op) = func.blocks.iter().flat_map(|b| &b.ops).find(unplaceable) {
+        return Err(format!(
+            "no cluster has a {} unit for op {}",
+            op.class(),
+            op.opcode.mnemonic()
+        ));
+    }
     let func = unroll_self_loops(func, opts.unroll);
     let cf = assign_clusters(machine, &func);
     let ra = allocate(machine, &cf);

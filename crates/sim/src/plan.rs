@@ -228,6 +228,11 @@ impl WorkloadRef {
     /// Compile member `idx` for `machine` through the shared cache (the
     /// fleet driver compiles each member for the machine it is routed to,
     /// not the plan's reference machine).
+    ///
+    /// # Panics
+    ///
+    /// If the member does not build for `machine`, for instance an op with
+    /// no unit on it. Plans do not check this up front.
     pub(crate) fn image_for(
         &self,
         idx: usize,
@@ -236,7 +241,7 @@ impl WorkloadRef {
     ) -> CachedImage {
         cache
             .get_spec(&self.members[idx], machine)
-            .expect("plan cells are validated up front")
+            .unwrap_or_else(|e| panic!("workload {}: {e}", self.name))
     }
 
     /// Instantiate the software threads for `cfg`'s machine (compile
@@ -757,12 +762,15 @@ impl Plan {
     }
 
     /// Add one machine geometry to the machine axis (named preset or
-    /// grammar spec; duplicates — by label — are ignored). The spec is
-    /// validated here, so plans fail at build time, not mid-sweep.
+    /// grammar spec; duplicates — by label — are ignored). The spec itself
+    /// is validated here, so a malformed geometry fails at build time.
     ///
-    /// Note the Table-1 suite needs at least one multiplier and one memory
-    /// unit per cluster (see [`MachineSpec::runs_full_suite`]); sweeping
-    /// leaner geometries is only possible with custom ALU-only workloads.
+    /// Whether each workload compiles for the geometry is not checked
+    /// here. Most of the Table-1 suite needs a multiplier and a memory unit
+    /// (see [`MachineSpec::runs_full_suite`]); a cell whose workload has an
+    /// op with no unit on the machine panics mid-sweep, naming the op
+    /// class. [`runner::run_single`] and [`runner::run_mix`] return that
+    /// failure as [`SimError::Build`](crate::SimError::Build) instead.
     pub fn machine(mut self, machine: MachineSpec) -> Self {
         // Lowering validates (panics with the MachineError for hand-built
         // invalid customs); label-level dedup keeps two spellings of one
@@ -1181,12 +1189,6 @@ impl ResultSet {
         &self.grid.workloads
     }
 
-    /// Scheduling policies of the grid, in plan order (the default
-    /// `[PaperRandom]` when the plan named none).
-    pub fn schedulers(&self) -> &[SchedulerSpec] {
-        &self.grid.schedulers
-    }
-
     /// Machine geometries of the grid, in plan order (the default
     /// `[Paper4x4]` when the plan named none).
     pub fn machines(&self) -> &[MachineSpec] {
@@ -1207,17 +1209,6 @@ impl ResultSet {
     /// The plan's run-length divisor.
     pub fn scale(&self) -> u64 {
         self.scale
-    }
-
-    /// The rotation policy the plan ran with.
-    pub fn priority(&self) -> PriorityPolicy {
-        self.priority
-    }
-
-    /// The plan's seed override, if any (`None` = [`SimConfig::paper`]'s
-    /// default seed).
-    pub fn seed(&self) -> Option<u64> {
-        self.seed
     }
 
     /// Number of cells in the grid.
@@ -1308,11 +1299,6 @@ impl ResultSet {
     /// outermost).
     pub fn results(&self) -> &[RunResult] {
         &self.results
-    }
-
-    /// Consume the set into its row-major result vector.
-    pub fn into_results(self) -> Vec<RunResult> {
-        self.results
     }
 
     /// Iterate `(key, result)` pairs in row-major grid order.

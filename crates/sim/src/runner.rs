@@ -377,6 +377,24 @@ mod tests {
     }
 
     #[test]
+    fn op_without_a_unit_is_a_build_error() {
+        // No multiplier anywhere: idct multiplies, blowfish does not.
+        let cache = ImageCache::new();
+        let cfg = SimConfig::paper(catalog::by_name("ST").unwrap(), 20_000)
+            .with_machine("4x4+0+1".parse().unwrap());
+        let err = run_single(&cache, &cfg, "idct").unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                SimError::Build(vliw_workloads::BuildError::Compile { .. })
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("mul unit"), "{err}");
+        assert!(run_single(&cache, &cfg, "blowfish").unwrap().ipc() > 0.0);
+    }
+
+    #[test]
     fn cache_shares_custom_specs_by_name() {
         let cache = ImageCache::new();
         let machine = vliw_isa::MachineConfig::paper_baseline();

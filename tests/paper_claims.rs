@@ -12,8 +12,8 @@
 use std::sync::OnceLock;
 use vliw_tms::core::catalog;
 use vliw_tms::hwcost::scheme_cost;
-use vliw_tms::sim::experiments::{self, Fig10Data};
-use vliw_tms::sim::plan::{Plan, ResultSet, Session};
+use vliw_tms::sim::experiments;
+use vliw_tms::sim::plan::{Axis, Cell, Plan, ResultSet, Session};
 
 const SCALE: u64 = 1000; // 100k instructions per thread
 const PAR: usize = 8;
@@ -25,9 +25,15 @@ fn run(plan: Plan) -> ResultSet {
 }
 
 /// The Figure-10 grid, simulated once for every pin that reads it.
-fn fig10() -> &'static Fig10Data {
-    static FIG10: OnceLock<Fig10Data> = OnceLock::new();
-    FIG10.get_or_init(|| experiments::fig10_data(&run(experiments::fig10_plan(SCALE))))
+fn fig10() -> &'static ResultSet {
+    static FIG10: OnceLock<ResultSet> = OnceLock::new();
+    FIG10.get_or_init(|| run(experiments::fig10_plan(SCALE)))
+}
+
+/// Mean IPC of `scheme` across `set`'s workloads.
+fn mean(set: &ResultSet, scheme: &str) -> f64 {
+    set.mean_over(Axis::Workload, &Cell::default().scheme(scheme))
+        .unwrap()
 }
 
 /// Figure 4: multithreading scales — 4T SMT > 2T SMT > single thread, and
@@ -35,8 +41,8 @@ fn fig10() -> &'static Fig10Data {
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn fig4_smt_scales_with_threads() {
-    let d = experiments::fig4_data(&run(experiments::fig4_plan(SCALE)));
-    let [st, smt2, smt4] = d.averages();
+    let set = run(experiments::fig4_plan(SCALE));
+    let [st, smt2, smt4] = ["ST", "1S", "3SSS"].map(|s| mean(&set, s));
     assert!(smt2 > st * 1.3, "2T {smt2:.2} vs 1T {st:.2}");
     assert!(smt4 > smt2 * 1.3, "4T {smt4:.2} vs 2T {smt2:.2}");
     let gain = (smt4 / smt2 - 1.0) * 100.0;
@@ -66,8 +72,7 @@ fn fig6_smt_advantage_over_csmt() {
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn headline_2sc3_tradeoff() {
-    let d = fig10();
-    let avg = |n: &str| d.average_of(n).unwrap();
+    let avg = |n: &str| mean(fig10(), n);
     let sc3 = avg("2SC3");
     assert!(
         sc3 > avg("3CCC") * 1.05,
@@ -90,8 +95,7 @@ fn headline_2sc3_tradeoff() {
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn fig10_scheme_ordering() {
-    let d = fig10();
-    let avg = |n: &str| d.average_of(n).unwrap();
+    let avg = |n: &str| mean(fig10(), n);
     // Endpoints.
     for name in vliw_tms::core::catalog::paper_scheme_names() {
         if name == "1S" || name == "3SSS" {
