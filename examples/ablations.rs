@@ -19,7 +19,7 @@
 //! past 4 that the paper leaves out for space.
 
 use vliw_core::{parser, PriorityPolicy};
-use vliw_sim::plan::{Cell, MemoryModel, Plan, Session, WorkloadRef};
+use vliw_sim::plan::{Axis, Cell, MemoryModel, Plan, Session, WorkloadRef};
 use vliw_workloads::table2_mixes;
 
 const SCALE: u64 = 400;
@@ -41,14 +41,13 @@ fn main() {
             .priority(policy)
             .scale(SCALE)
             .run(&session);
-        let n = set.len() as f64;
-        let ipc = set.results().iter().map(|r| r.ipc()).sum::<f64>() / n;
+        let ipc = set.mean_over(Axis::Workload, &Cell::default()).unwrap();
         let fair = set
             .results()
             .iter()
             .map(|r| r.stats.fairness())
             .sum::<f64>()
-            / n;
+            / set.len() as f64;
         println!("{name:<22} {ipc:>8.2} {fair:>10.3}");
     }
 
