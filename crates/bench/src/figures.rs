@@ -203,11 +203,15 @@ pub fn fig12(s: &Swept) -> Exhibit {
     )
 }
 
-/// Mean Figure-10 IPC of every paper scheme against one merge-cost metric.
+/// Mean Figure-10 IPC of every paper scheme against one merge-cost metric,
+/// priced on the machine the sweep ran on.
 fn cost_scatter(s: &Swept, title: &str, metric: &str, cost: fn(&SchemeCost) -> String) -> Exhibit {
     let mut t = TextTable::new(&["scheme", "IPC", metric]);
     for scheme in s.set.schemes() {
-        let c = scheme_cost(scheme.scheme(), 4, 4);
+        let c = s
+            .set
+            .merge_cost(&Cell::default().scheme(scheme.name()))
+            .expect("the sweep runs every scheme it renders");
         t.row(vec![
             c.name.clone(),
             f2(mean_ipc(&s.set, scheme.name())),
