@@ -124,8 +124,8 @@ impl ThreadPool {
 
 /// Run `f(0..len)` across worker threads. Items are claimed through an
 /// atomic cursor; each worker accumulates `(index, result)` pairs locally
-/// and results are re-sorted to input order at the end. Worker panics
-/// propagate on join.
+/// and results are re-sorted to input order at the end. A worker's panic
+/// is re-raised on join with its own payload.
 fn run_indexed<R, F>(len: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -159,7 +159,7 @@ where
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("parallel worker panicked"))
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
     pairs.sort_unstable_by_key(|&(i, _)| i);

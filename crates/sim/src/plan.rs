@@ -988,9 +988,9 @@ impl Plan {
             let (tx, rx) = std::sync::mpsc::channel();
             let jobs = &jobs;
             // Producer: the runner's fan-out, each finished cell sent on at
-            // once. The consumer only hangs up early on panic; the scope
-            // then re-raises it.
-            scope.spawn(move || {
+            // once. A worker's panic ends it, which hangs up the channel;
+            // joining it then re-raises that panic with its own message.
+            let producer = scope.spawn(move || {
                 let worker = |&i: &usize| {
                     let start = t.now_ns();
                     let cell = self.run_cell(cache, &jobs[i], t, traced);
@@ -1011,6 +1011,9 @@ impl Plan {
                     hook(&jobs[results.len()], &result, trace.as_ref());
                     results.push(result);
                 }
+            }
+            if let Err(payload) = producer.join() {
+                std::panic::resume_unwind(payload);
             }
         });
         attribute_cache(&jobs, &mut results);

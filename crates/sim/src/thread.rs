@@ -249,6 +249,11 @@ impl SoftThread {
     /// at the cycle they are charged, mirroring the `dstall`/`istall`/
     /// `branch_stall` counters exactly (the conservation property the
     /// stall-breakdown analyses rely on).
+    ///
+    /// Always inlined: left to the optimizer, whether the release build
+    /// inlined it into `Core::step_traced` changed with unrelated code
+    /// elsewhere in the crate, and its out-of-line copies slowed the step.
+    #[inline(always)]
     pub fn execute_head<S: TraceSink>(
         &mut self,
         cycle: u64,

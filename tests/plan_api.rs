@@ -869,3 +869,17 @@ fn telemetry_columns_gate_on_metered_runs() {
     }))
     .is_err());
 }
+
+/// A workload that does not compile for the plan's machine reaches the
+/// caller of `Plan::run` with the worker's own panic message, which names
+/// the compile error, not as "a scoped thread panicked".
+#[test]
+#[should_panic(expected = "no cluster has a mul unit")]
+fn run_re_raises_the_workers_compile_panic() {
+    Plan::new()
+        .schemes(["ST", "1S"])
+        .workload("idct")
+        .machine("4x4+0+1".parse().unwrap())
+        .scale(100_000)
+        .run(&Session::with_parallelism(2));
+}
