@@ -175,7 +175,7 @@ impl fmt::Display for SchemeError {
 impl std::error::Error for SchemeError {}
 
 /// A validated merging scheme: a tree over contiguous ports `0..n_ports`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MergeScheme {
     root: SchemeNode,
     n_ports: u8,

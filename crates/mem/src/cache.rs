@@ -4,7 +4,7 @@ use crate::MAX_THREADS;
 use std::fmt;
 
 /// Geometry and timing of one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes (power of two).
     pub size_bytes: u32,

@@ -4,7 +4,7 @@ use crate::cache::{Cache, CacheConfig, CacheStats};
 use vliw_trace::{CacheKind, NullSink, TraceEvent, TraceSink};
 
 /// Configuration of the full memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemConfig {
     /// Instruction cache geometry/timing.
     pub icache: CacheConfig,

@@ -9,7 +9,11 @@ use vliw_trace::TraceSpec;
 use vliw_traffic::TrafficSpec;
 
 /// Everything a run needs besides the workload itself.
-#[derive(Debug, Clone)]
+///
+/// Equality and hashing cover every field: a [`crate::plan::Session`]
+/// keys the cells it has simulated by the whole configuration, so a field
+/// added here joins that key without further code.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     /// Processor geometry and latencies.
     pub machine: MachineConfig,

@@ -30,6 +30,9 @@ pub mod names {
     pub const CELLS_TOTAL: &str = "vliw_cells_total";
     /// Sweep cells that completed.
     pub const CELLS_COMPLETED: &str = "vliw_cells_completed_total";
+    /// Sweep cells served from an identical cell the session had already
+    /// simulated.
+    pub const CELLS_MEMOIZED: &str = "vliw_cells_memoized_total";
     /// Simulated cycles summed over all cells.
     pub const SIM_CYCLES: &str = "vliw_sim_cycles_total";
     /// VLIW instructions retired over all cells.
@@ -129,6 +132,11 @@ pub fn register_schema<T: Telemetry>(t: &T) {
     use Class::{Deterministic, Timing};
     t.register_counter(CELLS_TOTAL, "Sweep cells planned", Deterministic);
     t.register_counter(CELLS_COMPLETED, "Sweep cells completed", Deterministic);
+    t.register_counter(
+        CELLS_MEMOIZED,
+        "Sweep cells served from an identical earlier cell",
+        Deterministic,
+    );
     t.register_counter(SIM_CYCLES, "Simulated cycles", Deterministic);
     t.register_counter(SIM_INSTRS, "VLIW instructions retired", Deterministic);
     t.register_counter(SIM_OPS, "Operations retired", Deterministic);

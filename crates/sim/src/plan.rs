@@ -44,7 +44,9 @@ use crate::core::CoreModel;
 use crate::os::Machine;
 use crate::runner::{self, CachedImage, ImageCache, RunResult};
 use crate::sched::SchedulerSpec;
+use crate::stats::RunStats;
 use crate::thread::SoftThread;
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -308,13 +310,57 @@ pub struct JobKey {
     pub memory: MemoryModel,
 }
 
-/// Shared run context for executing plans: the compiled-image cache and the
-/// rayon worker count. Reuse one session across plans to compile each
-/// benchmark once.
+impl JobKey {
+    /// The cell's result under its own scheme and workload names.
+    fn result(&self, stats: RunStats) -> RunResult {
+        RunResult {
+            scheme: self.scheme.name().to_string(),
+            workload: self.workload.name().to_string(),
+            stats,
+        }
+    }
+}
+
+/// Shared run context for executing plans: the compiled-image cache, the
+/// rayon worker count and a memo of the cells already simulated. Reuse one
+/// session across plans to compile each benchmark once and to simulate
+/// each distinct cell once.
+///
+/// The memo maps a cell's full identity to its result in an earlier
+/// untraced run of the session. The identity is:
+///
+/// * the cell's whole [`SimConfig`]: scheme, machine, memory system,
+///   priority, scheduler, run lengths, seed, trace spec, core model and
+///   arrival process, so a cell never serves one run under another core
+///   model, and a field added to the config joins the key by itself;
+/// * its members' names in thread order, which are the session's compile
+///   identity (the image cache rejects two specs that share a name);
+/// * its fleet.
+///
+/// A repeated cell is served by cloning the earlier statistics under its
+/// own scheme and workload names. It still performs its image lookups, so
+/// [`ImageCache::requests`] and [`ImageCache::len`] move as if it had run.
+/// [`Plan::run_traced`] and [`Plan::trace_cell`] neither read nor fill the
+/// memo. Memo entries point into the storage of the result sets that
+/// produced them, so the session keeps every untraced set it produced
+/// alive for as long as it lives.
 pub struct Session {
     cache: ImageCache,
     parallelism: usize,
+    memo: Mutex<HashMap<CellIdentity, Served>>,
 }
+
+/// A cell's full identity: the key of [`Session`]'s memo.
+#[derive(PartialEq, Eq, Hash)]
+struct CellIdentity {
+    cfg: SimConfig,
+    members: Vec<Arc<str>>,
+    fleet: Option<FleetSpec>,
+}
+
+/// Where a memoized cell's result lives: an earlier set's storage and the
+/// cell's index in it.
+type Served = (Arc<[RunResult]>, usize);
 
 impl Session {
     /// A session with the default parallelism (cores − 1).
@@ -327,6 +373,7 @@ impl Session {
         Session {
             cache: ImageCache::new(),
             parallelism: parallelism.max(1),
+            memo: Mutex::new(HashMap::new()),
         }
     }
 
@@ -880,6 +927,20 @@ impl Plan {
         self.grid.filled().0.keys()
     }
 
+    /// The identity the session memo knows `key` by.
+    fn identity(&self, key: &JobKey) -> CellIdentity {
+        CellIdentity {
+            cfg: self.config_for(key),
+            members: key
+                .workload
+                .members
+                .iter()
+                .map(|s| s.name.clone())
+                .collect(),
+            fleet: key.fleet.clone(),
+        }
+    }
+
     /// The simulation configuration of one job.
     fn config_for(&self, key: &JobKey) -> SimConfig {
         let mut cfg = SimConfig::paper(key.scheme.scheme().clone(), self.scale)
@@ -950,14 +1011,17 @@ impl Plan {
     /// plan's axes works. Sink choice follows [`Plan::trace`] exactly like
     /// [`Plan::run_traced`].
     pub fn trace_cell(&self, session: &Session, key: &JobKey) -> (RunResult, Trace) {
-        let (result, trace) = self.run_cell(session.cache(), key, &NullTelemetry, true);
+        let cfg = self.config_for(key);
+        let (result, trace) = self.run_cell(session.cache(), key, &cfg, &NullTelemetry, true);
         (result, trace.expect("traced cells record a trace"))
     }
 
     /// The one run path behind every entry point: validate, fan the cells
     /// out over the session's workers, hand each to `hook` in row-major
     /// order as it completes, and assemble the set. With `traced` every
-    /// cell records its [`Trace`] for the hook.
+    /// cell records its [`Trace`] for the hook; without it, cells the
+    /// session has already simulated are served from its memo, and the
+    /// cells of this set join the memo.
     fn execute<T: Telemetry>(
         &self,
         session: &Session,
@@ -966,7 +1030,7 @@ impl Plan {
         mut hook: impl FnMut(&JobKey, &RunResult, Option<&Trace>),
     ) -> ResultSet {
         use crate::metrics::names::{
-            CACHE_HITS, CACHE_MISSES, CACHE_REQUESTS, CELLS_TOTAL, CELL_WALL_NS,
+            CACHE_HITS, CACHE_MISSES, CACHE_REQUESTS, CELLS_MEMOIZED, CELLS_TOTAL, CELL_WALL_NS,
         };
         self.validate();
         crate::metrics::register_schema(t);
@@ -974,6 +1038,16 @@ impl Plan {
         let jobs = grid.keys();
         let n = jobs.len();
         let cache = session.cache();
+        let cells: Vec<CellIdentity> = jobs.iter().map(|key| self.identity(key)).collect();
+        // Every hit is decided here, under one lock, so which cells are
+        // served depends on what the session ran before, never on worker
+        // timing.
+        let served: Vec<Option<Served>> = if traced {
+            vec![None; n]
+        } else {
+            let memo = session.memo.lock();
+            cells.iter().map(|cell| memo.get(cell).cloned()).collect()
+        };
         if T::ENABLED {
             t.cells_planned(n as u64);
             t.counter_add(CELLS_TOTAL, n as u64);
@@ -986,14 +1060,20 @@ impl Plan {
         let mut results = Vec::with_capacity(n);
         std::thread::scope(|scope| {
             let (tx, rx) = std::sync::mpsc::channel();
-            let jobs = &jobs;
+            let (jobs, cells, served) = (&jobs, &cells, &served);
             // Producer: the runner's fan-out, each finished cell sent on at
             // once. A worker's panic ends it, which hangs up the channel;
             // joining it then re-raises that panic with its own message.
             let producer = scope.spawn(move || {
                 let worker = |&i: &usize| {
                     let start = t.now_ns();
-                    let cell = self.run_cell(cache, &jobs[i], t, traced);
+                    let cell = match &served[i] {
+                        Some((set, j)) => (
+                            serve(cache, &jobs[i], &cells[i].cfg.machine, &set[*j]),
+                            None,
+                        ),
+                        None => self.run_cell(cache, &jobs[i], &cells[i].cfg, t, traced),
+                    };
                     if T::ENABLED {
                         t.observe(CELL_WALL_NS, t.now_ns().saturating_sub(start));
                         t.cell_done(cache.requests(), cache.len() as u64);
@@ -1017,7 +1097,15 @@ impl Plan {
             }
         });
         attribute_cache(&jobs, &mut results);
+        let results: Arc<[RunResult]> = results.into();
+        if !traced {
+            let mut memo = session.memo.lock();
+            for (i, cell) in cells.into_iter().enumerate() {
+                memo.entry(cell).or_insert_with(|| (results.clone(), i));
+            }
+        }
         if T::ENABLED {
+            t.counter_add(CELLS_MEMOIZED, served.iter().flatten().count() as u64);
             let requests = cache.requests() - requests;
             let misses = cache.len() as u64 - unique;
             t.counter_add(CACHE_REQUESTS, requests);
@@ -1081,30 +1169,30 @@ impl Plan {
         &self,
         cache: &ImageCache,
         key: &JobKey,
+        cfg: &SimConfig,
         t: &T,
         traced: bool,
     ) -> (RunResult, Option<Trace>) {
         use crate::metrics::names::{CELL_COMPILE_NS, CELL_SIMULATE_NS};
-        let cfg = self.config_for(key);
         let mut sim_start = t.now_ns();
         let (stats, trace) = match &key.fleet {
             Some(fleet) if traced => {
                 let (stats, trace) =
-                    crate::fleet::run_fleet_traced(cache, &cfg, fleet, &key.workload, 1);
+                    crate::fleet::run_fleet_traced(cache, cfg, fleet, &key.workload, 1);
                 (stats, Some(trace))
             }
             Some(fleet) => (
-                crate::fleet::run_fleet(cache, &cfg, fleet, &key.workload, 1),
+                crate::fleet::run_fleet(cache, cfg, fleet, &key.workload, 1),
                 None,
             ),
             None => {
-                let threads = key.workload.threads(cache, &cfg);
+                let threads = key.workload.threads(cache, cfg);
                 let compile_start = sim_start;
                 sim_start = t.now_ns();
                 if T::ENABLED {
                     t.observe(CELL_COMPILE_NS, sim_start.saturating_sub(compile_start));
                 }
-                let machine = Machine::new(&cfg, threads)
+                let machine = Machine::new(cfg, threads)
                     .expect("WorkloadRef guarantees at least one member thread");
                 if traced {
                     let (stats, trace) = machine.run_with_trace();
@@ -1117,13 +1205,30 @@ impl Plan {
         if T::ENABLED {
             t.observe(CELL_SIMULATE_NS, t.now_ns().saturating_sub(sim_start));
         }
-        let result = RunResult {
-            scheme: key.scheme.name().to_string(),
-            workload: key.workload.name().to_string(),
-            stats,
-        };
-        (result, trace)
+        (key.result(stats), trace)
     }
+}
+
+/// Serve a cell the session has already simulated: repeat its image
+/// lookups, so the cache's counters move as if it had run, and clone the
+/// earlier statistics under `key`'s names. A single machine looks up each
+/// member once. A fleet cell looks up each member twice, once for its
+/// width hint and once for the lane it is routed to; the statistics do not
+/// record the lane, so both lookups go to the reference `machine`, whose
+/// image the hint lookup built.
+fn serve(
+    cache: &ImageCache,
+    key: &JobKey,
+    machine: &vliw_isa::MachineConfig,
+    earlier: &RunResult,
+) -> RunResult {
+    let lookups = if key.fleet.is_some() { 2 } else { 1 };
+    for idx in 0..key.workload.n_threads() {
+        for _ in 0..lookups {
+            key.workload.image_for(idx, cache, machine);
+        }
+    }
+    key.result(earlier.stats.clone())
 }
 
 impl Default for Plan {
@@ -1140,17 +1245,20 @@ impl Default for Plan {
 /// compiles for routed geometries are counted in the registry's
 /// delta-derived totals but not attributed to cells (routing is an
 /// execution outcome, not a plan property).
+///
+/// The counts are assigned, not added, so a cell served from the session
+/// memo carries this plan's attribution rather than its first plan's.
 fn attribute_cache(jobs: &[JobKey], results: &mut [RunResult]) {
     let mut seen = HashSet::new();
     for (key, r) in jobs.iter().zip(results) {
         let machine = key.machine.config();
-        for spec in key.workload.members.iter() {
-            if seen.insert((spec.name.clone(), machine.clone())) {
-                r.stats.cache_misses += 1;
-            } else {
-                r.stats.cache_hits += 1;
-            }
-        }
+        let members = &key.workload.members;
+        let misses = members
+            .iter()
+            .filter(|spec| seen.insert((spec.name.clone(), machine.clone())))
+            .count() as u64;
+        r.stats.cache_misses = misses;
+        r.stats.cache_hits = members.len() as u64 - misses;
     }
 }
 
@@ -1171,7 +1279,8 @@ pub struct ResultSet {
     scale: u64,
     priority: PriorityPolicy,
     seed: Option<u64>,
-    results: Vec<RunResult>,
+    /// Shared with the session memo, which serves repeated cells from it.
+    results: Arc<[RunResult]>,
 }
 
 impl ResultSet {

@@ -150,7 +150,7 @@ impl TraceSink for RingSink {
 
 /// How a run should be traced — the serializable policy knob carried by
 /// the simulator's configuration (`SimConfig::with_trace`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TraceSpec {
     /// No tracing: the run executes the monomorphized [`NullSink`] path.
     #[default]

@@ -883,3 +883,137 @@ fn run_re_raises_the_workers_compile_panic() {
         .scale(100_000)
         .run(&Session::with_parallelism(2));
 }
+
+/// Run `plan` metered on `session`: the set and the number of its cells
+/// the session memo served (`vliw_cells_memoized_total`).
+fn run_counting_memo(plan: &Plan, session: &Session) -> (ResultSet, u64) {
+    use vliw_tms::sim::metrics::names::CELLS_MEMOIZED;
+    use vliw_tms::sim::telemetry::Registry;
+    let reg = Registry::new();
+    let set = plan.run_metered(session, &reg);
+    let served = reg
+        .counter_value(CELLS_MEMOIZED)
+        .expect("a registered counter");
+    (set, served)
+}
+
+/// Every cell's names and full statistics, RNG state included.
+fn stats_dump(set: &ResultSet) -> Vec<String> {
+    set.results()
+        .iter()
+        .map(|r| format!("{}/{} {:?}", r.scheme, r.workload, r.stats))
+        .collect()
+}
+
+/// Figure 10 after Figure 4 on one session serves the 18 cells of fig4's
+/// 1S and 3SSS columns from fig4's set, and every cell equals a fresh
+/// session's down to the RNG state and the per-plan cache attribution.
+#[test]
+fn memo_serves_fig4_columns_to_fig10_bit_identically() {
+    use vliw_tms::sim::experiments::{fig10_plan, fig4_plan};
+    const SCALE: u64 = 100_000;
+    let session = Session::with_parallelism(2);
+    let (_, served) = run_counting_memo(&fig4_plan(SCALE), &session);
+    assert_eq!(served, 0, "a fresh session serves nothing");
+    let (warm, served) = run_counting_memo(&fig10_plan(SCALE), &session);
+    assert_eq!(served, 18);
+    let fresh = fig10_plan(SCALE).run(&Session::with_parallelism(2));
+    assert_eq!(stats_dump(&warm), stats_dump(&fresh));
+}
+
+/// An open plan and a fleet plan, each run twice on one session: the
+/// second run serves every cell, its statistics equal the first run's,
+/// and it makes as many image lookups as the first run, building none.
+#[test]
+fn a_repeated_open_or_fleet_plan_is_served_whole() {
+    use vliw_tms::sim::plan::FleetSpec;
+    let arrivals: TrafficSpec = "poisson:0.001".parse().unwrap();
+    let fleets: Vec<FleetSpec> = ["paper-4x4*2", "edge"]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+    let open = Plan::new()
+        .schemes(["1S", "2SC3"])
+        .workload("LLHH")
+        .arrival(arrivals)
+        .scale(50_000);
+    let fleet = Plan::new()
+        .scheme("2SC3")
+        .workload("LLHH")
+        .fleets(fleets)
+        .arrival(arrivals)
+        .scale(50_000);
+    for plan in [open, fleet] {
+        let session = Session::with_parallelism(2);
+        let cache = session.cache();
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let (requests, images) = (cache.requests(), cache.len());
+            let (set, served) = run_counting_memo(&plan, &session);
+            let deltas = (cache.requests() - requests, cache.len() - images);
+            runs.push((stats_dump(&set), served, deltas));
+        }
+        let [(first, first_served, first_deltas), (second, second_served, second_deltas)] =
+            <[_; 2]>::try_from(runs).unwrap();
+        assert_eq!(first_served, 0);
+        assert_eq!(second_served, first.len() as u64, "every cell is served");
+        assert_eq!(second, first);
+        assert_eq!(
+            second_deltas.0, first_deltas.0,
+            "a served cell repeats its image lookups"
+        );
+        assert!(first_deltas.1 > 0, "the first run builds images");
+        assert_eq!(second_deltas.1, 0, "a served cell builds no image");
+    }
+}
+
+/// The core model is part of a cell's identity: the oracle never takes an
+/// event-driven result from the memo, though both agree.
+#[test]
+fn memo_never_serves_one_core_model_for_another() {
+    use vliw_tms::sim::CoreModel;
+    let plan = |model| {
+        Plan::new()
+            .schemes(["ST", "2SC3"])
+            .workload("LLHH")
+            .core_model(model)
+            .scale(100_000)
+    };
+    let session = Session::with_parallelism(2);
+    let (fast, _) = run_counting_memo(&plan(CoreModel::EventDriven), &session);
+    let (oracle, served) = run_counting_memo(&plan(CoreModel::CycleAccurate), &session);
+    assert_eq!(served, 0);
+    for (a, b) in fast.results().iter().zip(oracle.results()) {
+        assert_eq!(a.stats.cycles, b.stats.cycles);
+        assert_eq!(a.stats.total_instrs, b.stats.total_instrs);
+    }
+}
+
+/// Traced runs bypass the memo: on a warmed session `run_traced` and
+/// `trace_cell` still simulate every cell and hand back its events, and a
+/// traced run leaves nothing in the memo for a later run to serve.
+#[test]
+fn traced_runs_neither_read_nor_fill_the_memo() {
+    let plan = Plan::new()
+        .schemes(["1S", "2SC3"])
+        .workload("LLHH")
+        .scale(100_000);
+    let session = Session::with_parallelism(2);
+    let set = plan.run(&session);
+    let mut hooked = 0;
+    let traced = plan.run_traced(&session, |_, _, trace| {
+        assert!(!trace.events.is_empty(), "cell {hooked} was simulated");
+        hooked += 1;
+    });
+    assert_eq!(hooked, set.len());
+    assert_eq!(stats_dump(&traced), stats_dump(&set));
+    for key in plan.jobs() {
+        let (_, trace) = plan.trace_cell(&session, &key);
+        assert!(!trace.events.is_empty());
+    }
+
+    let session = Session::with_parallelism(2);
+    plan.run_traced(&session, |_, _, _| {});
+    let (_, served) = run_counting_memo(&plan, &session);
+    assert_eq!(served, 0);
+}
