@@ -960,6 +960,8 @@ impl Plan {
     }
 
     /// Run the whole grid in a session (shared image cache, rayon fan-out).
+    /// A cell the session has already simulated is served from its memo
+    /// (see [`Session`]).
     ///
     /// Results are deterministic and ordered by the grid regardless of the
     /// session's worker count.
@@ -994,7 +996,8 @@ impl Plan {
     /// The per-cell sink follows [`Plan::trace`]; the default
     /// [`TraceSpec::Off`] records fully here, since calling this method is
     /// the explicit request to trace. Statistics are identical to
-    /// [`Plan::run`] — tracing observes, never perturbs.
+    /// [`Plan::run`] — tracing observes, never perturbs. Every cell is
+    /// simulated, even one the session's memo holds.
     pub fn run_traced<F>(&self, session: &Session, mut hook: F) -> ResultSet
     where
         F: FnMut(&JobKey, &RunResult, &Trace),
