@@ -946,24 +946,28 @@ fn a_repeated_open_or_fleet_plan_is_served_whole() {
     for plan in [open, fleet] {
         let session = Session::with_parallelism(2);
         let cache = session.cache();
-        let mut runs = Vec::new();
-        for _ in 0..2 {
+        let run = || {
             let (requests, images) = (cache.requests(), cache.len());
             let (set, served) = run_counting_memo(&plan, &session);
-            let deltas = (cache.requests() - requests, cache.len() - images);
-            runs.push((stats_dump(&set), served, deltas));
-        }
-        let [(first, first_served, first_deltas), (second, second_served, second_deltas)] =
-            <[_; 2]>::try_from(runs).unwrap();
+            let dump = stats_dump(&set);
+            (
+                dump,
+                served,
+                cache.requests() - requests,
+                cache.len() - images,
+            )
+        };
+        let (first, first_served, first_requests, first_images) = run();
+        let (second, second_served, second_requests, second_images) = run();
         assert_eq!(first_served, 0);
         assert_eq!(second_served, first.len() as u64, "every cell is served");
         assert_eq!(second, first);
         assert_eq!(
-            second_deltas.0, first_deltas.0,
+            second_requests, first_requests,
             "a served cell repeats its image lookups"
         );
-        assert!(first_deltas.1 > 0, "the first run builds images");
-        assert_eq!(second_deltas.1, 0, "a served cell builds no image");
+        assert!(first_images > 0, "the first run builds images");
+        assert_eq!(second_images, 0, "a served cell builds no image");
     }
 }
 
