@@ -342,8 +342,8 @@ impl JobKey {
 /// [`ImageCache::requests`] and [`ImageCache::len`] move as if it had run.
 /// [`Plan::run_traced`] and [`Plan::trace_cell`] neither read nor fill the
 /// memo. Memo entries point into the storage of the result sets that
-/// produced them, so the session keeps every untraced set it produced
-/// alive for as long as it lives.
+/// produced them, so the session keeps the results of every untraced set
+/// that added a cell to the memo alive for as long as it lives.
 pub struct Session {
     cache: ImageCache,
     parallelism: usize,
