@@ -2,8 +2,9 @@
 //!
 //! The simulator calls this every cycle, so the scheme tree is *compiled*
 //! once into a flat list of pairwise joins over per-port slots
-//! ([`CompiledScheme`]), evaluated in place with no allocation. A
-//! subtree's selection lives in the slot of its leftmost port. Each merge
+//! ([`CompiledScheme`]), evaluated in place with no allocation. Each slot
+//! is a signature and a port mask, held in two flat arrays; a subtree's
+//! selection lives in the slot of its leftmost port. Each merge
 //! block consumes its operands left-to-right exactly like the hardware
 //! cascade: the leftmost ready operand anchors the selection, each further
 //! operand joins if the block's conflict check passes and is dropped (for
@@ -142,26 +143,6 @@ fn flatten(node: &SchemeNode, joins: &mut Vec<Join>, next_node: &mut u16) -> u8 
     }
 }
 
-/// Accumulated selection during evaluation: which ports are in, and the
-/// combined signature.
-#[derive(Debug, Clone, Copy, Default)]
-struct Selection {
-    sig: InstrSignature,
-    members: u8,
-}
-
-impl Selection {
-    const EMPTY: Selection = Selection {
-        sig: InstrSignature::EMPTY,
-        members: 0,
-    };
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.members == 0
-    }
-}
-
 /// Evaluates compiled schemes against a machine's resource capacities.
 #[derive(Debug, Clone)]
 pub struct MergeEvaluator {
@@ -191,6 +172,7 @@ impl MergeEvaluator {
     }
 
     /// Evaluate and record per-block attempt/success statistics.
+    #[inline]
     pub fn evaluate_with_stats(
         &self,
         scheme: &CompiledScheme,
@@ -200,6 +182,14 @@ impl MergeEvaluator {
         self.eval_inner::<true>(scheme, inputs, Some(stats))
     }
 
+    /// Run the joins over two flat slot arrays: `sigs[p]` is the combined
+    /// signature of the selection anchored at port `p`, `members[p]` its
+    /// port mask (0 = empty, and then `sigs[p]` is never read).
+    ///
+    /// Always inlined, so that the evaluation inlines into the core's
+    /// issue step through either wrapper instead of staying out of line
+    /// behind them.
+    #[inline(always)]
     fn eval_inner<const STATS: bool>(
         &self,
         scheme: &CompiledScheme,
@@ -207,28 +197,27 @@ impl MergeEvaluator {
         mut stats: Option<&mut MergeStats>,
     ) -> MergeOutcome {
         let ports = inputs.len().min(scheme.n_ports as usize);
-        let mut slots = [Selection::EMPTY; crate::MAX_PORTS];
+        let mut sigs = [InstrSignature::EMPTY; crate::MAX_PORTS];
+        let mut members = [0u8; crate::MAX_PORTS];
         for (p, inp) in inputs[..ports].iter().enumerate() {
             if inp.ready {
-                slots[p] = Selection {
-                    sig: inp.sig,
-                    members: 1 << p,
-                };
+                sigs[p] = inp.sig;
+                members[p] = 1 << p;
             }
         }
         for join in &scheme.joins {
-            let cand = slots[join.src as usize];
-            if cand.is_empty() {
+            let (dst, src) = (join.dst as usize, join.src as usize);
+            if members[src] == 0 {
                 continue;
             }
-            let acc = &mut slots[join.dst as usize];
-            if acc.is_empty() {
-                *acc = cand;
+            if members[dst] == 0 {
+                sigs[dst] = sigs[src];
+                members[dst] = members[src];
                 continue;
             }
             let ok = match join.kind {
-                MergeKind::Csmt => acc.sig.cluster_disjoint(cand.sig),
-                MergeKind::Smt => acc.sig.smt_compatible(cand.sig, &self.caps),
+                MergeKind::Csmt => sigs[dst].cluster_disjoint(sigs[src]),
+                MergeKind::Smt => sigs[dst].smt_compatible(sigs[src], &self.caps),
             };
             if STATS {
                 if let Some(stats) = stats.as_deref_mut() {
@@ -236,19 +225,19 @@ impl MergeEvaluator {
                 }
             }
             if ok {
-                acc.sig = acc.sig.merged_with(cand.sig);
-                acc.members |= cand.members;
+                sigs[dst] = sigs[dst].merged_with(sigs[src]);
+                members[dst] |= members[src];
             }
         }
-        let selection = slots[scheme.root as usize];
+        let root = scheme.root as usize;
         if STATS {
             if let Some(stats) = stats {
-                stats.record_packet(selection.members.count_ones(), selection.sig.n_ops);
+                stats.record_packet(members[root].count_ones(), sigs[root].n_ops);
             }
         }
         MergeOutcome {
-            issued_ports: selection.members,
-            packet: selection.sig,
+            issued_ports: members[root],
+            packet: sigs[root],
         }
     }
 }

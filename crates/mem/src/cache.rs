@@ -79,16 +79,6 @@ impl CacheStats {
         }
     }
 
-    /// Per-thread miss rate.
-    pub fn thread_miss_rate(&self, thread: u8) -> f64 {
-        let a = self.accesses[thread as usize];
-        if a == 0 {
-            0.0
-        } else {
-            self.misses[thread as usize] as f64 / a as f64
-        }
-    }
-
     /// Accumulate another stats block.
     pub fn merge_from(&mut self, other: &CacheStats) {
         for i in 0..MAX_THREADS {
@@ -160,29 +150,40 @@ impl Cache {
     ///
     /// Misses allocate (write-allocate policy) and evict the LRU way;
     /// dirty victims count a writeback.
+    ///
+    /// The hit path compares every way's tag with no early exit: a line
+    /// sits in at most one way and `INVALID` never equals a line
+    /// (`addr >> line_shift < u64::MAX`), so the last match is the only
+    /// one. A miss runs out of line, off the hit path.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool, thread: u8) -> bool {
         self.tick += 1;
         self.stats.accesses[thread as usize] += 1;
 
         let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
         let ways = self.cfg.ways as usize;
-        let base = set * ways;
+        let base = (line & self.set_mask) as usize * ways;
 
-        // Probe.
-        for w in 0..ways {
-            let idx = base + w;
-            if self.tags[idx] == line {
-                self.stamps[idx] = self.tick;
-                if write {
-                    self.dirty[idx] = true;
-                }
-                return true;
-            }
+        let mut way = ways;
+        for (w, &tag) in self.tags[base..base + ways].iter().enumerate() {
+            way = if tag == line { w } else { way };
         }
+        if way == ways {
+            self.miss(base, line, write, thread);
+            return false;
+        }
+        self.stamps[base + way] = self.tick;
+        self.dirty[base + way] |= write;
+        true
+    }
 
-        // Miss: evict LRU.
+    /// Allocate `line` into the set at `base` for `thread`, evicting the
+    /// first way with the smallest LRU stamp.
+    #[cold]
+    #[inline(never)]
+    fn miss(&mut self, base: usize, line: u64, write: bool, thread: u8) {
         self.stats.misses[thread as usize] += 1;
+        let ways = self.cfg.ways as usize;
         let mut victim = base;
         for idx in base + 1..base + ways {
             if self.stamps[idx] < self.stamps[victim] {
@@ -201,7 +202,6 @@ impl Cache {
         self.stamps[victim] = self.tick;
         self.dirty[victim] = write;
         self.owner[victim] = thread;
-        false
     }
 
     /// Whether `addr` currently resides in the cache (no state change).
@@ -303,8 +303,7 @@ mod tests {
         assert_eq!(c.stats().accesses[2], 2);
         assert_eq!(c.stats().misses[2], 1);
         assert_eq!(c.stats().accesses[5], 1);
-        assert!(c.stats().thread_miss_rate(5) > 0.99);
-        assert!((c.stats().thread_miss_rate(2) - 0.5).abs() < 1e-12);
+        assert_eq!(c.stats().misses[5], 1);
     }
 
     #[test]

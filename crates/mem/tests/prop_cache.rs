@@ -1,16 +1,29 @@
 //! Property tests for the cache model, validated against a naive
-//! reference implementation (per-set vector with explicit LRU ordering).
+//! reference implementation (per-set deque with explicit LRU ordering,
+//! dirty bits and owners).
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use vliw_mem::{Cache, CacheConfig};
 
-/// Naive reference cache: per-set deque, front = MRU.
+/// One resident line of the reference model.
+struct RefLine {
+    tag: u64,
+    dirty: bool,
+    owner: u8,
+}
+
+/// Naive reference cache: per-set deque, front = MRU, with the counters
+/// the model keeps beside hit and miss.
 struct RefCache {
-    sets: Vec<VecDeque<u64>>,
+    sets: Vec<VecDeque<RefLine>>,
     ways: usize,
     line_shift: u32,
     set_mask: u64,
+    accesses: [u64; 4],
+    misses: [u64; 4],
+    writebacks: u64,
+    interference_evictions: u64,
 }
 
 impl RefCache {
@@ -20,24 +33,48 @@ impl RefCache {
             ways: cfg.ways as usize,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: u64::from(cfg.n_sets() - 1),
+            accesses: [0; 4],
+            misses: [0; 4],
+            writebacks: 0,
+            interference_evictions: 0,
         }
     }
 
-    fn access(&mut self, addr: u64) -> bool {
+    /// A hit sets the dirty bit on a write and keeps the line's owner. A
+    /// miss fills the set before it evicts; its LRU victim counts a
+    /// writeback when dirty and an interference eviction when another
+    /// thread brought it in.
+    fn access(&mut self, addr: u64, write: bool, thread: u8) -> bool {
+        self.accesses[thread as usize] += 1;
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
         let s = &mut self.sets[set];
-        if let Some(pos) = s.iter().position(|&t| t == line) {
-            s.remove(pos);
-            s.push_front(line);
+        if let Some(pos) = s.iter().position(|l| l.tag == line) {
+            let mut hit = s.remove(pos).expect("position is in range");
+            hit.dirty |= write;
+            s.push_front(hit);
             true
         } else {
+            self.misses[thread as usize] += 1;
             if s.len() == self.ways {
-                s.pop_back();
+                let victim = s.pop_back().expect("a full set has a victim");
+                self.writebacks += u64::from(victim.dirty);
+                self.interference_evictions += u64::from(victim.owner != thread);
             }
-            s.push_front(line);
+            s.push_front(RefLine {
+                tag: line,
+                dirty: write,
+                owner: thread,
+            });
             false
         }
+    }
+
+    /// Empty every set. The cache under test then refills each set's
+    /// invalid ways, lowest first, before it evicts anything, which the
+    /// deque models by filling before it pops.
+    fn flush(&mut self) {
+        self.sets.iter_mut().for_each(VecDeque::clear);
     }
 }
 
@@ -51,16 +88,34 @@ fn small_cfg() -> CacheConfig {
 }
 
 proptest! {
-    /// Hit/miss decisions match the reference LRU model exactly.
+    /// Hit/miss decisions and every counter match the reference LRU
+    /// model exactly, for reads and writes from four threads with a
+    /// flush half way through.
     #[test]
-    fn matches_reference_lru(addrs in prop::collection::vec(0u64..8192, 1..400)) {
+    fn matches_reference_lru(
+        ops in prop::collection::vec((0u64..8192, any::<bool>(), 0u8..4), 1..400)
+    ) {
         let cfg = small_cfg();
         let mut dut = Cache::new(cfg);
         let mut reference = RefCache::new(cfg);
-        for &a in &addrs {
-            let expect = reference.access(a);
-            let got = dut.access(a, false, 0);
+        for (i, &(a, write, thread)) in ops.iter().enumerate() {
+            if i == ops.len() / 2 {
+                dut.flush();
+                reference.flush();
+            }
+            let expect = reference.access(a, write, thread);
+            let got = dut.access(a, write, thread);
             prop_assert_eq!(got, expect, "address {:#x}", a);
+            let s = dut.stats();
+            prop_assert_eq!(s.writebacks, reference.writebacks, "access {}", i);
+            prop_assert_eq!(
+                s.interference_evictions,
+                reference.interference_evictions,
+                "access {}",
+                i
+            );
+            prop_assert_eq!(&s.accesses[..4], &reference.accesses[..], "access {}", i);
+            prop_assert_eq!(&s.misses[..4], &reference.misses[..], "access {}", i);
         }
     }
 
