@@ -8,20 +8,16 @@
 //! results land at their input index, so output order (and therefore every
 //! downstream figure) is identical to sequential execution.
 //!
-//! Supported surface: [`prelude`] (slice `par_iter`, `Vec`/`Range`
-//! `into_par_iter`, `map`, `collect` into `Vec`, `for_each`, `sum`, and
-//! slice `par_iter_mut().for_each`),
-//! [`ThreadPoolBuilder`] with `num_threads` + `build`/`build_global`, scoped
-//! [`ThreadPool::install`], and [`current_num_threads`].
+//! Supported surface, the two shapes the workspace calls and a subset of
+//! rayon's API: slice `par_iter().map(..).collect()` into a `Vec`, and
+//! slice `par_iter_mut().for_each(..)`, both run inside a pool from
+//! [`ThreadPoolBuilder`] (`new().num_threads(n).build()`) through
+//! [`ThreadPool::install`]; plus [`current_num_threads`].
 
 #![deny(missing_docs)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Global worker-count override installed by [`ThreadPoolBuilder::build_global`]
-/// (0 = use `std::thread::available_parallelism`).
-static GLOBAL_NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Per-thread override installed by [`ThreadPool::install`].
@@ -33,10 +29,6 @@ pub fn current_num_threads() -> usize {
     let local = LOCAL_NUM_THREADS.with(|n| n.get());
     if local > 0 {
         return local;
-    }
-    let global = GLOBAL_NUM_THREADS.load(Ordering::Relaxed);
-    if global > 0 {
-        return global;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -76,25 +68,14 @@ impl ThreadPoolBuilder {
 
     /// Build a scoped pool handle.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool {
-            num_threads: self.effective(),
-        })
-    }
-
-    /// Install this configuration as the process-global default.
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        GLOBAL_NUM_THREADS.store(self.effective(), Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn effective(&self) -> usize {
-        if self.num_threads > 0 {
+        let num_threads = if self.num_threads > 0 {
             self.num_threads
         } else {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
-        }
+        };
+        Ok(ThreadPool { num_threads })
     }
 }
 
@@ -105,11 +86,6 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Worker count of this pool.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
-
     /// Run `op` with this pool's worker count governing parallel iterators.
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
         LOCAL_NUM_THREADS.with(|n| {
@@ -168,13 +144,10 @@ where
 
 /// The traits users import; `use rayon::prelude::*;`.
 pub mod prelude {
-    pub use crate::{
-        IndexedParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
-        IntoParallelRefMutIterator, ParallelIterator,
-    };
+    pub use crate::{IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelIterator};
 }
 
-/// An indexed source of parallel items (slice, vec, or range).
+/// An indexed source of parallel items (a slice, or a map over one).
 pub trait ParallelIterator: Sized {
     /// Item type produced.
     type Item: Send;
@@ -194,15 +167,6 @@ pub trait ParallelIterator: Sized {
         Map { base: self, f }
     }
 
-    /// Apply `f` to every item in parallel.
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync,
-        Self: Sync,
-    {
-        run_indexed(self.par_len(), |i| f(self.par_get(i)));
-    }
-
     /// Collect into a container, preserving input order.
     fn collect<C>(self) -> C
     where
@@ -211,33 +175,10 @@ pub trait ParallelIterator: Sized {
     {
         C::from_par_iter(self)
     }
-
-    /// Sum the items in input order.
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item>,
-        Self: Sync,
-    {
-        run_indexed(self.par_len(), |i| self.par_get(i))
-            .into_iter()
-            .sum()
-    }
-}
-
-/// Marker for iterators with known length/indexing (all of ours are).
-pub trait IndexedParallelIterator: ParallelIterator {}
-
-/// Conversion into a parallel iterator (by value).
-pub trait IntoParallelIterator {
-    /// Item type produced.
-    type Item: Send;
-    /// Iterator type produced.
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// Convert.
-    fn into_par_iter(self) -> Self::Iter;
 }
 
 /// Conversion into a borrowing parallel iterator (`.par_iter()`).
+/// Implemented for slices only; a `Vec` reaches it through auto-deref.
 pub trait IntoParallelRefIterator<'a> {
     /// Item type produced (a reference).
     type Item: Send;
@@ -261,36 +202,11 @@ impl<'a, T: Sync> ParallelIterator for SliceParIter<'a, T> {
         &self.slice[i]
     }
 }
-impl<T: Sync> IndexedParallelIterator for SliceParIter<'_, T> {}
 
 impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     type Item = &'a T;
     type Iter = SliceParIter<'a, T>;
     fn par_iter(&'a self) -> SliceParIter<'a, T> {
-        SliceParIter { slice: self }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    type Iter = SliceParIter<'a, T>;
-    fn par_iter(&'a self) -> SliceParIter<'a, T> {
-        SliceParIter { slice: self }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelIterator for &'a [T] {
-    type Item = &'a T;
-    type Iter = SliceParIter<'a, T>;
-    fn into_par_iter(self) -> SliceParIter<'a, T> {
-        SliceParIter { slice: self }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelIterator for &'a Vec<T> {
-    type Item = &'a T;
-    type Iter = SliceParIter<'a, T>;
-    fn into_par_iter(self) -> SliceParIter<'a, T> {
         SliceParIter { slice: self }
     }
 }
@@ -339,60 +255,6 @@ impl<T: Send> SliceParIterMut<'_, T> {
     }
 }
 
-/// Parallel iterator over an owned `Vec<T>` (items are cloned out by index;
-/// owning moves out of a shared source would need unsafe bookkeeping the
-/// sweeps don't warrant).
-pub struct VecParIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Clone + Send + Sync> ParallelIterator for VecParIter<T> {
-    type Item = T;
-    fn par_len(&self) -> usize {
-        self.items.len()
-    }
-    fn par_get(&self, i: usize) -> T {
-        self.items[i].clone()
-    }
-}
-impl<T: Clone + Send + Sync> IndexedParallelIterator for VecParIter<T> {}
-
-impl<T: Clone + Send + Sync> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = VecParIter<T>;
-    fn into_par_iter(self) -> VecParIter<T> {
-        VecParIter { items: self }
-    }
-}
-
-/// Parallel iterator over `Range<usize>`.
-pub struct RangeParIter {
-    start: usize,
-    len: usize,
-}
-
-impl ParallelIterator for RangeParIter {
-    type Item = usize;
-    fn par_len(&self) -> usize {
-        self.len
-    }
-    fn par_get(&self, i: usize) -> usize {
-        self.start + i
-    }
-}
-impl IndexedParallelIterator for RangeParIter {}
-
-impl IntoParallelIterator for std::ops::Range<usize> {
-    type Item = usize;
-    type Iter = RangeParIter;
-    fn into_par_iter(self) -> RangeParIter {
-        RangeParIter {
-            start: self.start,
-            len: self.end.saturating_sub(self.start),
-        }
-    }
-}
-
 /// Result of [`ParallelIterator::map`].
 pub struct Map<B, F> {
     base: B,
@@ -412,13 +274,6 @@ where
     fn par_get(&self, i: usize) -> R {
         (self.f)(self.base.par_get(i))
     }
-}
-impl<B, R, F> IndexedParallelIterator for Map<B, F>
-where
-    B: ParallelIterator,
-    R: Send,
-    F: Fn(B::Item) -> R + Sync,
-{
 }
 
 /// Containers constructible from a parallel iterator.
@@ -454,28 +309,6 @@ mod tests {
     fn install_overrides_worker_count() {
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         assert_eq!(pool.install(current_num_threads), 3);
-    }
-
-    #[test]
-    fn range_and_owned_vec_sources() {
-        let squares: Vec<usize> = (0..64usize).into_par_iter().map(|i| i * i).collect();
-        assert_eq!(squares[63], 63 * 63);
-        let labels: Vec<String> = vec!["a".to_string(), "b".to_string()]
-            .into_par_iter()
-            .collect();
-        assert_eq!(labels, ["a", "b"]);
-    }
-
-    #[test]
-    fn sum_and_for_each() {
-        let xs: Vec<u64> = (1..=100).collect();
-        let total: u64 = xs.par_iter().map(|&x| x).sum();
-        assert_eq!(total, 5050);
-        let hits = std::sync::atomic::AtomicUsize::new(0);
-        xs.par_iter().for_each(|_| {
-            hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        });
-        assert_eq!(hits.into_inner(), 100);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::cluster::ClusteredBlock;
 use crate::ddg::Ddg;
 use crate::ir::Terminator;
-use vliw_isa::{MachineConfig, OpClass};
+use vliw_isa::MachineConfig;
 
 /// Placement of one op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,17 +226,6 @@ pub fn verify_schedule(
     }
     Ok(())
 }
-
-/// Schedule quality metric: operations per instruction.
-pub fn ops_per_cycle(block: &ClusteredBlock, sched: &BlockSchedule) -> f64 {
-    if sched.n_cycles == 0 {
-        return 0.0;
-    }
-    block.ops.len() as f64 / f64::from(sched.n_cycles)
-}
-
-#[allow(unused_imports)]
-use OpClass as _OpClassUsedInDocs;
 
 #[cfg(test)]
 mod tests {

@@ -129,25 +129,6 @@ pub fn paper_schemes() -> Vec<MergeScheme> {
     ]
 }
 
-/// The scheme groups the paper reports as performance-indistinguishable in
-/// Figure 10, in ascending performance order (§5.2).
-pub fn figure10_groups() -> Vec<(&'static str, Vec<&'static str>)> {
-    vec![
-        ("1S", vec!["1S"]),
-        ("3CCC,C4", vec!["3CCC", "C4"]),
-        ("2CC", vec!["2CC"]),
-        ("2CS", vec!["2CS"]),
-        (
-            "2SC3,2C3S,3CCS,3CSC,3SCC",
-            vec!["2SC3", "2C3S", "3CCS", "3CSC", "3SCC"],
-        ),
-        ("3CSS,3SSC,3SCS", vec!["3CSS", "3SSC", "3SCS"]),
-        ("2SC", vec!["2SC"]),
-        ("2SS", vec!["2SS"]),
-        ("3SSS", vec!["3SSS"]),
-    ]
-}
-
 /// Resolve a scheme by its paper name (including `ST` and `1S`).
 pub fn by_name(name: &str) -> Option<MergeScheme> {
     if name == "ST" {
@@ -240,14 +221,5 @@ mod tests {
         assert_eq!(t.n_ports(), 8);
         assert_eq!(t.csmt_blocks(), 7);
         assert_eq!(t.levels(), 3);
-    }
-
-    #[test]
-    fn figure10_groups_cover_catalog() {
-        let mut covered: Vec<&str> = figure10_groups().into_iter().flat_map(|(_, v)| v).collect();
-        covered.sort();
-        let mut names = paper_scheme_names();
-        names.sort();
-        assert_eq!(covered, names);
     }
 }

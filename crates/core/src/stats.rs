@@ -123,25 +123,6 @@ impl MergeStats {
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
-
-    /// Merge another stats instance (e.g. from a parallel shard).
-    pub fn merge_from(&mut self, other: &MergeStats) {
-        if self.attempts.len() < other.attempts.len() {
-            self.attempts.resize(other.attempts.len(), 0);
-            self.successes.resize(other.successes.len(), 0);
-        }
-        for (a, b) in self.attempts.iter_mut().zip(&other.attempts) {
-            *a += b;
-        }
-        for (a, b) in self.successes.iter_mut().zip(&other.successes) {
-            *a += b;
-        }
-        for (a, b) in self.packets.iter_mut().zip(&other.packets) {
-            *a += b;
-        }
-        self.ops_issued += other.ops_issued;
-        self.cycles += other.cycles;
-    }
 }
 
 #[cfg(test)]
@@ -190,20 +171,6 @@ mod tests {
             closed.mean_ops_per_cycle(),
             "bit-exact aggregate"
         );
-    }
-
-    #[test]
-    fn merge_from_accumulates() {
-        let mut a = MergeStats::new(1);
-        a.record_attempt(0, true);
-        a.record_packet(1, 2);
-        let mut b = MergeStats::new(1);
-        b.record_attempt(0, false);
-        b.record_packet(2, 4);
-        a.merge_from(&b);
-        assert_eq!(a.attempts(), &[2]);
-        assert_eq!(a.successes(), &[1]);
-        assert_eq!(a.cycles(), 2);
     }
 
     #[test]

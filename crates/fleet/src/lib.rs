@@ -483,16 +483,6 @@ impl FleetStats {
         self.machines.iter().map(|m| m.routed).sum()
     }
 
-    /// Total completions across the fleet.
-    pub fn completed_total(&self) -> u64 {
-        self.machines.iter().map(|m| m.completed).sum()
-    }
-
-    /// Total sheds across the fleet.
-    pub fn shed_total(&self) -> u64 {
-        self.machines.iter().map(|m| m.shed).sum()
-    }
-
     /// The per-machine conservation law, fleet-wide: every machine's
     /// `completed + shed == routed`.
     pub fn conserves_arrivals(&self) -> bool {
@@ -668,8 +658,8 @@ mod tests {
         };
         assert!(ok.conserves_arrivals());
         assert_eq!(ok.routed_total(), 8);
-        assert_eq!(ok.completed_total(), 7);
-        assert_eq!(ok.shed_total(), 1);
+        assert_eq!(ok.machines.iter().map(|m| m.completed).sum::<u64>(), 7);
+        assert_eq!(ok.machines.iter().map(|m| m.shed).sum::<u64>(), 1);
         let bad = FleetStats {
             machines: vec![lane(5, 3, 1)],
         };

@@ -159,52 +159,6 @@ impl Netlist {
         level[0]
     }
 
-    /// Population count of `bits`: returns the sum bits (the structural
-    /// adder tree may materialise one more column than the arithmetic
-    /// minimum because top carries get wires even when provably zero).
-    ///
-    /// Built as the classic adder tree of half/full adders.
-    pub fn popcount(&mut self, bits: &[NodeId]) -> Vec<NodeId> {
-        match bits.len() {
-            0 => vec![],
-            1 => vec![bits[0]],
-            _ => {
-                // Group into columns by weight, reduce with FAs/HAs.
-                let mut columns: Vec<Vec<NodeId>> = vec![bits.to_vec()];
-                loop {
-                    let done = columns.iter().all(|c| c.len() <= 1);
-                    if done {
-                        break;
-                    }
-                    let mut next: Vec<Vec<NodeId>> = vec![Vec::new(); columns.len() + 1];
-                    for (w, col) in columns.iter().enumerate() {
-                        let mut i = 0;
-                        while col.len() - i >= 3 {
-                            let s = self.gate(Gate::FullAdder, &col[i..i + 3]);
-                            let c = self.gate(Gate::Inv, &[s]); // carry buffer
-                            next[w].push(s);
-                            next[w + 1].push(c);
-                            i += 3;
-                        }
-                        if col.len() - i == 2 {
-                            let s = self.gate(Gate::HalfAdder, &col[i..i + 2]);
-                            let c = self.gate(Gate::Inv, &[s]);
-                            next[w].push(s);
-                            next[w + 1].push(c);
-                        } else if col.len() - i == 1 {
-                            next[w].push(col[i]);
-                        }
-                    }
-                    while next.last().is_some_and(|c| c.is_empty()) {
-                        next.pop();
-                    }
-                    columns = next;
-                }
-                columns.into_iter().map(|c| c[0]).collect()
-            }
-        }
-    }
-
     /// Ripple add of two equal-width values; returns sum bits (with carry).
     pub fn adder(&mut self, a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
         assert_eq!(a.len(), b.len());
@@ -268,15 +222,6 @@ mod tests {
         let out = n.or_tree(&[a]);
         assert_eq!(out, a);
         assert_eq!(n.transistors(), 0);
-    }
-
-    #[test]
-    fn popcount_width() {
-        let mut n = Netlist::new();
-        let inputs: Vec<NodeId> = (0..7).map(|_| n.input()).collect();
-        let sum = n.popcount(&inputs);
-        assert!((3..=4).contains(&sum.len()), "7 bits need 3(+1) sum bits");
-        assert!(n.transistors() > 0);
     }
 
     #[test]

@@ -30,22 +30,6 @@ pub fn render_instr(machine: &MachineConfig, instr: &VliwInstruction) -> String 
     out
 }
 
-/// Render a full operation listing (one line per operation) with cluster and
-/// slot placements — useful when debugging schedules.
-pub fn render_verbose(machine: &MachineConfig, instr: &VliwInstruction) -> String {
-    let mut out = String::new();
-    if instr.is_nop() {
-        out.push_str("  nop\n");
-        return out;
-    }
-    for op in instr.ops() {
-        let _ = writeln!(out, "  c{}.s{}: {}", op.cluster, op.slot, op);
-    }
-    let _ = writeln!(out, "  ;; {}", instr.signature());
-    let _ = machine;
-    out
-}
-
 /// Render a block of instructions, one grid row each, prefixed with indices.
 pub fn render_block(machine: &MachineConfig, instrs: &[VliwInstruction]) -> String {
     let mut out = String::new();
@@ -70,18 +54,6 @@ mod tests {
         let i = b.build();
         let s = render_instr(&m, &i);
         assert_eq!(s, "[add - | - -]");
-    }
-
-    #[test]
-    fn verbose_listing_contains_ops() {
-        let m = MachineConfig::paper_baseline();
-        let mut b = InstrBuilder::new(&m);
-        b.push(Operation::new(Opcode::Mpy, 1)).unwrap();
-        let i = b.build();
-        let s = render_verbose(&m, &i);
-        assert!(s.contains("c1.s0: mpy"));
-        let nop = render_verbose(&m, &VliwInstruction::nop());
-        assert!(nop.contains("nop"));
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl VliwInstruction {
         self.ops.iter().find(|o| o.class() == OpClass::Branch)
     }
 
-    /// Iterator over memory operations.
-    pub fn mem_ops(&self) -> impl Iterator<Item = &Operation> {
-        self.ops.iter().filter(|o| o.class() == OpClass::Mem)
-    }
-
     /// Maximum completion latency of the word's operations.
     pub fn max_latency(&self, machine: &MachineConfig) -> u8 {
         self.ops
@@ -246,15 +241,6 @@ impl<'m> InstrBuilder<'m> {
     /// True if nothing was placed yet.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Whether a `class` operation could still be placed on `cluster`.
-    pub fn has_free_slot(&self, cluster: u8, class: OpClass) -> bool {
-        if cluster >= self.machine.n_clusters {
-            return false;
-        }
-        let plan = self.machine.slot_plan(cluster);
-        plan.slots_for(class) & !self.taken[cluster as usize] != 0
     }
 
     /// Finish: sort operations by (cluster, slot) and compute the signature.

@@ -183,12 +183,6 @@ impl MachineConfig {
         Ok(self)
     }
 
-    /// Override the taken-branch penalty.
-    pub fn with_branch_penalty(mut self, cycles: u8) -> Self {
-        self.taken_branch_penalty = cycles;
-        self
-    }
-
     /// Check geometry invariants.
     pub fn validate(&self) -> Result<(), MachineError> {
         if self.n_clusters == 0 || self.n_clusters as usize > MAX_CLUSTERS {

@@ -221,12 +221,6 @@ impl Opcode {
         matches!(self, Opcode::Stw | Opcode::Sth | Opcode::Stb)
     }
 
-    /// True for any memory-class operation (including prefetch).
-    #[inline]
-    pub const fn is_mem(self) -> bool {
-        matches!(self.class(), OpClass::Mem)
-    }
-
     /// True for control transfers that are *always* taken when executed.
     #[inline]
     pub const fn is_unconditional_branch(self) -> bool {

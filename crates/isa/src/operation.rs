@@ -115,13 +115,6 @@ impl Operation {
         self
     }
 
-    /// Attach a memory annotation (must be a mem-class opcode).
-    pub fn with_mem(mut self, mem: MemInfo) -> Self {
-        debug_assert_eq!(self.opcode.class(), OpClass::Mem);
-        self.mem = Some(mem);
-        self
-    }
-
     /// Attach a branch annotation (must be a branch-class opcode).
     pub fn with_branch(mut self, branch: BranchInfo) -> Self {
         debug_assert_eq!(self.opcode.class(), OpClass::Branch);

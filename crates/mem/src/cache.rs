@@ -78,16 +78,6 @@ impl CacheStats {
             self.total_misses() as f64 / a as f64
         }
     }
-
-    /// Accumulate another stats block.
-    pub fn merge_from(&mut self, other: &CacheStats) {
-        for i in 0..MAX_THREADS {
-            self.accesses[i] += other.accesses[i];
-            self.misses[i] += other.misses[i];
-        }
-        self.writebacks += other.writebacks;
-        self.interference_evictions += other.interference_evictions;
-    }
 }
 
 impl fmt::Display for CacheStats {

@@ -129,11 +129,6 @@ impl MemSystem {
         }
     }
 
-    /// True when configured as perfect memory.
-    pub fn is_perfect(&self) -> bool {
-        self.perfect
-    }
-
     /// I-cache line index of an address (fetch fast-path support: the
     /// pipeline only re-probes the I$ when the line changes).
     #[inline]

@@ -66,13 +66,6 @@ pub struct ThreadView {
     pub last_ctx: Option<u8>,
 }
 
-impl ThreadView {
-    /// Total stall cycles across all causes.
-    pub fn stall_cycles(&self) -> u64 {
-        self.dstall_cycles + self.istall_cycles + self.branch_stall_cycles
-    }
-}
-
 /// The machine state a policy decides over.
 ///
 /// `pool` holds the swapped-out threads in the machine's pool order:

@@ -190,15 +190,6 @@ impl RunStats {
         }
     }
 
-    /// VLIW instructions (execution packets' member instructions) per cycle.
-    pub fn instr_throughput(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.total_instrs as f64 / self.cycles as f64
-        }
-    }
-
     /// Fraction of cycles with no issue at all.
     pub fn vertical_waste(&self) -> f64 {
         if self.cycles == 0 {
@@ -305,7 +296,6 @@ mod tests {
         let s = stats(100, 400, 16);
         assert!((s.ipc() - 4.0).abs() < 1e-12);
         assert!((s.utilization() - 0.25).abs() < 1e-12);
-        assert!((s.instr_throughput() - 2.0).abs() < 1e-12);
     }
 
     #[test]

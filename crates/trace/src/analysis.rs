@@ -212,15 +212,6 @@ impl MigrationHistogram {
         (64 - latency.max(1).leading_zeros() as usize - 1).min(MIGRATION_BUCKETS - 1)
     }
 
-    /// Human-readable range label of bucket `i`.
-    pub fn bucket_label(i: usize) -> String {
-        if i + 1 >= MIGRATION_BUCKETS {
-            format!("{}+", 1u64 << i)
-        } else {
-            format!("{}-{}", 1u64 << i, (1u64 << (i + 1)) - 1)
-        }
-    }
-
     /// Migration counts per bucket.
     pub fn buckets(&self) -> &[u64; MIGRATION_BUCKETS] {
         &self.buckets
@@ -443,11 +434,6 @@ mod tests {
         assert_eq!(
             MigrationHistogram::bucket_of(u64::MAX),
             MIGRATION_BUCKETS - 1
-        );
-        assert_eq!(MigrationHistogram::bucket_label(0), "1-1");
-        assert_eq!(
-            MigrationHistogram::bucket_label(MIGRATION_BUCKETS - 1),
-            format!("{}+", 1u64 << (MIGRATION_BUCKETS - 1))
         );
     }
 
