@@ -504,7 +504,7 @@ fn print_list() {
         println!("  {d}");
     }
     println!("\ntrace formats (--trace-format):");
-    println!("  chrome  jsonl  csv");
+    println!("  {}", joined(TraceFormat::ALL, "  "));
 }
 
 fn die(msg: &str) -> ! {
@@ -514,9 +514,16 @@ fn die(msg: &str) -> ! {
 
 /// Every exhibit name, in render order.
 fn exhibit_names() -> String {
-    EXHIBITS.map(|e| e.name).join(" ")
+    joined(EXHIBITS.map(|e| e.name), " ")
 }
 
+/// `items` as the parsers spell them, separated by `sep`.
+fn joined<T: Display>(items: impl IntoIterator<Item = T>, sep: &str) -> String {
+    let names: Vec<String> = items.into_iter().map(|t| t.to_string()).collect();
+    names.join(sep)
+}
+
+/// The usage text. Every name list comes from the library, as `--list`'s do.
 fn help() -> String {
     format!(
         "usage: paper [EXHIBIT...] [--scale N] [--full] [--threads N] [--filter S] \
@@ -526,14 +533,20 @@ fn help() -> String {
        paper --lint [--lint-format text|json]
        paper --list
 exhibits: {} all
-schedulers: paper-random round-robin icount cluster-affinity
-machines: paper-4x4 2x8 8x2 4x4-lite, or CxI[+muls+mems] (e.g. 3x4, 2x8+1+2)
+schedulers: {}
+machines: {}, or CxI[+muls+mems] (e.g. 3x4, 2x8+1+2)
 arrivals: closed, poisson:RATE, bursty:RATE:LEN:FACTOR, diurnal:RATE:PEAK:PERIOD \
 (RATE in arrivals/cycle, e.g. poisson:0.02)
 fleets: ENTRY[/ENTRY...][@POLICY] with ENTRY = MACHINESPEC[*COUNT] (e.g. paper-4x4*2, \
-paper-4x4*2/2x8@least-queued), preset: edge; policies: round-robin least-queued affinity
-trace formats: chrome jsonl csv (default chrome)
+paper-4x4*2/2x8@least-queued), preset: {}; policies: {}
+trace formats: {} (default {})
 see `paper --list` for every name the harness accepts",
-        exhibit_names()
+        exhibit_names(),
+        joined(SchedulerSpec::all(), " "),
+        joined(MachineSpec::presets(), " "),
+        joined(FleetSpec::presets().into_iter().map(|(name, _)| name), " "),
+        joined(DispatcherSpec::all(), " "),
+        joined(TraceFormat::ALL, " "),
+        TraceFormat::Chrome,
     )
 }
