@@ -479,6 +479,52 @@ fn csv_rows_shaped_refuses_to_drop_a_swept_axis() {
     let _ = set.csv_rows(None, Columns::default());
 }
 
+/// Fields in one CSV record, with RFC-4180 quoting.
+fn csv_fields(record: &str) -> usize {
+    let mut quoted = false;
+    let commas = record
+        .chars()
+        .filter(|&c| {
+            quoted ^= c == '"';
+            c == ',' && !quoted
+        })
+        .count();
+    commas + 1
+}
+
+/// Every row matches its header under every column set a combined export
+/// can force: closed, open and fleet cells, each plain and metered, shaped
+/// to each superset of their own columns over the optional axes.
+#[test]
+fn csv_rows_match_the_header_under_every_forced_column_set() {
+    use vliw_tms::sim::telemetry::Registry;
+    let optional = [Axis::Scheduler, Axis::Machine, Axis::Fleet, Axis::Traffic];
+    let arrivals: TrafficSpec = "poisson:0.001".parse().unwrap();
+    let closed = || Plan::new().scheme("2SC3").workload("LLHH").scale(50_000);
+    let open = || closed().arrival(arrivals);
+    let fleet = || open().fleet("paper-4x4*2@least-queued".parse().unwrap());
+    let session = Session::with_parallelism(1);
+    for plan in [closed(), open(), fleet()] {
+        let reg = Registry::new();
+        for set in [plan.run(&session), plan.run_metered(&session, &reg)] {
+            assert_eq!(set.len(), 1);
+            for forced in 0..1u32 << optional.len() {
+                let cols = optional
+                    .iter()
+                    .enumerate()
+                    .filter(|&(bit, _)| forced & 1 << bit != 0)
+                    .fold(set.columns(), |cols, (_, &axis)| cols.with(axis));
+                let header = cols.csv_header();
+                let rows = set.csv_rows(None, cols);
+                assert_eq!(rows.lines().count(), 1, "{header}\n{rows}");
+                for row in rows.lines() {
+                    assert_eq!(csv_fields(row), csv_fields(&header), "{header}\n{row}");
+                }
+            }
+        }
+    }
+}
+
 /// The per-thread breakdown helper exposes `RunStats::threads` keyed by
 /// the grid, including owned (non-`'static`) benchmark names.
 #[test]
