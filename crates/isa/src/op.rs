@@ -233,21 +233,6 @@ impl Opcode {
         matches!(self, Opcode::Br | Opcode::Brf)
     }
 
-    /// Number of register sources the opcode conventionally reads.
-    pub const fn n_srcs(self) -> usize {
-        match self {
-            Opcode::Mov | Opcode::Sxtb | Opcode::Sxth | Opcode::Zxtb | Opcode::Zxth => 1,
-            Opcode::Copy => 1,
-            Opcode::Slct => 3,
-            Opcode::Goto | Opcode::Call | Opcode::Return => 0,
-            Opcode::Br | Opcode::Brf => 1,
-            Opcode::Pft => 1,
-            _ if self.is_load() => 1,
-            _ if self.is_store() => 2,
-            _ => 2,
-        }
-    }
-
     /// Whether the opcode writes a destination register.
     pub const fn has_dest(self) -> bool {
         !matches!(
