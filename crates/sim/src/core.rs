@@ -7,12 +7,12 @@
 //!   context is stalled. This is the *oracle* the differential test suite
 //!   (`tests/core_equivalence.rs`) runs the fast core against.
 //! * [`CoreModel::EventDriven`] (default) — identical issue cycles, but
-//!   spans in which *no* context can issue are skipped in closed form via
-//!   a [`WakeupSet`] of per-context timers: the core jumps straight to
-//!   the earliest `stall_until`, accounting the skipped cycles (empty
-//!   packets, vertical waste, priority rotation) exactly as the oracle
-//!   would have. Memory-bound workloads spend most wall-clock in such
-//!   spans, which is where the measured 5–10× speedups come from (see
+//!   spans in which *no* context can issue are skipped in closed form:
+//!   the core jumps straight to the smallest `stall_until` among its
+//!   installed threads, accounting the skipped cycles (empty packets,
+//!   vertical waste, priority rotation) exactly as the oracle would have.
+//!   Memory-bound workloads spend most wall-clock in such spans, which is
+//!   where the measured 5–10× speedups come from (see
 //!   `BENCH_event_core.json`).
 //!
 //! The equivalence contract is *bit-identical observable state*: retire
@@ -24,7 +24,6 @@
 //! can be replayed in O(1).
 
 use crate::config::SimConfig;
-use crate::events::WakeupSet;
 use crate::stats::EngineStats;
 use crate::thread::SoftThread;
 use vliw_core::{eval::CompiledScheme, MergeEvaluator, MergeStats, PortInput, PriorityRotator};
@@ -34,9 +33,9 @@ use vliw_trace::{NullSink, TraceEvent, TraceSink};
 /// Which execution model drives [`Core::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CoreModel {
-    /// Event-driven fast core: skips ahead over all-stalled spans via a
-    /// time-ordered wakeup queue. Bit-identical to the oracle (enforced
-    /// by the differential suite), and the default.
+    /// Event-driven fast core: skips ahead over all-stalled spans to the
+    /// earliest thread wakeup. Bit-identical to the oracle (enforced by
+    /// the differential suite), and the default.
     #[default]
     EventDriven,
     /// The legacy cycle-accurate loop: ticks every context every cycle.
@@ -45,27 +44,13 @@ pub enum CoreModel {
 }
 
 impl CoreModel {
-    /// Stable lowercase name (`event` / `cycle`), as accepted by
-    /// [`CoreModel::parse`] and the paper bin's `--core` flag.
+    /// Stable lowercase name (`event` / `cycle`), as printed by
+    /// `Display`.
     pub fn name(self) -> &'static str {
         match self {
             CoreModel::EventDriven => "event",
             CoreModel::CycleAccurate => "cycle",
         }
-    }
-
-    /// Parse a model name (`"event"` / `"cycle"`, case-insensitive).
-    pub fn parse(s: &str) -> Option<CoreModel> {
-        match s.to_ascii_lowercase().as_str() {
-            "event" | "event-driven" | "fast" => Some(CoreModel::EventDriven),
-            "cycle" | "cycle-accurate" | "oracle" => Some(CoreModel::CycleAccurate),
-            _ => None,
-        }
-    }
-
-    /// Every model, in display order.
-    pub fn all() -> [CoreModel; 2] {
-        [CoreModel::EventDriven, CoreModel::CycleAccurate]
     }
 }
 
@@ -90,11 +75,6 @@ pub struct Core {
     scheme: CompiledScheme,
     rotator: PriorityRotator,
     model: CoreModel,
-    /// Per-context wakeup timers (the event-driven core's view of every
-    /// installed thread's `stall_until`). Maintained by `install`/`evict`
-    /// and by the fast loop after each issue; the cycle-accurate oracle
-    /// never consults it.
-    wake: WakeupSet,
     /// Shared memory system.
     pub mem: MemSystem,
     /// Hardware contexts (port count of the scheme).
@@ -135,7 +115,6 @@ impl Core {
             scheme: compiled,
             rotator: PriorityRotator::new(cfg.priority, n as u8),
             model: cfg.core_model,
-            wake: WakeupSet::new(n),
             mem: MemSystem::new(cfg.mem),
             contexts: (0..n).map(|_| None).collect(),
             branch_penalty: cfg.machine.taken_branch_penalty,
@@ -157,11 +136,6 @@ impl Core {
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// The execution model driving [`Core::run`].
-    pub fn model(&self) -> CoreModel {
-        self.model
     }
 
     /// Total operations issued so far.
@@ -210,15 +184,11 @@ impl Core {
         // in wall-clock terms only if the OS kept it out long enough.
         thread.stall_until = thread.stall_until.max(self.cycle);
         thread.fetch_head(self.cycle, &mut self.mem, ctx as u8, sink);
-        // Arm after the install fetch: a cold I$ miss raises `stall_until`
-        // and the timer must reflect the final value.
-        self.wake.arm(ctx, thread.stall_until);
         self.contexts[ctx] = Some(thread);
     }
 
     /// Remove and return the thread on `ctx`.
     pub fn evict(&mut self, ctx: usize) -> Option<SoftThread> {
-        self.wake.cancel(ctx);
         self.contexts[ctx].take()
     }
 
@@ -332,44 +302,30 @@ impl Core {
     /// The fast loop: execute issue cycles exactly like the oracle, skip
     /// all-stalled spans in closed form.
     ///
-    /// The loop steps first and consults the wakeup timers only after a
-    /// cycle that issued nothing, so issue cycles pay just the per-issued
-    /// re-arm (three stores) over the oracle. Zero issue is a *proof* of
-    /// an idle span: `step` issues from every context whose `stall_until`
-    /// has passed, so "nobody issued" means every installed context is
-    /// stalled strictly past the cycle just executed — and since timers
-    /// are re-armed on every issue/install, `wake.next_wakeup()` is then
-    /// exactly the first cycle anything can issue again.
+    /// The loop steps first and looks for a span only after a cycle that
+    /// issued nothing, so an issue cycle costs exactly the oracle's step.
+    /// Zero issue is a *proof* of an idle span: `step` issues from every
+    /// context whose `stall_until` has passed, so "nobody issued" means
+    /// every installed context is stalled strictly past the cycle just
+    /// executed, and the smallest `stall_until` among them is exactly the
+    /// first cycle anything can issue again.
     ///
-    /// Invariant: every installed context has a live timer in `wake` equal
-    /// to its current `stall_until` (armed at install, re-armed on every
-    /// issue; `stall_until` changes nowhere else). Timers that
-    /// *underestimate* `stall_until` would only force redundant (but
-    /// oracle-identical) idle steps, so external [`Core::step`] calls
-    /// interleaved with `run` stay correct.
+    /// The target is read from the threads themselves, which hold the
+    /// only copy of each wake cycle, so external [`Core::step`],
+    /// [`Core::install`] and [`Core::evict`] calls interleaved with `run`
+    /// need no bookkeeping here.
     fn run_event_driven<S: TraceSink>(&mut self, cycles_limit: u64, sink: &mut S) {
         while self.cycle < cycles_limit && !self.budget_reached {
-            let out = self.step_traced(sink);
-            if out.issued_contexts != 0 {
-                // Issuing moved each context's `stall_until` forward
-                // (execute + stalls + the next head fetch): re-arm.
-                let mut m = out.issued_contexts;
-                while m != 0 {
-                    let t = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let su = self.contexts[t]
-                        .as_ref()
-                        .expect("issued context occupied")
-                        .stall_until;
-                    self.wake.arm(t, su);
-                }
-            } else {
+            if self.step_traced(sink).issued_contexts == 0 {
                 // All-stalled (or empty) core: jump to the earliest wakeup.
                 // With no installed context at all, every remaining cycle
                 // of the slice is an empty cycle.
                 let target = self
-                    .wake
-                    .next_wakeup()
+                    .contexts
+                    .iter()
+                    .flatten()
+                    .map(|th| th.stall_until)
+                    .min()
                     .unwrap_or(cycles_limit)
                     .min(cycles_limit);
                 if target > self.cycle {

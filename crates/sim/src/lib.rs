@@ -29,9 +29,9 @@
 //!   [`sched::SchedulerSpec::PaperRandom`] policy and reproduces the
 //!   hardwired original bit-for-bit.
 //! * **Two core models, one semantics** — the default [`CoreModel::EventDriven`]
-//!   loop skips all-stalled spans via a deterministic wakeup queue
-//!   ([`events`]); the [`CoreModel::CycleAccurate`] oracle ticks every
-//!   cycle. Statistics, traces and RNG draws are bit-identical between
+//!   loop skips each all-stalled span to the earliest `stall_until` of
+//!   its installed threads; the [`CoreModel::CycleAccurate`] oracle ticks
+//!   every cycle. Statistics, traces and RNG draws are bit-identical between
 //!   them (differentially tested), so "cycle-accurate" describes the
 //!   *semantics* of both; the switch is [`SimConfig::with_core_model`].
 //!
