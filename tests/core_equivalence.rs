@@ -259,3 +259,125 @@ fn trace_event_streams_are_bit_identical() {
         );
     }
 }
+
+/// A caller that drives a bare [`Core`] itself, as perfbench's layer
+/// timings do, interleaves `run` with bare `step`s, evictions and
+/// re-installs. The fast core must stay in the oracle's state after every
+/// call, including an eviction in the middle of a stall and a re-install
+/// of that thread on another context.
+#[test]
+fn external_stepping_matches_the_oracle() {
+    use std::sync::Arc;
+    use vliw_tms::core::catalog;
+    use vliw_tms::sim::thread::ProgramMeta;
+    use vliw_tms::sim::{Core, SimConfig, SoftThread};
+    use vliw_tms::workloads::{build_named, mixes};
+
+    fn assert_same_state(cores: &[Core; 2], at: &str) {
+        let [oracle, fast] = cores;
+        assert_eq!(oracle.cycle(), fast.cycle(), "{at}: cycle");
+        assert_eq!(oracle.total_ops(), fast.total_ops(), "{at}: ops");
+        assert_eq!(oracle.total_instrs(), fast.total_instrs(), "{at}: instrs");
+        assert_eq!(
+            oracle.vertical_waste_cycles(),
+            fast.vertical_waste_cycles(),
+            "{at}: vertical waste"
+        );
+        assert_eq!(
+            oracle.horizontal_waste_slots(),
+            fast.horizontal_waste_slots(),
+            "{at}: horizontal waste"
+        );
+        assert_eq!(
+            format!("{:?}", oracle.merge_stats),
+            format!("{:?}", fast.merge_stats),
+            "{at}: merge stats"
+        );
+        let view = |core: &Core| -> Vec<Option<(u32, u64, u64, u64)>> {
+            core.contexts
+                .iter()
+                .map(|c| {
+                    c.as_ref()
+                        .map(|t| (t.tid, t.instrs, t.stall_until, t.rng_state()))
+                })
+                .collect()
+        };
+        assert_eq!(view(oracle), view(fast), "{at}: contexts");
+    }
+
+    // The memory-bound LLLL mix behind a 200-cycle miss penalty: most
+    // cycles are stalled, so the fast core skips spans between the calls.
+    let mut cfg = SimConfig::paper(catalog::by_name("2SC3").unwrap(), 1000);
+    cfg.mem.icache.miss_penalty = 200;
+    cfg.mem.dcache.miss_penalty = 200;
+    let mut cores = [CoreModel::CycleAccurate, CoreModel::EventDriven]
+        .map(|model| Core::new(&cfg.clone().with_core_model(model)));
+    for (ctx, name) in mixes::mix("LLLL").unwrap().members.iter().enumerate() {
+        let img = build_named(name, &cfg.machine).unwrap();
+        let meta = Arc::new(ProgramMeta::of(&img));
+        for core in &mut cores {
+            core.install(
+                ctx,
+                SoftThread::new(&img, meta.clone(), ctx as u64, cfg.seed),
+            );
+        }
+        assert_same_state(&cores, &format!("install {name}"));
+    }
+
+    let run_to = |cores: &mut [Core; 2], limit: u64| {
+        for core in cores.iter_mut() {
+            core.run(limit);
+        }
+        assert_same_state(cores, &format!("run to {limit}"));
+    };
+    let step = |cores: &mut [Core; 2], n: usize| {
+        for i in 0..n {
+            for core in cores.iter_mut() {
+                core.step();
+            }
+            assert_same_state(cores, &format!("step {i}"));
+        }
+    };
+
+    run_to(&mut cores, 5_000);
+    step(&mut cores, 3);
+    // Evict a context in the middle of a stall.
+    while !cores[0]
+        .contexts
+        .iter()
+        .flatten()
+        .any(|t| t.stall_until > cores[0].cycle() + 1)
+    {
+        step(&mut cores, 1);
+    }
+    let cycle = cores[0].cycle();
+    let a = cores[0]
+        .contexts
+        .iter()
+        .position(|c| c.as_ref().is_some_and(|t| t.stall_until > cycle + 1))
+        .unwrap();
+    let stalled = cores.each_mut().map(|core| core.evict(a).unwrap());
+    assert_same_state(&cores, "evict mid-stall");
+    // Re-install the stalled thread on another context while its stall is
+    // still pending, and run on with context `a` empty.
+    let b = (a + 1) % cores[0].contexts.len();
+    let displaced = cores.each_mut().map(|core| core.evict(b).unwrap());
+    assert_same_state(&cores, "evict a second context");
+    for (core, thread) in cores.iter_mut().zip(stalled) {
+        core.install(b, thread);
+    }
+    assert_same_state(&cores, "re-install on another context");
+    assert!(cores[1].contexts[b].as_ref().unwrap().stall_until > cycle);
+    step(&mut cores, 2);
+    run_to(&mut cores, cycle + 2_000);
+    for (core, thread) in cores.iter_mut().zip(displaced) {
+        core.install(a, thread);
+    }
+    assert_same_state(&cores, "re-install the displaced thread");
+    let end = cores[0].cycle() + 20_000;
+    run_to(&mut cores, end);
+    assert!(
+        cores[0].vertical_waste_cycles() > 1_000,
+        "the mix must stall long enough for the fast core to skip spans"
+    );
+}
