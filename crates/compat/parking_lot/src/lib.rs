@@ -1,14 +1,17 @@
 //! Offline stand-in for `parking_lot`.
 //!
-//! Wraps `std::sync` primitives behind `parking_lot`'s non-poisoning API
+//! Wraps `std::sync::Mutex` behind `parking_lot`'s non-poisoning API
 //! (`lock()` returns the guard directly, no `Result`). Poisoning is handled
 //! by taking the inner value anyway — a panic while holding the lock aborts
 //! the experiment that owned it; the data (compiled benchmark images) is
 //! immutable-once-built and safe to hand to other threads.
+//!
+//! Supported surface: [`Mutex::new`], [`Mutex::lock`] and `Default`, the
+//! calls the workspace makes.
 
 #![deny(missing_docs)]
 
-use std::sync::{self, TryLockError};
+use std::sync;
 
 /// A non-poisoning mutual-exclusion lock (API subset of `parking_lot::Mutex`).
 #[derive(Debug, Default)]
@@ -22,79 +25,12 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex(sync::Mutex::new(value))
     }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.0.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         match self.0.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (exclusive borrow proves uniqueness).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.0.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-/// A non-poisoning reader-writer lock (API subset of `parking_lot::RwLock`).
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-/// Shared-read guard for [`RwLock`].
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-/// Exclusive-write guard for [`RwLock`].
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Create a new lock around `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.0.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.0.read() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.0.write() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         }
@@ -110,7 +46,7 @@ mod tests {
     fn mutex_roundtrip() {
         let m = Mutex::new(1);
         *m.lock() += 1;
-        assert_eq!(m.into_inner(), 2);
+        assert_eq!(*m.lock(), 2);
     }
 
     #[test]
@@ -130,13 +66,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), 4000);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        assert_eq!(l.read().len(), 3);
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
     }
 }

@@ -1,10 +1,10 @@
 //! Offline stand-in for `proptest`.
 //!
 //! Implements the subset of the proptest API this workspace's property
-//! tests use: the [`Strategy`] trait with `prop_map`/`prop_flat_map` and
-//! `boxed`, range / tuple / [`Just`] / [`any`] strategies,
-//! `prop::collection::vec`, the [`prop_oneof!`] union macro, and the
-//! [`proptest!`] test-harness macro with `prop_assert*` checks and
+//! tests use: the [`Strategy`] trait with `prop_map` and `boxed`, range /
+//! tuple / [`Just`] / [`any`] strategies, `prop::collection::vec`, the
+//! [`prop_oneof!`] union macro, and the [`proptest!`] test-harness macro
+//! with `prop_assert!` / `prop_assert_eq!` checks and
 //! `#![proptest_config(..)]`.
 //!
 //! Differences from real proptest, deliberately accepted:
@@ -87,16 +87,6 @@ pub trait Strategy {
         Map { base: self, f }
     }
 
-    /// Generate a value, then use it to pick a follow-up strategy.
-    fn prop_flat_map<S, F>(self, f: F) -> FlatMap<Self, F>
-    where
-        Self: Sized,
-        S: Strategy,
-        F: Fn(Self::Value) -> S,
-    {
-        FlatMap { base: self, f }
-    }
-
     /// Type-erase this strategy.
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
@@ -155,24 +145,6 @@ where
     type Value = O;
     fn generate(&self, rng: &mut TestRng) -> O {
         (self.f)(self.base.generate(rng))
-    }
-}
-
-/// Result of [`Strategy::prop_flat_map`].
-pub struct FlatMap<B, F> {
-    base: B,
-    f: F,
-}
-
-impl<B, S, F> Strategy for FlatMap<B, F>
-where
-    B: Strategy,
-    S: Strategy,
-    F: Fn(B::Value) -> S,
-{
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        (self.f)(self.base.generate(rng)).generate(rng)
     }
 }
 
@@ -330,8 +302,8 @@ pub mod collection {
 pub mod prelude {
     pub use crate as prop;
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Any, Arbitrary,
-        BoxedStrategy, Just, ProptestConfig, Strategy, TestRng,
+        any, prop_assert, prop_assert_eq, prop_oneof, proptest, Any, Arbitrary, BoxedStrategy,
+        Just, ProptestConfig, Strategy, TestRng,
     };
 }
 
@@ -357,13 +329,6 @@ macro_rules! prop_assert {
 macro_rules! prop_assert_eq {
     ($a:expr, $b:expr) => { assert_eq!($a, $b) };
     ($a:expr, $b:expr, $($fmt:tt)*) => { assert_eq!($a, $b, $($fmt)*) };
-}
-
-/// `assert_ne!` inside a property.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr) => { assert_ne!($a, $b) };
-    ($a:expr, $b:expr, $($fmt:tt)*) => { assert_ne!($a, $b, $($fmt)*) };
 }
 
 /// Uniform choice among strategies producing the same value type.
@@ -476,7 +441,7 @@ mod tests {
         fn macro_smoke(x in 0u32..50, ys in prop::collection::vec(0u8..10, 1..5)) {
             prop_assert!(x < 50);
             prop_assert_eq!(ys.iter().filter(|&&y| y < 10).count(), ys.len());
-            prop_assert_ne!(ys.len(), 0);
+            prop_assert!(!ys.is_empty());
         }
     }
 }

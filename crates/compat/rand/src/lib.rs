@@ -4,8 +4,9 @@
 //! the handful of `rand` 0.8 APIs the simulator and workload generator use
 //! are reimplemented here: [`SeedableRng::seed_from_u64`], [`rngs::SmallRng`]
 //! (an xoshiro256++ generator — fast, deterministic, identical on every
-//! platform), [`Rng::gen_range`] / [`Rng::gen_bool`] / [`Rng::gen`], and
-//! [`seq::SliceRandom::choose`].
+//! platform), [`Rng::gen_range`] over the `u16`, `i32` and `usize` ranges
+//! the workspace draws from, [`Rng::gen_bool`], and
+//! [`seq::SliceRandom::shuffle`].
 //!
 //! Determinism is a hard requirement of the reproduction (every simulation
 //! is seeded and must replay bit-identically across hosts and thread
@@ -19,11 +20,6 @@ use std::ops::Range;
 pub trait RngCore {
     /// Next 64 random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Next 32 random bits (upper half of [`RngCore::next_u64`]).
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Seedable construction, mirroring `rand::SeedableRng`.
@@ -49,43 +45,9 @@ pub trait Rng: RngCore {
         let x = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         x < p
     }
-
-    /// Sample a value of a [`StandardDist`]-distributed type.
-    fn gen<T: StandardDist>(&mut self) -> T {
-        T::sample(self)
-    }
 }
 
 impl<R: RngCore + ?Sized> Rng for R {}
-
-/// Types samplable by [`Rng::gen`] (the `Standard` distribution).
-pub trait StandardDist: Sized {
-    /// Draw one value.
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self;
-}
-
-impl StandardDist for bool {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
-impl StandardDist for f64 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-macro_rules! standard_int {
-    ($($t:ty),*) => {$(
-        impl StandardDist for $t {
-            fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-                rng.next_u64() as $t
-            }
-        }
-    )*};
-}
-standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// Ranges [`Rng::gen_range`] can sample from.
 ///
@@ -123,14 +85,7 @@ macro_rules! sample_uniform_int {
         }
     )*};
 }
-sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl SampleUniform for f64 {
-    fn sample_between<R: RngCore + ?Sized>(lo: f64, hi: f64, rng: &mut R) -> f64 {
-        let x = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        lo + x * (hi - lo)
-    }
-}
+sample_uniform_int!(u16, i32, usize);
 
 /// Concrete generators.
 pub mod rngs {
@@ -184,29 +139,13 @@ pub mod rngs {
 pub mod seq {
     use super::{Rng, RngCore};
 
-    /// Random selection from slices, mirroring `rand::seq::SliceRandom`.
+    /// In-place slice shuffling, mirroring `rand::seq::SliceRandom`.
     pub trait SliceRandom {
-        /// Element type.
-        type Item;
-
-        /// Uniformly pick one element, or `None` if the slice is empty.
-        fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&Self::Item>;
-
         /// Fisher–Yates shuffle in place.
         fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R);
     }
 
     impl<T> SliceRandom for [T] {
-        type Item = T;
-
-        fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&T> {
-            if self.is_empty() {
-                None
-            } else {
-                Some(&self[rng.gen_range(0..self.len())])
-            }
-        }
-
         fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
             for i in (1..self.len()).rev() {
                 self.swap(i, rng.gen_range(0..i + 1));
@@ -218,7 +157,6 @@ pub mod seq {
 #[cfg(test)]
 mod tests {
     use super::rngs::SmallRng;
-    use super::seq::SliceRandom;
     use super::{Rng, SeedableRng};
 
     #[test]
@@ -226,7 +164,10 @@ mod tests {
         let mut a = SmallRng::seed_from_u64(42);
         let mut b = SmallRng::seed_from_u64(42);
         for _ in 0..100 {
-            assert_eq!(a.gen_range(0u64..1_000_000), b.gen_range(0u64..1_000_000));
+            assert_eq!(
+                a.gen_range(0usize..1_000_000),
+                b.gen_range(0usize..1_000_000)
+            );
         }
     }
 
@@ -234,7 +175,7 @@ mod tests {
     fn ranges_are_respected() {
         let mut r = SmallRng::seed_from_u64(7);
         for _ in 0..10_000 {
-            let x = r.gen_range(10i64..20);
+            let x = r.gen_range(10i32..20);
             assert!((10..20).contains(&x));
             let y = r.gen_range(0usize..3);
             assert!(y < 3);
@@ -246,18 +187,5 @@ mod tests {
         let mut r = SmallRng::seed_from_u64(1);
         assert!(!(0..100).any(|_| r.gen_bool(0.0)));
         assert!((0..100).all(|_| r.gen_bool(1.0)));
-    }
-
-    #[test]
-    fn choose_covers_slice() {
-        let mut r = SmallRng::seed_from_u64(3);
-        let items = [1, 2, 3, 4];
-        let empty: [i32; 0] = [];
-        assert!(empty.choose(&mut r).is_none());
-        let mut seen = [false; 4];
-        for _ in 0..200 {
-            seen[*items.choose(&mut r).unwrap() as usize - 1] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 }
