@@ -7,8 +7,9 @@
 //! disjoint, a greedy assignment — fixed classes first, ALUs into whatever
 //! remains — succeeds exactly when the counting check
 //! [`InstrSignature::smt_compatible`] passed. [`route_packet`] performs the
-//! assignment and is used by examples, tests (to validate the counting
-//! argument) and the simulator's optional packet tracing.
+//! assignment; the simulator never routes a packet, and the property
+//! tests (`crates/core/tests/prop_merge.rs`) call it to check the counting
+//! argument.
 
 use vliw_isa::{InstrSignature, MachineConfig, OpClass, Operation, VliwInstruction};
 

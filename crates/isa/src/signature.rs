@@ -129,13 +129,6 @@ impl ResourceVec {
         bytes(self.lo) + bytes(self.hi)
     }
 
-    /// Operation count of one class summed over clusters.
-    pub fn class_total(self, class: OpClass) -> u32 {
-        (0..MAX_CLUSTERS as u8)
-            .map(|c| u32::from(self.get(c, class)))
-            .sum()
-    }
-
     /// Per-cluster total operation count (all classes).
     #[inline]
     pub fn cluster_total(self, cluster: u8) -> u32 {
@@ -505,18 +498,6 @@ mod tests {
         assert!(InstrSignature::EMPTY.smt_compatible(a, &c));
         assert!(InstrSignature::EMPTY.cluster_disjoint(a));
         assert_eq!(InstrSignature::EMPTY.merged_with(a), a);
-    }
-
-    #[test]
-    fn class_totals() {
-        let a = sig(&[
-            (0, OpClass::Alu, 2),
-            (1, OpClass::Alu, 1),
-            (1, OpClass::Mem, 1),
-        ]);
-        assert_eq!(a.res.class_total(OpClass::Alu), 3);
-        assert_eq!(a.res.class_total(OpClass::Mem), 1);
-        assert_eq!(a.res.class_total(OpClass::Branch), 0);
     }
 
     #[test]
