@@ -55,12 +55,15 @@
 //! --lint-format FMT  lint report rendering: text (default) or json (one
 //!                  machine-readable object, the CI gate's input)
 //! --metrics PATH   run the simulated exhibits through the harness telemetry
-//!                  registry and write the sweep report to PATH. The
-//!                  deterministic metric class (cells, cycles, waste, queue
-//!                  and idle-span structure, cache economics, fleet lane
+//!                  registry and write the sweep report to PATH. The report
+//!                  lists every metric of the schema, at zero when no
+//!                  metered sweep ran (the static exhibits and the traced
+//!                  `trace` sweep are not metered). The deterministic
+//!                  metric class (cells, cycles, waste, queue and
+//!                  idle-span structure, cache economics, fleet lane
 //!                  accounting) is byte-identical across --threads values
-//!                  and core models; wall-clock timings are excluded unless
-//!                  --metrics-timings is given
+//!                  and core models; wall-clock timings are excluded
+//!                  unless --metrics-timings is given
 //! --metrics-format FMT  report rendering: prom (Prometheus text
 //!                  exposition; default) or json
 //! --metrics-timings  include the timing metric class (per-cell wall time,
@@ -68,8 +71,9 @@
 //!                  probe counts) in the --metrics report; these values are
 //!                  nondeterministic by nature
 //! --progress       stderr heartbeat while sweeps run: cells done/total,
-//!                  cells/sec, ETA, image-cache hit-rate (never stdout, so
-//!                  piped exhibit output is unaffected)
+//!                  cells/sec, ETA, image-cache hit-rate. It records no
+//!                  metric and changes no export: stdout, --json, --csv,
+//!                  --out and --metrics bytes are the same without it
 //! ```
 //!
 //! Exhibit names, `--scale`, `--filter`, `--scheduler`, `--machine`,
@@ -307,18 +311,16 @@ fn main() {
     if let Err(err) = std::fs::create_dir_all(&out) {
         die(&format!("cannot write --out {}: {err}", out.display()));
     }
-    // One registry for the whole invocation: every metered plan registers
-    // the same schema idempotently and the deterministic class accumulates
-    // across exhibits in grid order.
-    let registry = if metrics_path.is_some() || progress {
+    // One registry for the whole invocation, with the whole schema
+    // registered up front, so the report lists every metric even when no
+    // metered sweep runs. Every metered plan registers the same schema
+    // again, idempotently, and the deterministic class accumulates across
+    // exhibits in grid order.
+    let registry = metrics_path.as_ref().map(|_| {
         let reg = vliw_sim::telemetry::Registry::new();
-        if progress {
-            reg.enable_progress();
-        }
-        Some(reg)
-    } else {
-        None
-    };
+        vliw_sim::metrics::register_schema(&reg);
+        reg
+    });
 
     println!(
         "vliw-tms paper harness — scale 1/{scale} of the paper's run length, {par} rayon workers{}{}{}{}\n",
@@ -328,7 +330,10 @@ fn main() {
         axes.fleet.as_ref().map(|f| format!(", {f} fleet")).unwrap_or_default(),
     );
     let t0 = std::time::Instant::now();
-    let session = Session::with_parallelism(par);
+    let mut session = Session::with_parallelism(par);
+    if progress {
+        session = session.with_progress();
+    }
     let mut sweeps = Sweeps::new(&session, scale, &axes, registry.as_ref());
     for e in &selected {
         let ex = sweeps.render(e);

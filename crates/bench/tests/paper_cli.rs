@@ -11,6 +11,10 @@
 //!   cell;
 //! * `--list` and `--help`.
 //!
+//! `--progress` must leave the `--json` and `--csv` bytes alone, and a
+//! `--metrics` report lists the whole deterministic schema even when no
+//! metered sweep ran.
+//!
 //! The `--csv` and `--metrics` bytes equal the combined-CSV and
 //! Prometheus pins of `tests/export_digests.rs`, asserted below, so the
 //! library exports and the CLI that writes them cannot drift apart.
@@ -238,6 +242,74 @@ fn metered_run_matches_golden_digests() {
         "paper --metrics must equal export_digests' metered/metrics.prom"
     );
     assert_golden("metered", digests);
+}
+
+#[test]
+fn progress_changes_no_export_byte() {
+    let dir = scratch("progress");
+    let out = dir.join("out");
+    let run = |tag: &str, progress: bool| {
+        let (json, csv) = (
+            dir.join(format!("{tag}.json")),
+            dir.join(format!("{tag}.csv")),
+        );
+        let mut args = vec![
+            "table1",
+            "--scale",
+            "20000",
+            "--threads",
+            "1",
+            "--json",
+            path(&json),
+            "--csv",
+            path(&csv),
+            "--out",
+            path(&out),
+        ];
+        if progress {
+            args.push("--progress");
+        }
+        let output = paper(&args);
+        stdout(&output);
+        let read =
+            |p: &Path| std::fs::read(p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()));
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        (read(&json), read(&csv), stderr)
+    };
+    let (plain_json, plain_csv, _) = run("plain", false);
+    let (json, csv, stderr) = run("progress", true);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        plain_csv == csv,
+        "--progress changed the --csv bytes:\n{}\nvs\n{}",
+        String::from_utf8_lossy(&plain_csv),
+        String::from_utf8_lossy(&csv)
+    );
+    assert!(plain_json == json, "--progress changed the --json bytes");
+    assert!(stderr.contains("cells 24/24"), "heartbeat: {stderr:?}");
+}
+
+#[test]
+fn metrics_without_a_metered_sweep_lists_the_schema() {
+    let dir = scratch("metrics-static");
+    let (prom, out) = (dir.join("m.prom"), dir.join("out"));
+    let output = paper(&["table2", "--metrics", path(&prom), "--out", path(&out)]);
+    stdout(&output);
+    let text = std::fs::read_to_string(&prom).expect("read --metrics report");
+    let _ = std::fs::remove_dir_all(&dir);
+    let types: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .collect();
+    assert_eq!(types.len(), 30, "every deterministic metric:\n{text}");
+    assert_eq!(types.first(), Some(&"vliw_cells_total counter"));
+    assert_eq!(
+        types.last(),
+        Some(&"vliw_fleet_lane_busy_permille histogram")
+    );
+    for sample in text.lines().filter(|l| !l.starts_with('#')) {
+        assert!(sample.ends_with(" 0"), "no sweep ran: {sample}");
+    }
 }
 
 #[test]

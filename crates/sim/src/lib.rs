@@ -59,14 +59,16 @@
 //! JSONL/CSV serialization).
 
 //!
-//! **Telemetry** — the sweep layer is likewise generic over a
-//! [`telemetry::Telemetry`] sink: [`Plan::run_metered`](plan::Plan::run_metered)
+//! **Telemetry** — the sweep layer meters itself once per cell, never per
+//! cycle, so it needs no sink type: [`Plan::run_metered`](plan::Plan::run_metered)
 //! records per-cell wall time, the compile/simulate split, image-cache
-//! economics and engine-health counters into a [`telemetry::Registry`]
-//! whose deterministic class exports byte-stably ([`metrics`] holds the
-//! schema and the post-hoc harvest). [`Plan::run`](plan::Plan::run) is
-//! `run_metered` under [`telemetry::NullTelemetry`], which compiles to the
-//! pre-telemetry code.
+//! economics and engine-health counters into the [`telemetry::Registry`]
+//! it is handed, whose deterministic class exports byte-stably
+//! ([`metrics`] holds the schema table and the post-hoc harvest).
+//! [`Plan::run`](plan::Plan::run) is the same run path with no registry.
+//! The stderr heartbeat is not a metric: a [`plan::Session`] built
+//! [`with_progress`](plan::Session::with_progress) carries it, so it
+//! changes no result or export.
 
 pub use vliw_telemetry as telemetry;
 pub use vliw_trace as trace;

@@ -3,8 +3,9 @@
 //! Two-phase design keeps the registry deterministic without threading a
 //! lock through the hot simulation loops:
 //!
-//! 1. **Schema up front.** [`register_schema`] declares every metric once,
-//!    in a fixed order, before any cell runs — so the export order (and
+//! 1. **Schema up front.** One table holds every metric's name, help
+//!    text, class and kind in a fixed order, and [`register_schema`]
+//!    declares it before any cell runs — so the export order (and
 //!    therefore the exported bytes) never depends on which worker touched
 //!    which counter first.
 //! 2. **Harvest after the fact.** Almost every deterministic metric is a
@@ -19,12 +20,14 @@
 
 use crate::runner::RunResult;
 use crate::stats::IDLE_SPAN_BOUNDS;
-use vliw_telemetry::{Class, Telemetry};
+use vliw_telemetry::{Class, Kind, Registry};
 
 /// Canonical metric names (`vliw_` prefix, Prometheus-style suffixes).
 ///
-/// Everything the harness emits is declared here so emission sites and the
-/// schema can never drift apart silently.
+/// Everything the harness emits is named here, and the schema table
+/// registers every name, so emission sites and the schema share one
+/// spelling. The registry ignores an emission to an unregistered name;
+/// the metered digests of `tests/export_digests.rs` would catch one.
 pub mod names {
     /// Sweep cells planned across all plans this process ran.
     pub const CELLS_TOTAL: &str = "vliw_cells_total";
@@ -118,140 +121,68 @@ pub const WALL_NS_BOUNDS: [u64; 6] = [
     10_000_000_000,
 ];
 
+/// The harness schema in its canonical (export) order: name, help text,
+/// class and kind of every metric, the 30 deterministic ones first.
+#[rustfmt::skip]
+const SCHEMA: [(&str, &str, Class, Kind); 37] = {
+    use names::*;
+    use Class::{Deterministic, Timing};
+    use Kind::{Counter, Gauge, Histogram};
+    [
+        (CELLS_TOTAL, "Sweep cells planned", Deterministic, Counter),
+        (CELLS_COMPLETED, "Sweep cells completed", Deterministic, Counter),
+        (CELLS_MEMOIZED, "Sweep cells served from an identical earlier cell",
+            Deterministic, Counter),
+        (SIM_CYCLES, "Simulated cycles", Deterministic, Counter),
+        (SIM_INSTRS, "VLIW instructions retired", Deterministic, Counter),
+        (SIM_OPS, "Operations retired", Deterministic, Counter),
+        (SIM_CONTEXT_SWITCHES, "OS quantum expiries handled", Deterministic, Counter),
+        (SIM_MIGRATIONS, "Cross-context thread reinstallations", Deterministic, Counter),
+        (SIM_VERTICAL_WASTE, "Cycles in which nothing issued", Deterministic, Counter),
+        (SIM_HORIZONTAL_WASTE, "Issue slots wasted in non-empty cycles", Deterministic, Counter),
+        (TRAFFIC_OFFERED, "Open-system jobs offered", Deterministic, Counter),
+        (TRAFFIC_ADMITTED, "Open-system jobs admitted (offered minus shed)",
+            Deterministic, Counter),
+        (TRAFFIC_SHED, "Open-system jobs shed at a full admission queue", Deterministic, Counter),
+        (TRAFFIC_COMPLETED, "Open-system jobs completed", Deterministic, Counter),
+        (QUEUE_PUSHES, "OS event-queue schedules", Deterministic, Counter),
+        (QUEUE_POPS, "OS event-queue pops", Deterministic, Counter),
+        (QUEUE_DEPTH_MAX, "OS event-queue depth high-water mark", Deterministic, Gauge),
+        (IDLE_SPANS, "Maximal all-stalled cycle spans", Deterministic, Counter),
+        (IDLE_SPAN_CYCLES, "Cycles inside all-stalled spans", Deterministic, Counter),
+        (IDLE_SPAN_MAX, "Longest all-stalled span", Deterministic, Gauge),
+        (IDLE_SPAN_LENGTH, "All-stalled span lengths in cycles",
+            Deterministic, Histogram(&IDLE_SPAN_BOUNDS)),
+        (CACHE_REQUESTS, "Image-cache lookups", Deterministic, Counter),
+        (CACHE_HITS, "Image-cache lookups served from cache", Deterministic, Counter),
+        (CACHE_MISSES, "Image-cache lookups that compiled", Deterministic, Counter),
+        (TRACE_DROPPED, "Trace events dropped by bounded ring sinks", Deterministic, Counter),
+        (FLEET_LANES, "Fleet machine-lanes simulated", Deterministic, Counter),
+        (FLEET_BUSY, "Lane-cycles fleet machines ran", Deterministic, Counter),
+        (FLEET_IDLE, "Lane-cycles fleet machines idled before makespan", Deterministic, Counter),
+        (FLEET_MAKESPAN_LANE_CYCLES, "Fleet makespan times lane count", Deterministic, Counter),
+        (FLEET_LANE_BUSY_PERMILLE, "Per-lane busy fraction of the fleet makespan (permille)",
+            Deterministic, Histogram(&LANE_BUSY_PERMILLE_BOUNDS)),
+        (CELL_WALL_NS, "Per-cell wall time (ns)", Timing, Histogram(&WALL_NS_BOUNDS)),
+        (CELL_COMPILE_NS, "Per-cell compile wall time (ns)", Timing, Histogram(&WALL_NS_BOUNDS)),
+        (CELL_SIMULATE_NS, "Per-cell simulate wall time (ns)", Timing, Histogram(&WALL_NS_BOUNDS)),
+        (CACHE_BUILD_NS, "Wall time compiling images (ns)", Timing, Counter),
+        (CACHE_VERIFY_NS, "Wall time verifying images (ns)", Timing, Counter),
+        (CACHE_PROBE_HITS, "Live image-cache probe hits", Timing, Counter),
+        (CACHE_PROBE_MISSES, "Live image-cache probe misses", Timing, Counter),
+    ]
+};
+
 /// Declare the full harness schema in its canonical order (idempotent).
 ///
 /// Called by every metered plan run before any cell starts, so a
 /// multi-exhibit invocation registers each metric exactly once and the
 /// export order is fixed no matter which exhibits ran or in what order
 /// their workers finished.
-pub fn register_schema<T: Telemetry>(t: &T) {
-    if !T::ENABLED {
-        return;
+pub fn register_schema(reg: &Registry) {
+    for (name, help, class, kind) in SCHEMA {
+        reg.register(name, help, class, kind);
     }
-    use names::*;
-    use Class::{Deterministic, Timing};
-    t.register_counter(CELLS_TOTAL, "Sweep cells planned", Deterministic);
-    t.register_counter(CELLS_COMPLETED, "Sweep cells completed", Deterministic);
-    t.register_counter(
-        CELLS_MEMOIZED,
-        "Sweep cells served from an identical earlier cell",
-        Deterministic,
-    );
-    t.register_counter(SIM_CYCLES, "Simulated cycles", Deterministic);
-    t.register_counter(SIM_INSTRS, "VLIW instructions retired", Deterministic);
-    t.register_counter(SIM_OPS, "Operations retired", Deterministic);
-    t.register_counter(
-        SIM_CONTEXT_SWITCHES,
-        "OS quantum expiries handled",
-        Deterministic,
-    );
-    t.register_counter(
-        SIM_MIGRATIONS,
-        "Cross-context thread reinstallations",
-        Deterministic,
-    );
-    t.register_counter(
-        SIM_VERTICAL_WASTE,
-        "Cycles in which nothing issued",
-        Deterministic,
-    );
-    t.register_counter(
-        SIM_HORIZONTAL_WASTE,
-        "Issue slots wasted in non-empty cycles",
-        Deterministic,
-    );
-    t.register_counter(TRAFFIC_OFFERED, "Open-system jobs offered", Deterministic);
-    t.register_counter(
-        TRAFFIC_ADMITTED,
-        "Open-system jobs admitted (offered minus shed)",
-        Deterministic,
-    );
-    t.register_counter(
-        TRAFFIC_SHED,
-        "Open-system jobs shed at a full admission queue",
-        Deterministic,
-    );
-    t.register_counter(
-        TRAFFIC_COMPLETED,
-        "Open-system jobs completed",
-        Deterministic,
-    );
-    t.register_counter(QUEUE_PUSHES, "OS event-queue schedules", Deterministic);
-    t.register_counter(QUEUE_POPS, "OS event-queue pops", Deterministic);
-    t.register_gauge(
-        QUEUE_DEPTH_MAX,
-        "OS event-queue depth high-water mark",
-        Deterministic,
-    );
-    t.register_counter(IDLE_SPANS, "Maximal all-stalled cycle spans", Deterministic);
-    t.register_counter(
-        IDLE_SPAN_CYCLES,
-        "Cycles inside all-stalled spans",
-        Deterministic,
-    );
-    t.register_gauge(IDLE_SPAN_MAX, "Longest all-stalled span", Deterministic);
-    t.register_histogram(
-        IDLE_SPAN_LENGTH,
-        "All-stalled span lengths in cycles",
-        Deterministic,
-        &IDLE_SPAN_BOUNDS,
-    );
-    t.register_counter(CACHE_REQUESTS, "Image-cache lookups", Deterministic);
-    t.register_counter(
-        CACHE_HITS,
-        "Image-cache lookups served from cache",
-        Deterministic,
-    );
-    t.register_counter(
-        CACHE_MISSES,
-        "Image-cache lookups that compiled",
-        Deterministic,
-    );
-    t.register_counter(
-        TRACE_DROPPED,
-        "Trace events dropped by bounded ring sinks",
-        Deterministic,
-    );
-    t.register_counter(FLEET_LANES, "Fleet machine-lanes simulated", Deterministic);
-    t.register_counter(FLEET_BUSY, "Lane-cycles fleet machines ran", Deterministic);
-    t.register_counter(
-        FLEET_IDLE,
-        "Lane-cycles fleet machines idled before makespan",
-        Deterministic,
-    );
-    t.register_counter(
-        FLEET_MAKESPAN_LANE_CYCLES,
-        "Fleet makespan times lane count",
-        Deterministic,
-    );
-    t.register_histogram(
-        FLEET_LANE_BUSY_PERMILLE,
-        "Per-lane busy fraction of the fleet makespan (permille)",
-        Deterministic,
-        &LANE_BUSY_PERMILLE_BOUNDS,
-    );
-    t.register_histogram(
-        CELL_WALL_NS,
-        "Per-cell wall time (ns)",
-        Timing,
-        &WALL_NS_BOUNDS,
-    );
-    t.register_histogram(
-        CELL_COMPILE_NS,
-        "Per-cell compile wall time (ns)",
-        Timing,
-        &WALL_NS_BOUNDS,
-    );
-    t.register_histogram(
-        CELL_SIMULATE_NS,
-        "Per-cell simulate wall time (ns)",
-        Timing,
-        &WALL_NS_BOUNDS,
-    );
-    t.register_counter(CACHE_BUILD_NS, "Wall time compiling images (ns)", Timing);
-    t.register_counter(CACHE_VERIFY_NS, "Wall time verifying images (ns)", Timing);
-    t.register_counter(CACHE_PROBE_HITS, "Live image-cache probe hits", Timing);
-    t.register_counter(CACHE_PROBE_MISSES, "Live image-cache probe misses", Timing);
 }
 
 /// Fold a sweep's results into the registry, single-threaded, in the order
@@ -260,32 +191,29 @@ pub fn register_schema<T: Telemetry>(t: &T) {
 /// Everything harvested here is a pure function of the results, which are
 /// themselves deterministic across worker counts and core models — so the
 /// deterministic export is byte-stable by construction.
-pub fn harvest<T: Telemetry>(results: &[&RunResult], t: &T) {
-    if !T::ENABLED {
-        return;
-    }
+pub fn harvest(results: &[RunResult], reg: &Registry) {
     use names::*;
     for r in results {
         let s = &r.stats;
-        t.counter_add(CELLS_COMPLETED, 1);
-        t.counter_add(SIM_CYCLES, s.cycles);
-        t.counter_add(SIM_INSTRS, s.total_instrs);
-        t.counter_add(SIM_OPS, s.total_ops);
-        t.counter_add(SIM_CONTEXT_SWITCHES, s.context_switches);
-        t.counter_add(SIM_MIGRATIONS, s.migrations);
-        t.counter_add(SIM_VERTICAL_WASTE, s.vertical_waste_cycles);
-        t.counter_add(SIM_HORIZONTAL_WASTE, s.horizontal_waste_slots);
-        t.counter_add(TRAFFIC_OFFERED, s.traffic.offered);
-        t.counter_add(TRAFFIC_ADMITTED, s.traffic.offered - s.traffic.shed);
-        t.counter_add(TRAFFIC_SHED, s.traffic.shed);
-        t.counter_add(TRAFFIC_COMPLETED, s.traffic.completed);
-        t.counter_add(QUEUE_PUSHES, s.engine.queue_pushes);
-        t.counter_add(QUEUE_POPS, s.engine.queue_pops);
-        t.gauge_max(QUEUE_DEPTH_MAX, s.engine.queue_depth_max);
-        t.counter_add(IDLE_SPANS, s.engine.idle_spans);
-        t.counter_add(IDLE_SPAN_CYCLES, s.engine.idle_span_cycles);
-        t.gauge_max(IDLE_SPAN_MAX, s.engine.idle_span_max);
-        t.merge_histogram(
+        reg.counter_add(CELLS_COMPLETED, 1);
+        reg.counter_add(SIM_CYCLES, s.cycles);
+        reg.counter_add(SIM_INSTRS, s.total_instrs);
+        reg.counter_add(SIM_OPS, s.total_ops);
+        reg.counter_add(SIM_CONTEXT_SWITCHES, s.context_switches);
+        reg.counter_add(SIM_MIGRATIONS, s.migrations);
+        reg.counter_add(SIM_VERTICAL_WASTE, s.vertical_waste_cycles);
+        reg.counter_add(SIM_HORIZONTAL_WASTE, s.horizontal_waste_slots);
+        reg.counter_add(TRAFFIC_OFFERED, s.traffic.offered);
+        reg.counter_add(TRAFFIC_ADMITTED, s.traffic.offered - s.traffic.shed);
+        reg.counter_add(TRAFFIC_SHED, s.traffic.shed);
+        reg.counter_add(TRAFFIC_COMPLETED, s.traffic.completed);
+        reg.counter_add(QUEUE_PUSHES, s.engine.queue_pushes);
+        reg.counter_add(QUEUE_POPS, s.engine.queue_pops);
+        reg.gauge_max(QUEUE_DEPTH_MAX, s.engine.queue_depth_max);
+        reg.counter_add(IDLE_SPANS, s.engine.idle_spans);
+        reg.counter_add(IDLE_SPAN_CYCLES, s.engine.idle_span_cycles);
+        reg.gauge_max(IDLE_SPAN_MAX, s.engine.idle_span_max);
+        reg.merge_histogram(
             IDLE_SPAN_LENGTH,
             &s.engine.idle_span_hist,
             s.engine.idle_span_cycles,
@@ -295,16 +223,16 @@ pub fn harvest<T: Telemetry>(results: &[&RunResult], t: &T) {
         // plan runs (hits + misses == requests exactly, fleet lane
         // compiles included), while the per-cell fields are a static
         // attribution that omits routed-lane compiles.
-        t.counter_add(TRACE_DROPPED, s.trace_dropped);
+        reg.counter_add(TRACE_DROPPED, s.trace_dropped);
         if let Some(fleet) = &s.fleet {
             let lanes = fleet.machines.len() as u64;
-            t.counter_add(FLEET_LANES, lanes);
-            t.counter_add(FLEET_MAKESPAN_LANE_CYCLES, s.cycles * lanes);
+            reg.counter_add(FLEET_LANES, lanes);
+            reg.counter_add(FLEET_MAKESPAN_LANE_CYCLES, s.cycles * lanes);
             for m in &fleet.machines {
-                t.counter_add(FLEET_BUSY, m.cycles);
-                t.counter_add(FLEET_IDLE, s.cycles - m.cycles);
+                reg.counter_add(FLEET_BUSY, m.cycles);
+                reg.counter_add(FLEET_IDLE, s.cycles - m.cycles);
                 let permille = (m.cycles * 1000).checked_div(s.cycles).unwrap_or(0);
-                t.observe(FLEET_LANE_BUSY_PERMILLE, permille);
+                reg.observe(FLEET_LANE_BUSY_PERMILLE, permille);
             }
         }
     }
@@ -313,7 +241,7 @@ pub fn harvest<T: Telemetry>(results: &[&RunResult], t: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vliw_telemetry::{ManualClock, NullTelemetry, Registry};
+    use vliw_telemetry::ManualClock;
 
     #[test]
     fn schema_registers_once_and_in_order() {
@@ -327,12 +255,10 @@ mod tests {
         assert!(names.contains(&names::CACHE_PROBE_MISSES));
         let unique: std::collections::HashSet<&&str> = names.iter().collect();
         assert_eq!(unique.len(), names.len(), "no duplicate registrations");
-    }
-
-    #[test]
-    fn null_telemetry_harvest_is_a_no_op() {
-        // Compiles to nothing; mostly here to pin the ENABLED guard.
-        harvest(&[], &NullTelemetry);
-        register_schema(&NullTelemetry);
+        // The 30 deterministic metrics come first, then the 7 timing ones.
+        let classes: Vec<Class> = report.entries.iter().map(|e| e.class).collect();
+        assert_eq!(classes.len(), 37);
+        assert!(classes[..30].iter().all(|&c| c == Class::Deterministic));
+        assert!(classes[30..].iter().all(|&c| c == Class::Timing));
     }
 }

@@ -53,7 +53,7 @@ use std::sync::Arc;
 use vliw_core::{catalog, MergeScheme, PriorityPolicy};
 use vliw_fleet::{FleetStats, MachineLaneStats};
 use vliw_hwcost::{scheme_cost, SchemeCost};
-use vliw_telemetry::{NullTelemetry, Telemetry};
+use vliw_telemetry::{Progress, Registry};
 use vliw_trace::{Trace, TraceSpec};
 use vliw_workloads::{benchmark, mixes, BenchmarkSpec, WorkloadMix};
 
@@ -322,9 +322,12 @@ impl JobKey {
 }
 
 /// Shared run context for executing plans: the compiled-image cache, the
-/// rayon worker count and a memo of the cells already simulated. Reuse one
-/// session across plans to compile each benchmark once and to simulate
-/// each distinct cell once.
+/// rayon worker count, a memo of the cells already simulated and, from
+/// [`Session::with_progress`], a stderr heartbeat over every cell its runs
+/// execute. Reuse one session across plans to compile each benchmark once
+/// and to simulate each distinct cell once. Metrics are not the session's
+/// job: a metered run takes its registry as an argument
+/// ([`Plan::run_metered`]).
 ///
 /// The memo maps a cell's full identity to its result in an earlier
 /// untraced run of the session. The identity is:
@@ -348,6 +351,7 @@ pub struct Session {
     cache: ImageCache,
     parallelism: usize,
     memo: Mutex<HashMap<CellIdentity, Served>>,
+    progress: Option<Progress>,
 }
 
 /// A cell's full identity: the key of [`Session`]'s memo.
@@ -374,7 +378,18 @@ impl Session {
             cache: ImageCache::new(),
             parallelism: parallelism.max(1),
             memo: Mutex::new(HashMap::new()),
+            progress: None,
         }
+    }
+
+    /// This session with a stderr [`Progress`] heartbeat: every cell any
+    /// of its runs executes or serves, traced or not, ticks one line of
+    /// cells done/total, cells/s, ETA and image-cache hit-rate. The
+    /// heartbeat records no metric and writes nothing but stderr, so no
+    /// result or export byte changes with it.
+    pub fn with_progress(mut self) -> Self {
+        self.progress = Some(Progress::new());
+        self
     }
 
     /// The session's image cache (shared across all plans it runs).
@@ -964,21 +979,22 @@ impl Plan {
     /// (see [`Session`]).
     ///
     /// Results are deterministic and ordered by the grid regardless of the
-    /// session's worker count.
+    /// session's worker count. This is [`Plan::run_metered`]'s run path
+    /// with no registry: it records no metric and adds no telemetry
+    /// column.
     pub fn run(&self, session: &Session) -> ResultSet {
-        self.run_metered(session, &NullTelemetry)
+        self.execute(session, None, false, |_, _, _| {})
     }
 
-    /// [`Plan::run`] with harness telemetry: per-cell wall time and the
+    /// [`Plan::run`] metered by `reg`: per-cell wall time and the
     /// compile/simulate split (timing class), plus the full deterministic
     /// schema of [`crate::metrics`] harvested post-hoc from the results in
     /// row-major grid order — so the deterministic export is byte-stable
-    /// across worker counts and core models. With an enabled sink the
-    /// returned set carries the telemetry metric columns; under
-    /// [`NullTelemetry`] every emission site compiles away and this is
-    /// [`Plan::run`].
-    pub fn run_metered<T: Telemetry>(&self, session: &Session, t: &T) -> ResultSet {
-        self.execute(session, t, false, |_, _, _| {})
+    /// across worker counts and core models. The simulated statistics are
+    /// those of [`Plan::run`]; the returned set also carries the per-cell
+    /// telemetry columns (`cache_hits`, `cache_misses`, `trace_dropped`).
+    pub fn run_metered(&self, session: &Session, reg: &Registry) -> ResultSet {
+        self.execute(session, Some(reg), false, |_, _, _| {})
     }
 
     /// Run the whole grid with per-cell tracing, invoking `hook` once per
@@ -1002,7 +1018,7 @@ impl Plan {
     where
         F: FnMut(&JobKey, &RunResult, &Trace),
     {
-        self.execute(session, &NullTelemetry, true, |key, result, trace| {
+        self.execute(session, None, true, |key, result, trace| {
             hook(key, result, trace.expect("traced cells record a trace"))
         })
     }
@@ -1015,7 +1031,7 @@ impl Plan {
     /// [`Plan::run_traced`].
     pub fn trace_cell(&self, session: &Session, key: &JobKey) -> (RunResult, Trace) {
         let cfg = self.config_for(key);
-        let (result, trace) = self.run_cell(session.cache(), key, &cfg, &NullTelemetry, true);
+        let (result, trace) = self.run_cell(session.cache(), key, &cfg, None, true);
         (result, trace.expect("traced cells record a trace"))
     }
 
@@ -1024,11 +1040,12 @@ impl Plan {
     /// order as it completes, and assemble the set. With `traced` every
     /// cell records its [`Trace`] for the hook; without it, cells the
     /// session has already simulated are served from its memo, and the
-    /// cells of this set join the memo.
-    fn execute<T: Telemetry>(
+    /// cells of this set join the memo. With a registry the run is
+    /// metered; the session's heartbeat, if any, ticks either way.
+    fn execute(
         &self,
         session: &Session,
-        t: &T,
+        reg: Option<&Registry>,
         traced: bool,
         mut hook: impl FnMut(&JobKey, &RunResult, Option<&Trace>),
     ) -> ResultSet {
@@ -1036,7 +1053,6 @@ impl Plan {
             CACHE_HITS, CACHE_MISSES, CACHE_REQUESTS, CELLS_MEMOIZED, CELLS_TOTAL, CELL_WALL_NS,
         };
         self.validate();
-        crate::metrics::register_schema(t);
         let (grid, columns) = self.grid.filled();
         let jobs = grid.keys();
         let n = jobs.len();
@@ -1051,9 +1067,13 @@ impl Plan {
             let memo = session.memo.lock();
             cells.iter().map(|cell| memo.get(cell).cloned()).collect()
         };
-        if T::ENABLED {
-            t.cells_planned(n as u64);
-            t.counter_add(CELLS_TOTAL, n as u64);
+        if let Some(reg) = reg {
+            crate::metrics::register_schema(reg);
+            reg.counter_add(CELLS_TOTAL, n as u64);
+        }
+        let progress = session.progress.as_ref();
+        if let Some(progress) = progress {
+            progress.planned(n as u64);
         }
         // Image-cache economics are harvested as *deltas* over this run:
         // misses = distinct images built (map-size delta), hits = the
@@ -1069,17 +1089,17 @@ impl Plan {
             // joining it then re-raises that panic with its own message.
             let producer = scope.spawn(move || {
                 let worker = |&i: &usize| {
-                    let start = t.now_ns();
+                    let start = now_ns(reg);
                     let cell = match &served[i] {
                         Some((set, j)) => (
                             serve(cache, &jobs[i], &cells[i].cfg.machine, &set[*j]),
                             None,
                         ),
-                        None => self.run_cell(cache, &jobs[i], &cells[i].cfg, t, traced),
+                        None => self.run_cell(cache, &jobs[i], &cells[i].cfg, reg, traced),
                     };
-                    if T::ENABLED {
-                        t.observe(CELL_WALL_NS, t.now_ns().saturating_sub(start));
-                        t.cell_done(cache.requests(), cache.len() as u64);
+                    observe_since(reg, CELL_WALL_NS, start);
+                    if let Some(progress) = progress {
+                        progress.done(cache.requests(), cache.len() as u64);
                     }
                     let _ = tx.send((i, cell));
                 };
@@ -1107,24 +1127,23 @@ impl Plan {
                 memo.entry(cell).or_insert_with(|| (results.clone(), i));
             }
         }
-        if T::ENABLED {
-            t.counter_add(CELLS_MEMOIZED, served.iter().flatten().count() as u64);
+        if let Some(reg) = reg {
+            reg.counter_add(CELLS_MEMOIZED, served.iter().flatten().count() as u64);
             let requests = cache.requests() - requests;
             let misses = cache.len() as u64 - unique;
-            t.counter_add(CACHE_REQUESTS, requests);
-            t.counter_add(CACHE_MISSES, misses);
-            t.counter_add(CACHE_HITS, requests - misses);
+            reg.counter_add(CACHE_REQUESTS, requests);
+            reg.counter_add(CACHE_MISSES, misses);
+            reg.counter_add(CACHE_HITS, requests - misses);
             for ((name, now), (_, before)) in cache.timing().into_iter().zip(timing) {
-                t.counter_add(name, now - before);
+                reg.counter_add(name, now - before);
             }
-            let refs: Vec<&RunResult> = results.iter().collect();
-            crate::metrics::harvest(&refs, t);
+            crate::metrics::harvest(&results, reg);
         }
         ResultSet {
             labels: grid.labels(),
             grid,
             columns: Columns {
-                telemetry: T::ENABLED,
+                telemetry: reg.is_some(),
                 ..columns
             },
             scale: self.scale,
@@ -1168,16 +1187,16 @@ impl Plan {
     /// Fleet cells run single-threaded internally (`parallelism = 1`): the
     /// plan's fan-out is *across* cells, and nesting worker pools would
     /// oversubscribe without changing any output byte.
-    fn run_cell<T: Telemetry>(
+    fn run_cell(
         &self,
         cache: &ImageCache,
         key: &JobKey,
         cfg: &SimConfig,
-        t: &T,
+        reg: Option<&Registry>,
         traced: bool,
     ) -> (RunResult, Option<Trace>) {
         use crate::metrics::names::{CELL_COMPILE_NS, CELL_SIMULATE_NS};
-        let mut sim_start = t.now_ns();
+        let mut sim_start = now_ns(reg);
         let (stats, trace) = match &key.fleet {
             Some(fleet) if traced => {
                 let (stats, trace) =
@@ -1190,11 +1209,7 @@ impl Plan {
             ),
             None => {
                 let threads = key.workload.threads(cache, cfg);
-                let compile_start = sim_start;
-                sim_start = t.now_ns();
-                if T::ENABLED {
-                    t.observe(CELL_COMPILE_NS, sim_start.saturating_sub(compile_start));
-                }
+                sim_start = observe_since(reg, CELL_COMPILE_NS, sim_start);
                 let machine = Machine::new(cfg, threads)
                     .expect("WorkloadRef guarantees at least one member thread");
                 if traced {
@@ -1205,11 +1220,24 @@ impl Plan {
                 }
             }
         };
-        if T::ENABLED {
-            t.observe(CELL_SIMULATE_NS, t.now_ns().saturating_sub(sim_start));
-        }
+        observe_since(reg, CELL_SIMULATE_NS, sim_start);
         (key.result(stats), trace)
     }
+}
+
+/// Nanoseconds on `reg`'s clock; 0 for an unmetered run.
+fn now_ns(reg: Option<&Registry>) -> u64 {
+    reg.map_or(0, Registry::now_ns)
+}
+
+/// Record the wall time since `start_ns` into the timing histogram
+/// `name` of a metered run, and return the clock reading it ends at.
+fn observe_since(reg: Option<&Registry>, name: &str, start_ns: u64) -> u64 {
+    let now = now_ns(reg);
+    if let Some(reg) = reg {
+        reg.observe(name, now.saturating_sub(start_ns));
+    }
+    now
 }
 
 /// Serve a cell the session has already simulated: repeat its image

@@ -16,25 +16,30 @@
 //!   measurements that differ run to run. [`SweepReport::to_json`] /
 //!   [`SweepReport::to_prom`] emit the timing subset only when asked, so
 //!   the default export is byte-stable.
-//! * **Zero cost when off.** Emission sites are generic over the
-//!   [`Telemetry`] trait, mirroring `vliw-trace`'s `TraceSink`:
-//!   [`NullTelemetry`] has `ENABLED = false` as an associated *const*, so
-//!   every `if T::ENABLED { ... }` guard monomorphizes away and the
-//!   untelemetered build compiles to the pre-instrumentation code.
+//! * **Once per cell, never per cycle.** The harness emits only around
+//!   sweep cells: when a plan starts, as each cell finishes and when the
+//!   plan ends. So the registry is a plain collector that the plan runner
+//!   calls directly when it is handed one, and an unmetered run skips a
+//!   few branches per cell. Only `vliw-trace`'s `TraceSink`, which records
+//!   per simulated cycle, compiles away through an associated `ENABLED`
+//!   constant.
 //!
 //! Wall time comes from a [`Clock`] object, not from `Instant::now()`
 //! sprinkled through the code: real runs use [`MonotonicClock`], tests use
-//! [`ManualClock`] and get reproducible timings (and a testable progress
-//! heartbeat) for free.
+//! [`ManualClock`] and get reproducible timings and a testable progress
+//! heartbeat for free.
 //!
-//! The concrete collector is [`Registry`]: named counters, gauges and
+//! The metrics collector is [`Registry`]: named counters, gauges and
 //! fixed-bucket histograms held in **registration order**, so a schema
 //! registered up front yields byte-stable exports no matter which worker
-//! thread emitted first. [`Registry::report`] snapshots it into a
-//! [`SweepReport`]; [`Registry::enable_progress`] turns on a throttled
-//! stderr heartbeat (`cells done/total, cells/s, eta, cache hit-rate`)
-//! that never touches stdout, so piped `--json`/`--csv` output stays
-//! clean.
+//! thread emitted first. [`Registry::register`] declares a metric with
+//! its [`Class`] and [`Kind`], and [`Registry::report`] snapshots the
+//! registry into a [`SweepReport`].
+//!
+//! The sweep heartbeat is separate from the metrics: a [`Progress`]
+//! repaints a throttled stderr line (`cells done/total, cells/s, eta,
+//! cache hit-rate`) as cells finish. It records no metric and never
+//! touches stdout, so neither piped output nor any export changes with it.
 
 #![deny(missing_docs)]
 
@@ -44,6 +49,6 @@ mod registry;
 mod report;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use progress::progress_line;
-pub use registry::{Class, NullTelemetry, Registry, Telemetry};
+pub use progress::{progress_line, Progress};
+pub use registry::{Class, Kind, Registry};
 pub use report::{MetricValue, ReportEntry, SweepReport};

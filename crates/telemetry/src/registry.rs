@@ -1,10 +1,8 @@
-//! The [`Telemetry`] trait (emission surface), the [`NullTelemetry`]
-//! zero-cost implementation, and the concrete [`Registry`] collector.
+//! The [`Registry`]: the harness's metrics, held as the entries of a
+//! [`SweepReport`] in registration order.
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::progress::{progress_line, ProgressState};
 use crate::report::{MetricValue, ReportEntry, SweepReport};
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Determinism class of a metric. The deterministic subset of a
@@ -30,119 +28,32 @@ impl Class {
     }
 }
 
-/// The emission surface the harness is generic over, mirroring
-/// `vliw-trace`'s `TraceSink`: instrumented code writes
-/// `if T::ENABLED { t.counter_add(...) }` and the [`NullTelemetry`]
-/// instantiation compiles the whole site away.
-///
-/// All methods default to no-ops so `NullTelemetry` is a one-liner and
-/// future methods don't break implementors. Metric `name`s are
-/// `&'static str` by design: the schema is a closed, compile-time set, so
-/// no allocation ever happens on the emission path.
-pub trait Telemetry: Sync {
-    /// `false` compiles every guarded emission site out of the binary.
-    const ENABLED: bool;
-
-    /// Declare a counter up front (idempotent). Registration order is
-    /// export order, so register the full schema before any emission.
-    fn register_counter(&self, name: &'static str, help: &'static str, class: Class) {
-        let _ = (name, help, class);
-    }
-
-    /// Declare a max-tracking gauge up front (idempotent).
-    fn register_gauge(&self, name: &'static str, help: &'static str, class: Class) {
-        let _ = (name, help, class);
-    }
-
-    /// Declare a fixed-bucket histogram up front (idempotent). `bounds`
-    /// are inclusive upper bucket bounds; an implicit `+Inf` bucket is
-    /// always appended.
-    fn register_histogram(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        class: Class,
-        bounds: &'static [u64],
-    ) {
-        let _ = (name, help, class, bounds);
-    }
-
-    /// Add `delta` to a counter.
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        let _ = (name, delta);
-    }
-
-    /// Raise a gauge to `value` if `value` is larger (high-water mark).
-    fn gauge_max(&self, name: &'static str, value: u64) {
-        let _ = (name, value);
-    }
-
-    /// Record one observation into a histogram.
-    fn observe(&self, name: &'static str, value: u64) {
-        let _ = (name, value);
-    }
-
-    /// Merge pre-bucketed counts into a histogram. `counts` must align
-    /// with the registered bounds plus the `+Inf` bucket
-    /// (`counts.len() == bounds.len() + 1`); `sum` is the sum of the raw
-    /// observations behind those counts.
-    fn merge_histogram(&self, name: &'static str, counts: &[u64], sum: u64) {
-        let _ = (name, counts, sum);
-    }
-
-    /// Nanoseconds from this telemetry's clock (0 when disabled — callers
-    /// always guard timing reads behind `T::ENABLED`).
-    fn now_ns(&self) -> u64 {
-        0
-    }
-
-    /// Announce `total` more sweep cells about to run (accumulates across
-    /// plans so a multi-exhibit invocation reports one combined grid).
-    fn cells_planned(&self, total: u64) {
-        let _ = total;
-    }
-
-    /// One sweep cell finished. `cache_requests`/`cache_unique` are a
-    /// live probe of the image cache (total gets / distinct images) used
-    /// by the progress heartbeat's hit-rate display.
-    fn cell_done(&self, cache_requests: u64, cache_unique: u64) {
-        let _ = (cache_requests, cache_unique);
-    }
-}
-
-/// The do-nothing telemetry: `ENABLED = false` monomorphizes every
-/// emission site away, so the default harness paths compile to the
-/// pre-instrumentation code.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullTelemetry;
-
-impl Telemetry for NullTelemetry {
-    const ENABLED: bool = false;
-}
-
-/// One registered metric: identity plus current value.
-struct Metric {
-    name: &'static str,
-    help: &'static str,
-    class: Class,
-    value: MetricValue,
-}
-
-/// Registry interior: metrics in registration order plus the progress
-/// state, under one mutex (emissions are cell- or cache-grained, never
-/// per-cycle, so contention is negligible).
-struct Inner {
-    metrics: Vec<Metric>,
-    index: HashMap<&'static str, usize>,
-    progress: ProgressState,
+/// What a metric records, and so which emitter folds into it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A sum, raised by [`Registry::counter_add`].
+    Counter,
+    /// A high-water mark, raised by [`Registry::gauge_max`].
+    Gauge,
+    /// A fixed-bucket histogram, fed by [`Registry::observe`] and
+    /// [`Registry::merge_histogram`]. The bounds are inclusive upper
+    /// bucket bounds, ascending; an implicit `+Inf` bucket follows them.
+    Histogram(&'static [u64]),
 }
 
 /// The concrete collector: named counters, gauges and fixed-bucket
-/// histograms in stable registration order, a [`Clock`] for timings, and
-/// an optional stderr progress heartbeat.
+/// histograms in stable registration order, plus a [`Clock`] for the
+/// timing histograms.
+///
+/// Every emitter takes the one lock and finds its metric by name, which
+/// suits the harness's rate of emission: a few dozen per sweep cell,
+/// never one per simulated cycle. An emission to a name that was never
+/// registered is ignored, so register the whole schema before the first
+/// cell runs. Metric names are `&'static str` because the schema is a
+/// closed, compile-time set.
 pub struct Registry {
     clock: Box<dyn Clock>,
-    inner: Mutex<Inner>,
+    report: Mutex<SweepReport>,
 }
 
 impl Default for Registry {
@@ -162,45 +73,109 @@ impl Registry {
     pub fn with_clock(clock: Box<dyn Clock>) -> Self {
         Self {
             clock,
-            inner: Mutex::new(Inner {
-                metrics: Vec::new(),
-                index: HashMap::new(),
-                progress: ProgressState::default(),
+            report: Mutex::new(SweepReport {
+                entries: Vec::new(),
             }),
         }
     }
 
-    /// Turn on the stderr progress heartbeat: a throttled (≥200 ms apart)
-    /// `\r`-rewritten line with cells done/total, cells/s, ETA and cache
-    /// hit-rate, refreshed as cells complete. Stdout is never touched.
-    pub fn enable_progress(&self) {
-        self.lock().progress.enabled = true;
+    /// Declare a metric (idempotent: a name already registered keeps its
+    /// first declaration). Registration order is export order, so
+    /// register the full schema before any emission.
+    pub fn register(&self, name: &'static str, help: &'static str, class: Class, kind: Kind) {
+        let mut report = self.lock();
+        if report.entries.iter().any(|e| e.name == name) {
+            return;
+        }
+        let value = match kind {
+            Kind::Counter => MetricValue::Counter(0),
+            Kind::Gauge => MetricValue::Gauge(0),
+            Kind::Histogram(bounds) => MetricValue::Histogram {
+                bounds: bounds.to_vec(),
+                counts: vec![0; bounds.len() + 1],
+                sum: 0,
+                count: 0,
+            },
+        };
+        report.entries.push(ReportEntry {
+            name,
+            help,
+            class,
+            value,
+        });
     }
 
-    /// The current progress heartbeat content, or `None` before any cell
-    /// grid was announced. This is what `enable_progress` writes to
-    /// stderr; exposed so tests can assert it with a [`crate::ManualClock`].
-    pub fn current_progress_line(&self) -> Option<String> {
-        let now = self.clock.now_ns();
-        let inner = self.lock();
-        let p = &inner.progress;
-        if p.total == 0 {
-            return None;
-        }
-        Some(progress_line(
-            p.done,
-            p.total,
-            now.saturating_sub(p.started_ns),
-            p.cache_requests,
-            p.cache_unique,
-        ))
+    /// Add `delta` to a counter.
+    pub fn counter_add(&self, name: &str, delta: u64) {
+        self.update(name, |m| {
+            if let MetricValue::Counter(v) = m {
+                *v += delta;
+            }
+        });
+    }
+
+    /// Raise a gauge to `value` if `value` is larger (high-water mark).
+    pub fn gauge_max(&self, name: &str, value: u64) {
+        self.update(name, |m| {
+            if let MetricValue::Gauge(v) = m {
+                *v = (*v).max(value);
+            }
+        });
+    }
+
+    /// Record one observation into a histogram.
+    pub fn observe(&self, name: &str, value: u64) {
+        self.update(name, |m| {
+            if let MetricValue::Histogram {
+                bounds,
+                counts,
+                sum,
+                count,
+            } = m
+            {
+                let b = bounds
+                    .iter()
+                    .position(|&hi| value <= hi)
+                    .unwrap_or(bounds.len());
+                counts[b] += 1;
+                *sum += value;
+                *count += 1;
+            }
+        });
+    }
+
+    /// Merge pre-bucketed counts into a histogram. `add` must align with
+    /// the registered bounds plus the `+Inf` bucket
+    /// (`add.len() == bounds.len() + 1`); `add_sum` is the sum of the raw
+    /// observations behind those counts.
+    pub fn merge_histogram(&self, name: &str, add: &[u64], add_sum: u64) {
+        self.update(name, |m| {
+            if let MetricValue::Histogram {
+                counts, sum, count, ..
+            } = m
+            {
+                debug_assert_eq!(
+                    add.len(),
+                    counts.len(),
+                    "merge_histogram {name}: bucket count mismatch"
+                );
+                for (c, a) in counts.iter_mut().zip(add) {
+                    *c += a;
+                }
+                *count += add.iter().sum::<u64>();
+                *sum += add_sum;
+            }
+        });
+    }
+
+    /// Nanoseconds from this registry's clock.
+    pub fn now_ns(&self) -> u64 {
+        self.clock.now_ns()
     }
 
     /// Current value of a counter (tests and conservation checks).
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        let inner = self.lock();
-        let &idx = inner.index.get(name)?;
-        match inner.metrics[idx].value {
+        match self.value(name)? {
             MetricValue::Counter(v) => Some(v),
             _ => None,
         }
@@ -208,9 +183,7 @@ impl Registry {
 
     /// Current value of a gauge (tests and conservation checks).
     pub fn gauge_value(&self, name: &str) -> Option<u64> {
-        let inner = self.lock();
-        let &idx = inner.index.get(name)?;
-        match inner.metrics[idx].value {
+        match self.value(name)? {
             MetricValue::Gauge(v) => Some(v),
             _ => None,
         }
@@ -218,219 +191,34 @@ impl Registry {
 
     /// `(count, sum)` of a histogram (tests and conservation checks).
     pub fn histogram_totals(&self, name: &str) -> Option<(u64, u64)> {
-        let inner = self.lock();
-        let &idx = inner.index.get(name)?;
-        match inner.metrics[idx].value {
+        match self.value(name)? {
             MetricValue::Histogram { count, sum, .. } => Some((count, sum)),
             _ => None,
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A panic while holding the lock poisons it; telemetry must never
-        // turn a worker panic into a second panic, so take the data anyway.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn register(&self, name: &'static str, help: &'static str, class: Class, value: MetricValue) {
-        let mut inner = self.lock();
-        if inner.index.contains_key(name) {
-            return;
-        }
-        let idx = inner.metrics.len();
-        inner.metrics.push(Metric {
-            name,
-            help,
-            class,
-            value,
-        });
-        inner.index.insert(name, idx);
-    }
-
     /// Snapshot every metric, in registration order, into a report.
     pub fn report(&self) -> SweepReport {
-        let inner = self.lock();
-        SweepReport {
-            entries: inner
-                .metrics
-                .iter()
-                .map(|m| ReportEntry {
-                    name: m.name,
-                    help: m.help,
-                    class: m.class,
-                    value: m.value.clone(),
-                })
-                .collect(),
-        }
-    }
-}
-
-impl Telemetry for Registry {
-    const ENABLED: bool = true;
-
-    fn register_counter(&self, name: &'static str, help: &'static str, class: Class) {
-        self.register(name, help, class, MetricValue::Counter(0));
+        self.lock().clone()
     }
 
-    fn register_gauge(&self, name: &'static str, help: &'static str, class: Class) {
-        self.register(name, help, class, MetricValue::Gauge(0));
+    fn value(&self, name: &str) -> Option<MetricValue> {
+        let report = self.lock();
+        let entry = report.entries.iter().find(|e| e.name == name)?;
+        Some(entry.value.clone())
     }
 
-    fn register_histogram(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        class: Class,
-        bounds: &'static [u64],
-    ) {
-        let counts = vec![0; bounds.len() + 1];
-        self.register(
-            name,
-            help,
-            class,
-            MetricValue::Histogram {
-                bounds: bounds.to_vec(),
-                counts,
-                sum: 0,
-                count: 0,
-            },
-        );
-    }
-
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        let mut inner = self.lock();
-        let idx = match inner.index.get(name) {
-            Some(&i) => i,
-            // Late registration keeps unregistered emissions visible
-            // rather than silently dropped; pre-register the schema for
-            // stable ordering.
-            None => {
-                let i = inner.metrics.len();
-                inner.metrics.push(Metric {
-                    name,
-                    help: "",
-                    class: Class::Timing,
-                    value: MetricValue::Counter(0),
-                });
-                inner.index.insert(name, i);
-                i
-            }
-        };
-        if let MetricValue::Counter(v) = &mut inner.metrics[idx].value {
-            *v += delta;
+    /// Apply `f` to the value of the metric `name`, if it is registered.
+    fn update(&self, name: &str, f: impl FnOnce(&mut MetricValue)) {
+        if let Some(e) = self.lock().entries.iter_mut().find(|e| e.name == name) {
+            f(&mut e.value);
         }
     }
 
-    fn gauge_max(&self, name: &'static str, value: u64) {
-        let mut inner = self.lock();
-        let idx = match inner.index.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = inner.metrics.len();
-                inner.metrics.push(Metric {
-                    name,
-                    help: "",
-                    class: Class::Timing,
-                    value: MetricValue::Gauge(0),
-                });
-                inner.index.insert(name, i);
-                i
-            }
-        };
-        if let MetricValue::Gauge(v) = &mut inner.metrics[idx].value {
-            *v = (*v).max(value);
-        }
-    }
-
-    fn observe(&self, name: &'static str, value: u64) {
-        let mut inner = self.lock();
-        let Some(&idx) = inner.index.get(name) else {
-            // Histograms need bounds; an unregistered observe has none to
-            // bucket against, so it is dropped (register the schema).
-            return;
-        };
-        if let MetricValue::Histogram {
-            bounds,
-            counts,
-            sum,
-            count,
-        } = &mut inner.metrics[idx].value
-        {
-            let b = bounds
-                .iter()
-                .position(|&hi| value <= hi)
-                .unwrap_or(bounds.len());
-            counts[b] += 1;
-            *sum += value;
-            *count += 1;
-        }
-    }
-
-    fn merge_histogram(&self, name: &'static str, add: &[u64], add_sum: u64) {
-        let mut inner = self.lock();
-        let Some(&idx) = inner.index.get(name) else {
-            return;
-        };
-        if let MetricValue::Histogram {
-            counts, sum, count, ..
-        } = &mut inner.metrics[idx].value
-        {
-            debug_assert_eq!(
-                add.len(),
-                counts.len(),
-                "merge_histogram {name}: bucket count mismatch"
-            );
-            for (c, a) in counts.iter_mut().zip(add) {
-                *c += a;
-            }
-            *count += add.iter().sum::<u64>();
-            *sum += add_sum;
-        }
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.clock.now_ns()
-    }
-
-    fn cells_planned(&self, total: u64) {
-        let now = self.clock.now_ns();
-        let mut inner = self.lock();
-        let p = &mut inner.progress;
-        if p.total == 0 {
-            p.started_ns = now;
-        }
-        p.total += total;
-    }
-
-    fn cell_done(&self, cache_requests: u64, cache_unique: u64) {
-        let now = self.clock.now_ns();
-        let mut inner = self.lock();
-        let p = &mut inner.progress;
-        p.done += 1;
-        p.cache_requests = cache_requests;
-        p.cache_unique = cache_unique;
-        if !p.enabled {
-            return;
-        }
-        let finished = p.done >= p.total;
-        // Throttle: at most one repaint per 200 ms, but always paint the
-        // final state so the line never ends stale.
-        if !finished && now.saturating_sub(p.last_emit_ns) < 200_000_000 {
-            return;
-        }
-        p.last_emit_ns = now;
-        let line = progress_line(
-            p.done,
-            p.total,
-            now.saturating_sub(p.started_ns),
-            p.cache_requests,
-            p.cache_unique,
-        );
-        if finished {
-            eprintln!("\r{line}");
-        } else {
-            eprint!("\r{line}");
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, SweepReport> {
+        // A panic while holding the lock poisons it; telemetry must never
+        // turn a worker panic into a second panic, so take the data anyway.
+        self.report.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -446,9 +234,9 @@ mod tests {
     #[test]
     fn registration_is_idempotent_and_order_stable() {
         let r = manual_registry();
-        r.register_counter("a_total", "first", Class::Deterministic);
-        r.register_counter("b_total", "second", Class::Deterministic);
-        r.register_counter("a_total", "shadow attempt", Class::Timing);
+        r.register("a_total", "first", Class::Deterministic, Kind::Counter);
+        r.register("b_total", "second", Class::Deterministic, Kind::Counter);
+        r.register("a_total", "shadow attempt", Class::Timing, Kind::Gauge);
         r.counter_add("a_total", 2);
         r.counter_add("b_total", 5);
         let rep = r.report();
@@ -466,7 +254,7 @@ mod tests {
     #[test]
     fn gauge_tracks_high_water_mark() {
         let r = manual_registry();
-        r.register_gauge("depth", "max depth", Class::Deterministic);
+        r.register("depth", "max depth", Class::Deterministic, Kind::Gauge);
         r.gauge_max("depth", 3);
         r.gauge_max("depth", 9);
         r.gauge_max("depth", 4);
@@ -476,11 +264,11 @@ mod tests {
     #[test]
     fn histogram_buckets_on_inclusive_upper_bounds() {
         let r = manual_registry();
-        r.register_histogram(
+        r.register(
             "spans",
             "idle span lengths",
             Class::Deterministic,
-            &[1, 4, 16],
+            Kind::Histogram(&[1, 4, 16]),
         );
         for v in [0, 1, 2, 4, 5, 16, 17, 1_000] {
             r.observe("spans", v);
@@ -506,7 +294,12 @@ mod tests {
     #[test]
     fn merge_histogram_adds_prebucketed_counts() {
         let r = manual_registry();
-        r.register_histogram("spans", "idle span lengths", Class::Deterministic, &[1, 4]);
+        r.register(
+            "spans",
+            "idle span lengths",
+            Class::Deterministic,
+            Kind::Histogram(&[1, 4]),
+        );
         r.observe("spans", 1);
         r.merge_histogram("spans", &[1, 0, 3], 100);
         let MetricValue::Histogram {
@@ -521,34 +314,25 @@ mod tests {
     }
 
     #[test]
-    fn manual_clock_drives_now_ns_and_progress() {
-        let clock = ManualClock::new(0);
-        clock.advance(5);
-        let r = Registry::with_clock(Box::new(clock));
-        assert_eq!(Telemetry::now_ns(&r), 5);
-        assert_eq!(r.current_progress_line(), None, "no grid announced yet");
-        r.cells_planned(4);
-        r.cell_done(6, 3);
-        // Clock frozen at 5 ns since cells_planned → elapsed 0, rate 0.
-        assert_eq!(
-            r.current_progress_line().as_deref(),
-            Some("cells 1/4 (25.0%) | 0.00 cells/s | eta - | cache hit-rate 50.0%")
-        );
-        r.cells_planned(2);
-        assert!(
-            r.current_progress_line().unwrap().starts_with("cells 1/6 "),
-            "grids accumulate across plans"
-        );
+    fn unregistered_emissions_are_ignored() {
+        let r = manual_registry();
+        r.register("depth", "max depth", Class::Deterministic, Kind::Gauge);
+        r.counter_add("late_total", 1);
+        r.gauge_max("late_max", 1);
+        r.observe("late_hist", 1);
+        r.merge_histogram("late_hist", &[1], 1);
+        // A kind mismatch leaves the metric alone too.
+        r.counter_add("depth", 7);
+        let rep = r.report();
+        assert_eq!(rep.entries.len(), 1, "no late registration");
+        assert_eq!(rep.entries[0].value, MetricValue::Gauge(0));
     }
 
     #[test]
-    fn null_telemetry_is_disabled_and_inert() {
-        const { assert!(!NullTelemetry::ENABLED) };
-        let t = NullTelemetry;
-        t.register_counter("x", "", Class::Deterministic);
-        t.counter_add("x", 1);
-        t.observe("x", 1);
-        t.cell_done(0, 0);
-        assert_eq!(t.now_ns(), 0);
+    fn manual_clock_drives_now_ns() {
+        let clock = ManualClock::new(0);
+        clock.advance(5);
+        let r = Registry::with_clock(Box::new(clock));
+        assert_eq!(r.now_ns(), 5);
     }
 }

@@ -10,7 +10,9 @@
 //!   --machine 2x8 --arrivals poisson:0.02 --fleet paper-4x4*2` does;
 //! * `metered` — the plans run through `Plan::run_metered` with a live
 //!   `Registry` (the trace sweep stays unmetered, as in `paper
-//!   --metrics`), plus the registry's deterministic Prometheus report.
+//!   --metrics`), plus the registry's deterministic Prometheus and JSON
+//!   reports and the whole schema: the `# HELP` and `# TYPE` lines of
+//!   every metric, timing metrics included.
 //!
 //! Each shape pins every set's `to_json` and `to_csv` bytes and the
 //! combined CSV `paper --csv` writes (`Sweeps::to_csv`).
@@ -101,8 +103,20 @@ fn digests(shape: Shape) -> Vec<(String, u64)> {
     }
     out.push((at("combined.csv"), fnv1a(sweeps.to_csv().as_bytes())));
     if shape == Shape::Metered {
-        let prom = reg.report().to_prom(false);
+        let report = reg.report();
+        let prom = report.to_prom(false);
         out.push((at("metrics.prom"), fnv1a(prom.as_bytes())));
+        let json = report.to_json(false);
+        out.push((at("metrics.json"), fnv1a(json.as_bytes())));
+        // The whole schema, timing metrics included: every name, help
+        // text and type, without the run-dependent samples.
+        let schema: String = report
+            .to_prom(true)
+            .lines()
+            .filter(|l| l.starts_with("# HELP ") || l.starts_with("# TYPE "))
+            .flat_map(|l| [l, "\n"])
+            .collect();
+        out.push((at("schema.prom"), fnv1a(schema.as_bytes())));
     }
     out
 }
@@ -190,7 +204,9 @@ fn priority_and_wide_scheme_state_matches_golden_digests() {
 /// axis table; no digest may change without an intended export or
 /// simulation change. `metered/metrics.prom` was re-recorded when the
 /// registry gained `vliw_cells_memoized_total` (72 cells of `paper all`
-/// repeat an earlier cell of the same session).
+/// repeat an earlier cell of the same session). `metered/metrics.json`
+/// and `metered/schema.prom` were recorded while the schema was still
+/// spelled as one registration call per metric.
 const GOLDEN: &[(&str, u64)] = &[
     ("default/table1.json", 0xefc3b82f5a1722d4),
     ("default/table1.csv", 0x358f44207d3cf992),
@@ -255,6 +271,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("metered/fleet.csv", 0xd9c79da529fa8b52),
     ("metered/combined.csv", 0x7a97af4f703ea4ef),
     ("metered/metrics.prom", 0x3644d9645ed4902c),
+    ("metered/metrics.json", 0xacebf051b3f803d5),
+    ("metered/schema.prom", 0x910abb40d64c9f48),
     ("state/fig10-fixed", 0xe4f0724d3a3eb1ad),
     ("state/fig10-lri", 0x294c96ffa7a8e939),
     ("state/wide-8x2", 0xccc0f07d5fed05f9),

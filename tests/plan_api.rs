@@ -827,14 +827,13 @@ fn metrics_export_is_byte_identical_across_workers_and_core_models() {
 /// The registry's conservation laws hold on a metered fleet sweep —
 /// cells recorded == grid size, cache hits + misses == requests, fleet
 /// busy + idle lane-cycles == makespan × lanes — and metering is
-/// observation only: the metered results serialize to the same default
-/// bytes as the unmetered run (modulo the gated telemetry columns, which
-/// are checked separately below).
+/// observation only: every metered cell's statistics equal the unmetered
+/// run's (the gated telemetry columns are checked separately below).
 #[test]
 fn metered_run_conserves_and_matches_unmetered_results() {
     use vliw_tms::sim::metrics::names;
     use vliw_tms::sim::plan::FleetSpec;
-    use vliw_tms::sim::telemetry::{NullTelemetry, Registry};
+    use vliw_tms::sim::telemetry::Registry;
     let fleet: FleetSpec = "paper-4x4*2".parse().unwrap();
     let plan = || {
         Plan::new()
@@ -864,13 +863,8 @@ fn metered_run_conserves_and_matches_unmetered_results() {
     let sim_cycles: u64 = metered.results().iter().map(|r| r.stats.cycles).sum();
     assert_eq!(c(names::SIM_CYCLES), sim_cycles, "harvest sums the grid");
 
-    // Null-metered and unmetered runs are the same code path — identical
-    // results, identical bytes.
+    // A live registry never perturbs the simulated numbers.
     let base = plan().run(&Session::with_parallelism(2));
-    let null = plan().run_metered(&Session::with_parallelism(2), &NullTelemetry);
-    assert_eq!(base.to_json(), null.to_json());
-    assert_eq!(base.to_csv(), null.to_csv());
-    // A live registry never perturbs the simulated numbers either.
     for ((ka, a), (kb, b)) in base.iter().zip(metered.iter()) {
         assert_eq!(format!("{ka:?}"), format!("{kb:?}"));
         assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
