@@ -1,6 +1,6 @@
 //! Register dataflow over physical registers.
 //!
-//! Three families of checks:
+//! Two families of checks, plus the unreachable-block lint:
 //!
 //! * **Undefined reads** — a forward *must-define* analysis over the
 //!   reconstructed CFG proves every read is covered on all paths from the
@@ -11,10 +11,6 @@
 //!   operation *completes* inside it (issue cycle + latency ≤ block
 //!   length); a schedule violating this leaks writebacks into an
 //!   unpredictable successor block.
-//! * **Pedantic lints** — dead writes and same-cycle duplicate writes.
-//!   The register allocator's blind round-robin reuse makes both common
-//!   in perfectly correct images, so they stay behind
-//!   [`AnalyzeOptions::pedantic`](crate::AnalyzeOptions) and never gate CI.
 
 use crate::cfg::Cfg;
 use crate::diag::{Diagnostic, Location, Rule};
@@ -83,7 +79,6 @@ pub fn check_dataflow(
     machine: &MachineConfig,
     program: &Program,
     cfg: &Cfg,
-    pedantic: bool,
     diags: &mut Vec<Diagnostic>,
 ) {
     let nb = program.blocks.len();
@@ -192,68 +187,9 @@ pub fn check_dataflow(
                     ));
                 }
             }
-            if pedantic {
-                let mut written: Vec<Reg> = Vec::new();
-                for op in instr.ops() {
-                    if let Some(d) = op.dest {
-                        if written.contains(&d) {
-                            diags.push(Diagnostic::warning(
-                                Rule::DuplicateWrite,
-                                loc,
-                                format!("{d} written twice in one cycle"),
-                            ));
-                        }
-                        written.push(d);
-                    }
-                }
-            }
             for op in instr.ops() {
                 if let Some(k) = op.dest.and_then(|r| key(machine, r)) {
                     defined.insert(k);
-                }
-            }
-        }
-    }
-
-    if pedantic {
-        check_dead_writes(machine, program, nbits, diags);
-    }
-}
-
-/// Pedantic: registers written somewhere but read nowhere in the program.
-fn check_dead_writes(
-    machine: &MachineConfig,
-    program: &Program,
-    nbits: usize,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let mut read = RegSet::empty(nbits);
-    for b in &program.blocks {
-        for instr in &b.instrs {
-            for op in instr.ops() {
-                for s in op.src_regs() {
-                    if let Some(k) = key(machine, s) {
-                        read.insert(k);
-                    }
-                }
-            }
-        }
-    }
-    let mut reported = RegSet::empty(nbits);
-    for (bid, b) in program.blocks.iter().enumerate() {
-        for (i, instr) in b.instrs.iter().enumerate() {
-            for op in instr.ops() {
-                if let Some(d) = op.dest {
-                    if let Some(k) = key(machine, d) {
-                        if !read.contains(k) && !reported.contains(k) {
-                            reported.insert(k);
-                            diags.push(Diagnostic::warning(
-                                Rule::DeadWrite,
-                                Location::instr(bid as u32, i),
-                                format!("{d} is written here but never read"),
-                            ));
-                        }
-                    }
                 }
             }
         }
@@ -284,10 +220,10 @@ mod tests {
         o
     }
 
-    fn run(program: &Program, pedantic: bool) -> Vec<Diagnostic> {
+    fn run(program: &Program) -> Vec<Diagnostic> {
         let mut d = Vec::new();
         let cfg = build_cfg(program);
-        check_dataflow(&m(), program, &cfg, pedantic, &mut d);
+        check_dataflow(&m(), program, &cfg, &mut d);
         d
     }
 
@@ -308,7 +244,7 @@ mod tests {
             0,
             vec![],
         );
-        let d = run(&p, false);
+        let d = run(&p);
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -326,7 +262,7 @@ mod tests {
             0,
             vec![],
         );
-        let d = run(&p, false);
+        let d = run(&p);
         assert!(d.iter().any(|x| x.rule == Rule::UndefinedRead), "{d:?}");
     }
 
@@ -340,11 +276,9 @@ mod tests {
         let pad = VliwInstruction::from_ops_unchecked(vec![]);
         let blocks = vec![(vec![r, pad], TermKind::Return)];
         let bare = Program::new("t".into(), blocks.clone(), 0, 0, vec![]);
-        assert!(run(&bare, false)
-            .iter()
-            .any(|x| x.rule == Rule::UndefinedRead));
+        assert!(run(&bare).iter().any(|x| x.rule == Rule::UndefinedRead));
         let declared = Program::new("t".into(), blocks, 0, 0, vec![Reg::new(0, 7)]);
-        let d = run(&declared, false);
+        let d = run(&declared);
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -377,7 +311,7 @@ mod tests {
             0,
             vec![],
         );
-        let d = run(&p, false);
+        let d = run(&p);
         assert!(d.iter().any(|x| x.rule == Rule::UndefinedRead), "{d:?}");
     }
 
@@ -393,23 +327,8 @@ mod tests {
             0,
             vec![],
         );
-        let d = run(&p, false);
+        let d = run(&p);
         assert!(d.iter().any(|x| x.rule == Rule::OpOutlivesBlock), "{d:?}");
-    }
-
-    #[test]
-    fn pedantic_lints_gated() {
-        let dead =
-            VliwInstruction::from_ops_unchecked(vec![op(Opcode::Add, Some(Reg::new(0, 9)), &[])]);
-        let p = Program::new(
-            "t".into(),
-            vec![(vec![dead], TermKind::Return)],
-            0,
-            0,
-            vec![],
-        );
-        assert!(run(&p, false).iter().all(|x| x.rule != Rule::DeadWrite));
-        assert!(run(&p, true).iter().any(|x| x.rule == Rule::DeadWrite));
     }
 
     #[test]
@@ -425,7 +344,7 @@ mod tests {
             0,
             vec![],
         );
-        let d = run(&p, false);
+        let d = run(&p);
         assert!(
             d.iter()
                 .any(|x| x.rule == Rule::UnreachableBlock && x.location.block == Some(1)),

@@ -84,14 +84,6 @@ pub enum Rule {
     OpOutlivesBlock,
     /// A block no path from entry reaches.
     UnreachableBlock,
-    /// A register written but never read anywhere in the program
-    /// (pedantic: the register allocator's blind round-robin makes these
-    /// common in correct code).
-    DeadWrite,
-    /// Two same-cycle writes to one physical register (pedantic: benign
-    /// under the allocator's register reuse, since the simulator is
-    /// timing-only).
-    DuplicateWrite,
     // -- streams --------------------------------------------------------
     /// A memory operation names a stream id outside the program's declared
     /// stream count or the image's stream table.
@@ -126,8 +118,6 @@ impl Rule {
             Rule::UndefinedRead => "undefined-read",
             Rule::OpOutlivesBlock => "op-outlives-block",
             Rule::UnreachableBlock => "unreachable-block",
-            Rule::DeadWrite => "dead-write",
-            Rule::DuplicateWrite => "duplicate-write",
             Rule::BadStream => "bad-stream",
             Rule::StreamTableMismatch => "stream-table-mismatch",
         }

@@ -13,8 +13,8 @@
 //!   *independently re-derived* slot plan; operand locality, register
 //!   ranges, annotation consistency, merge-signature recomputation.
 //! * [`dataflow`] — def-before-use on all CFG paths (seeded by the image's
-//!   declared live-ins), trailing-latency containment, unreachable-block /
-//!   dead-write / duplicate-write lints.
+//!   declared live-ins), trailing-latency containment and the
+//!   unreachable-block lint.
 //! * [`bounds`] — per-block static lower bounds on schedule length and the
 //!   program's IPC ceiling, so dynamic measurements can be cross-checked
 //!   against static theorems.
@@ -38,16 +38,6 @@ pub use diag::{Diagnostic, Location, Rule, Severity};
 use vliw_compiler::Program;
 use vliw_isa::MachineConfig;
 use vliw_workloads::BenchmarkImage;
-
-/// Analyzer knobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalyzeOptions {
-    /// Enable the pedantic lints ([`Rule::DeadWrite`],
-    /// [`Rule::DuplicateWrite`]). The register allocator's blind
-    /// round-robin reuse makes both fire on perfectly correct shipped
-    /// images, so they are off by default and excluded from CI gates.
-    pub pedantic: bool,
-}
 
 /// The result of analyzing one program on one machine.
 #[derive(Debug, Clone)]
@@ -231,14 +221,13 @@ pub fn analyze_program(
     machine: &MachineConfig,
     program: &Program,
     stream_table: Option<usize>,
-    opts: AnalyzeOptions,
 ) -> Report {
     let mut diags = Vec::new();
     let indexable = cfg::check_structure(machine, program, &mut diags);
     let bounds = if indexable {
         bundles::check_bundles(machine, program, &mut diags);
         let graph = cfg::build_cfg(program);
-        dataflow::check_dataflow(machine, program, &graph, opts.pedantic, &mut diags);
+        dataflow::check_dataflow(machine, program, &graph, &mut diags);
         check_streams(program, stream_table, &mut diags);
         bounds::compute_bounds(machine, program)
     } else {
@@ -256,13 +245,8 @@ pub fn analyze_program(
 }
 
 /// Analyze a full benchmark image against the machine it names.
-pub fn analyze_image(image: &BenchmarkImage, opts: AnalyzeOptions) -> Report {
-    analyze_program(
-        &image.machine,
-        &image.program,
-        Some(image.streams.len()),
-        opts,
-    )
+pub fn analyze_image(image: &BenchmarkImage) -> Report {
+    analyze_program(&image.machine, &image.program, Some(image.streams.len()))
 }
 
 #[cfg(test)]
@@ -273,7 +257,7 @@ mod tests {
     fn shipped_image_is_clean() {
         let m = MachineConfig::paper_baseline();
         let img = vliw_workloads::build_named("idct", &m).unwrap();
-        let r = analyze_image(&img, AnalyzeOptions::default());
+        let r = analyze_image(&img);
         assert!(r.is_clean(), "{}", r.render_text());
         assert!(r.bounds.ipc_ceiling() > 0.0);
         assert_eq!(r.bounds.blocks.len(), img.program.blocks.len());
@@ -300,7 +284,7 @@ mod tests {
                 }
             }
         }
-        let r = analyze_image(&img, AnalyzeOptions::default());
+        let r = analyze_image(&img);
         assert!(
             r.diagnostics.iter().any(|d| d.rule == Rule::BadStream),
             "{}",
@@ -312,8 +296,8 @@ mod tests {
     fn json_rendering_is_wellformed_and_stable() {
         let m = MachineConfig::paper_baseline();
         let img = vliw_workloads::build_named("cjpeg", &m).unwrap();
-        let a = analyze_image(&img, AnalyzeOptions::default()).render_json();
-        let b = analyze_image(&img, AnalyzeOptions::default()).render_json();
+        let a = analyze_image(&img).render_json();
+        let b = analyze_image(&img).render_json();
         assert_eq!(a, b);
         assert!(a.starts_with("{\"program\":\"cjpeg\",\"errors\":0,\"warnings\":0,"));
         assert!(a.ends_with("]}}"));
@@ -323,12 +307,7 @@ mod tests {
     #[test]
     fn malformed_program_short_circuits() {
         let p = Program::new("empty".into(), vec![], 0, 0, vec![]);
-        let r = analyze_program(
-            &MachineConfig::paper_baseline(),
-            &p,
-            None,
-            AnalyzeOptions::default(),
-        );
+        let r = analyze_program(&MachineConfig::paper_baseline(), &p, None);
         assert_eq!(r.errors(), 1);
         assert!(r.diagnostics[0].rule == Rule::NoBlocks);
         assert!(r.bounds.blocks.is_empty());

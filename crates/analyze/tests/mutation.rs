@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use vliw_analyze::{analyze_image, AnalyzeOptions, Rule, Severity};
+use vliw_analyze::{analyze_image, Rule, Severity};
 use vliw_isa::{MachineSpec, Reg, VliwInstruction};
 use vliw_workloads::BenchmarkImage;
 
@@ -32,7 +32,7 @@ fn image(bench: usize, preset: usize) -> BenchmarkImage {
 
 /// Assert `rule` fires with Error severity on the mutated image.
 fn assert_detected(img: &BenchmarkImage, rule: Rule, what: &str) {
-    let report = analyze_image(img, AnalyzeOptions::default());
+    let report = analyze_image(img);
     assert!(
         report
             .diagnostics

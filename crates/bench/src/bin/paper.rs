@@ -436,7 +436,7 @@ fn run_lint(as_json: bool) -> ! {
         for bench in vliw_workloads::all_benchmarks() {
             let img =
                 vliw_workloads::build(bench, &machine).unwrap_or_else(|e| die(&e.to_string()));
-            let report = vliw_analyze::analyze_image(&img, vliw_analyze::AnalyzeOptions::default());
+            let report = vliw_analyze::analyze_image(&img);
             errors += report.errors();
             warnings += report.warnings();
             if as_json {

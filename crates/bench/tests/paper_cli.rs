@@ -233,22 +233,22 @@ fn metered_run_matches_golden_digests() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         digest_of(&digests, "metered/csv"),
-        0x7a97af4f703ea4ef,
+        0x823fedcd38e5288d,
         "paper --metrics --csv must equal export_digests' metered/combined.csv"
     );
     assert_eq!(
         digest_of(&digests, "metered/metrics.prom"),
-        0x3644d9645ed4902c,
+        0xfdeb86aae76aec6f,
         "paper --metrics must equal export_digests' metered/metrics.prom"
     );
     assert_golden("metered", digests);
 }
 
 #[test]
-fn progress_changes_no_export_byte() {
-    let dir = scratch("progress");
+fn progress_and_metrics_change_no_export_byte() {
+    let dir = scratch("observers");
     let out = dir.join("out");
-    let run = |tag: &str, progress: bool| {
+    let run = |tag: &str, observer: &[&str]| {
         let (json, csv) = (
             dir.join(format!("{tag}.json")),
             dir.join(format!("{tag}.csv")),
@@ -266,9 +266,7 @@ fn progress_changes_no_export_byte() {
             "--out",
             path(&out),
         ];
-        if progress {
-            args.push("--progress");
-        }
+        args.extend_from_slice(observer);
         let output = paper(&args);
         stdout(&output);
         let read =
@@ -276,16 +274,24 @@ fn progress_changes_no_export_byte() {
         let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
         (read(&json), read(&csv), stderr)
     };
-    let (plain_json, plain_csv, _) = run("plain", false);
-    let (json, csv, stderr) = run("progress", true);
+    let prom = dir.join("m.prom");
+    let (plain_json, plain_csv, _) = run("plain", &[]);
+    let (json, csv, stderr) = run("progress", &["--progress"]);
+    let (metered_json, metered_csv, _) = run("metered", &["--metrics", path(&prom)]);
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(
-        plain_csv == csv,
-        "--progress changed the --csv bytes:\n{}\nvs\n{}",
-        String::from_utf8_lossy(&plain_csv),
-        String::from_utf8_lossy(&csv)
-    );
+    for (flag, other) in [("--progress", &csv), ("--metrics", &metered_csv)] {
+        assert!(
+            &plain_csv == other,
+            "{flag} changed the --csv bytes:\n{}\nvs\n{}",
+            String::from_utf8_lossy(&plain_csv),
+            String::from_utf8_lossy(other)
+        );
+    }
     assert!(plain_json == json, "--progress changed the --json bytes");
+    assert!(
+        plain_json == metered_json,
+        "--metrics changed the --json bytes"
+    );
     assert!(stderr.contains("cells 24/24"), "heartbeat: {stderr:?}");
 }
 
@@ -301,7 +307,7 @@ fn metrics_without_a_metered_sweep_lists_the_schema() {
         .lines()
         .filter_map(|l| l.strip_prefix("# TYPE "))
         .collect();
-    assert_eq!(types.len(), 30, "every deterministic metric:\n{text}");
+    assert_eq!(types.len(), 29, "every deterministic metric:\n{text}");
     assert_eq!(types.first(), Some(&"vliw_cells_total counter"));
     assert_eq!(
         types.last(),
@@ -486,6 +492,9 @@ fn bad_scale_and_unwritable_outputs_exit_2_before_simulating() {
 /// re-recorded when Figures 11/12 began pricing merge hardware on the
 /// swept machine (`2x8` here) instead of always on 4x4, and the metered
 /// Prometheus pin when the registry gained `vliw_cells_memoized_total`.
+/// The metered CSV pin equals `default/csv` since metering stopped adding
+/// columns, and the metered Prometheus pin lost the ring-sink drop
+/// counter.
 const GOLDEN: &[(&str, u64)] = &[
     ("default/stdout", 0xb00dd9e71a3d53b5),
     ("default/json", 0x4ce86e5ec45da145),
@@ -522,8 +531,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("explicit/out/trace.csv", 0x0fcc8a77b09a522e),
     ("explicit/out/traffic.csv", 0x960c5d38aebd1c97),
     ("metered/stdout", 0xb00dd9e71a3d53b5),
-    ("metered/csv", 0x7a97af4f703ea4ef),
-    ("metered/metrics.prom", 0x3644d9645ed4902c),
+    ("metered/csv", 0x823fedcd38e5288d),
+    ("metered/metrics.prom", 0xfdeb86aae76aec6f),
     ("filter/stdout", 0xd1b221ac22dfdca4),
     ("filter/json", 0xa451ac256cac626c),
     ("filter/out/fig10.csv", 0x2adc8280fd0a3953),

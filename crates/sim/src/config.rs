@@ -5,7 +5,6 @@ use crate::sched::SchedulerSpec;
 use vliw_core::{MergeScheme, PriorityPolicy};
 use vliw_isa::{MachineConfig, MachineSpec};
 use vliw_mem::MemConfig;
-use vliw_trace::TraceSpec;
 use vliw_traffic::TrafficSpec;
 
 /// Everything a run needs besides the workload itself.
@@ -37,12 +36,6 @@ pub struct SimConfig {
     pub max_cycles: u64,
     /// Seed for OS scheduling and branch/address draws.
     pub seed: u64,
-    /// Cycle-level event tracing ([`TraceSpec::Off`] by default). Consulted
-    /// by the trace-collecting entry points
-    /// ([`crate::os::Machine::run_with_trace`], the plan-level trace
-    /// hooks); the plain [`crate::os::Machine::run`] always executes the
-    /// monomorphized zero-cost untraced path regardless.
-    pub trace: TraceSpec,
     /// Core execution model: the event-driven fast core (default) or the
     /// cycle-accurate oracle it is differentially tested against. Both
     /// produce bit-identical statistics and traces — this switch trades
@@ -80,7 +73,6 @@ impl SimConfig {
             instr_budget: (100_000_000 / scale).max(1_000),
             max_cycles: u64::MAX,
             seed: 0xC0FFEE,
-            trace: TraceSpec::Off,
             core_model: CoreModel::default(),
             traffic: TrafficSpec::Closed,
         }
@@ -104,16 +96,6 @@ impl SimConfig {
     /// Same configuration under a different OS scheduling policy.
     pub fn with_scheduler(mut self, scheduler: SchedulerSpec) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Same configuration with cycle-level event tracing
-    /// ([`TraceSpec::Full`] records everything, [`TraceSpec::Ring`] keeps
-    /// a bounded most-recent window). Takes effect through the
-    /// trace-collecting entry points — see
-    /// [`crate::os::Machine::run_with_trace`].
-    pub fn with_trace(mut self, trace: TraceSpec) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -211,14 +193,5 @@ mod tests {
         let c = c.with_traffic(spec);
         assert_eq!(c.traffic, spec);
         assert!(!c.traffic.is_closed());
-    }
-
-    #[test]
-    fn tracing_is_off_by_default() {
-        let c = SimConfig::paper(catalog::smt_cascade(4), 100);
-        assert_eq!(c.trace, TraceSpec::Off);
-        let c = c.with_trace(TraceSpec::Ring(4096));
-        assert_eq!(c.trace, TraceSpec::Ring(4096));
-        assert_eq!(c.with_trace(TraceSpec::Full).trace, TraceSpec::Full);
     }
 }

@@ -195,11 +195,11 @@ pub fn trace_plan(scale: u64) -> Plan {
 
 /// Execute a trace plan and project every cell's event stream into
 /// [`TraceRow`]s (stall decomposition, migrations, merge/split dynamics,
-/// occupancy). Works on any plan — the `paper` binary passes
+/// occupancy). Each row is reduced on the worker that ran its cell, which
+/// then drops the trace. Works on any plan — the `paper` binary passes
 /// [`trace_plan`] with the CLI's scheduler/machine axes applied.
 pub fn trace_data(plan: &Plan, session: &Session) -> (ResultSet, TraceData) {
-    let mut rows = Vec::new();
-    let set = plan.run_traced(session, |key, result, trace| {
+    let (set, rows) = plan.run_traced(session, None, |key, result, trace| {
         let mut label = key.scheme.name().to_string();
         if key.scheduler != SchedulerSpec::PaperRandom {
             label.push_str(&format!(" {}", key.scheduler.name()));
@@ -215,7 +215,7 @@ pub fn trace_data(plan: &Plan, session: &Session) -> (ResultSet, TraceData) {
             .map(|s| s.len())
             .sum();
         let ctx_cycles = result.stats.cycles * u64::from(trace.n_contexts);
-        rows.push(TraceRow {
+        TraceRow {
             label,
             workload: key.workload.name().to_string(),
             cycles: result.stats.cycles,
@@ -233,7 +233,7 @@ pub fn trace_data(plan: &Plan, session: &Session) -> (ResultSet, TraceData) {
                 occupied as f64 / ctx_cycles as f64
             },
             events: trace.len(),
-        });
+        }
     });
     let data = TraceData {
         scale: set.scale(),

@@ -258,9 +258,6 @@ fn merge(
             machines: lane_stats,
         }),
         engine,
-        cache_hits: 0,
-        cache_misses: 0,
-        trace_dropped: 0,
     }
 }
 

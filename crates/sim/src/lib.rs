@@ -50,13 +50,14 @@
 //! **Tracing** — the whole hot loop (core, threads, memory, OS layer) is
 //! generic over a [`trace::TraceSink`]; the untraced entry points
 //! monomorphize the [`trace::NullSink`] path, which compiles to the
-//! pre-tracing code (zero cost when off). Collect a [`trace::Trace`] with
-//! [`os::Machine::run_with_trace`] or the plan-level hooks
-//! ([`Plan::run_traced`](plan::Plan::run_traced) /
-//! [`Plan::trace_cell`](plan::Plan::trace_cell)), configure it with
-//! [`SimConfig::with_trace`], and analyze/export it with the re-exported
-//! [`trace`] crate (stall breakdowns, occupancy timelines, Chrome-trace/
-//! JSONL/CSV serialization).
+//! pre-tracing code (zero cost when off). Record a full [`trace::Trace`]
+//! with [`os::Machine::run_with_trace`], reduce every cell's trace on its
+//! worker with [`Plan::run_traced`](plan::Plan::run_traced), or probe one
+//! cell with [`Plan::trace_cell`](plan::Plan::trace_cell). A bounded window
+//! is [`os::Machine::run_traced`] with a [`trace::RingSink`]. Analyze and
+//! export traces with the re-exported [`trace`] crate (stall breakdowns,
+//! occupancy timelines, Chrome-trace/JSONL/CSV serialization). Tracing
+//! observes, never perturbs: traced statistics equal untraced ones.
 
 //!
 //! **Telemetry** — the sweep layer meters itself once per cell, never per
@@ -66,9 +67,10 @@
 //! it is handed, whose deterministic class exports byte-stably
 //! ([`metrics`] holds the schema table and the post-hoc harvest).
 //! [`Plan::run`](plan::Plan::run) is the same run path with no registry.
-//! The stderr heartbeat is not a metric: a [`plan::Session`] built
-//! [`with_progress`](plan::Session::with_progress) carries it, so it
-//! changes no result or export.
+//! Metering only observes: a metered set exports the same bytes as an
+//! unmetered one. The stderr heartbeat is not a metric: a
+//! [`plan::Session`] built [`with_progress`](plan::Session::with_progress)
+//! carries it, so it changes no result or export either.
 
 pub use vliw_telemetry as telemetry;
 pub use vliw_trace as trace;
@@ -99,4 +101,4 @@ pub use sched::{Scheduler, SchedulerSpec};
 pub use stats::RunStats;
 pub use thread::SoftThread;
 pub use vliw_fleet::{Dispatcher, DispatcherSpec, FleetSpec, FleetStats, MachineLaneStats};
-pub use vliw_trace::{StallBreakdown, Trace, TraceEvent, TraceFormat, TraceSink, TraceSpec};
+pub use vliw_trace::{StallBreakdown, Trace, TraceEvent, TraceFormat, TraceSink};

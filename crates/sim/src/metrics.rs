@@ -78,8 +78,6 @@ pub mod names {
     pub const CACHE_HITS: &str = "vliw_cache_hits_total";
     /// Image-cache lookups that had to build.
     pub const CACHE_MISSES: &str = "vliw_cache_misses_total";
-    /// Trace events dropped by bounded ring sinks.
-    pub const TRACE_DROPPED: &str = "vliw_trace_dropped_total";
     /// Fleet machine-lanes simulated (machines × cells).
     pub const FLEET_LANES: &str = "vliw_fleet_lanes_total";
     /// Lane-cycles fleet machines spent running.
@@ -122,9 +120,9 @@ pub const WALL_NS_BOUNDS: [u64; 6] = [
 ];
 
 /// The harness schema in its canonical (export) order: name, help text,
-/// class and kind of every metric, the 30 deterministic ones first.
+/// class and kind of every metric, the 29 deterministic ones first.
 #[rustfmt::skip]
-const SCHEMA: [(&str, &str, Class, Kind); 37] = {
+const SCHEMA: [(&str, &str, Class, Kind); 36] = {
     use names::*;
     use Class::{Deterministic, Timing};
     use Kind::{Counter, Gauge, Histogram};
@@ -156,7 +154,6 @@ const SCHEMA: [(&str, &str, Class, Kind); 37] = {
         (CACHE_REQUESTS, "Image-cache lookups", Deterministic, Counter),
         (CACHE_HITS, "Image-cache lookups served from cache", Deterministic, Counter),
         (CACHE_MISSES, "Image-cache lookups that compiled", Deterministic, Counter),
-        (TRACE_DROPPED, "Trace events dropped by bounded ring sinks", Deterministic, Counter),
         (FLEET_LANES, "Fleet machine-lanes simulated", Deterministic, Counter),
         (FLEET_BUSY, "Lane-cycles fleet machines ran", Deterministic, Counter),
         (FLEET_IDLE, "Lane-cycles fleet machines idled before makespan", Deterministic, Counter),
@@ -218,12 +215,6 @@ pub fn harvest(results: &[RunResult], reg: &Registry) {
             &s.engine.idle_span_hist,
             s.engine.idle_span_cycles,
         );
-        // `cache_hits`/`cache_misses` are deliberately NOT summed here:
-        // the registry's cache totals are delta-derived by the metered
-        // plan runs (hits + misses == requests exactly, fleet lane
-        // compiles included), while the per-cell fields are a static
-        // attribution that omits routed-lane compiles.
-        reg.counter_add(TRACE_DROPPED, s.trace_dropped);
         if let Some(fleet) = &s.fleet {
             let lanes = fleet.machines.len() as u64;
             reg.counter_add(FLEET_LANES, lanes);
@@ -255,10 +246,10 @@ mod tests {
         assert!(names.contains(&names::CACHE_PROBE_MISSES));
         let unique: std::collections::HashSet<&&str> = names.iter().collect();
         assert_eq!(unique.len(), names.len(), "no duplicate registrations");
-        // The 30 deterministic metrics come first, then the 7 timing ones.
+        // The 29 deterministic metrics come first, then the 7 timing ones.
         let classes: Vec<Class> = report.entries.iter().map(|e| e.class).collect();
-        assert_eq!(classes.len(), 37);
-        assert!(classes[..30].iter().all(|&c| c == Class::Deterministic));
-        assert!(classes[30..].iter().all(|&c| c == Class::Timing));
+        assert_eq!(classes.len(), 36);
+        assert!(classes[..29].iter().all(|&c| c == Class::Deterministic));
+        assert!(classes[29..].iter().all(|&c| c == Class::Timing));
     }
 }

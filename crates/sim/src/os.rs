@@ -41,8 +41,7 @@ use crate::thread::SoftThread;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vliw_trace::{
-    NullSink, RecordingSink, RingSink, StallBreakdown, StallKind, Trace, TraceEvent, TraceSink,
-    TraceSpec,
+    NullSink, RecordingSink, StallBreakdown, StallKind, Trace, TraceEvent, TraceSink,
 };
 use vliw_traffic::{AdmissionQueue, ArrivalProcess, LatencySummary, Lifecycle, TrafficStats};
 
@@ -85,7 +84,6 @@ pub struct Machine {
     migrations: u64,
     idle_context_cycles: u64,
     issue_width: u32,
-    trace_spec: TraceSpec,
     instr_budget: u64,
     /// A closed batch, whose run ends at the first retired budget, rather
     /// than an open machine or lane, whose jobs each retire their own.
@@ -188,7 +186,6 @@ impl Machine {
             migrations: 0,
             idle_context_cycles: 0,
             issue_width: cfg.machine.total_issue() as u32,
-            trace_spec: cfg.trace,
             instr_budget: cfg.instr_budget,
             closed,
             events,
@@ -606,13 +603,9 @@ impl Machine {
         self.collect()
     }
 
-    /// Run to completion collecting a [`Trace`] alongside the statistics.
-    ///
-    /// The sink kind follows [`SimConfig::with_trace`]:
-    /// [`TraceSpec::Ring`] keeps a bounded most-recent window (the trace
-    /// records how much was dropped), everything else — including the
-    /// default [`TraceSpec::Off`], since calling this method *is* the
-    /// explicit request to trace — records the full stream.
+    /// Run to completion collecting the full [`Trace`] alongside the
+    /// statistics, through a [`RecordingSink`]. For a bounded window pass
+    /// a [`vliw_trace::RingSink`] to [`Machine::run_traced`] instead.
     pub fn run_with_trace(self) -> (RunStats, Trace) {
         let mut threads: Vec<(u32, String)> = self
             .pool
@@ -622,28 +615,14 @@ impl Machine {
             .collect();
         threads.sort_by_key(|&(tid, _)| tid);
         let n_contexts = self.core.contexts.len() as u8;
-        let (mut stats, events, dropped) = match self.trace_spec {
-            TraceSpec::Ring(capacity) => {
-                let mut sink = RingSink::new(capacity);
-                let stats = self.run_traced(&mut sink);
-                let (events, dropped) = sink.into_parts();
-                (stats, events, dropped)
-            }
-            TraceSpec::Off | TraceSpec::Full => {
-                let mut sink = RecordingSink::new();
-                let stats = self.run_traced(&mut sink);
-                (stats, sink.into_events(), 0)
-            }
-        };
-        // Surface ring-sink drops on the stats too, so exports can report
-        // them without carrying the whole trace around.
-        stats.trace_dropped = dropped;
+        let mut sink = RecordingSink::new();
+        let stats = self.run_traced(&mut sink);
         let trace = Trace {
-            events,
+            events: sink.into_events(),
             n_contexts,
             threads,
             end_cycle: stats.cycles,
-            dropped,
+            dropped: 0,
         };
         (stats, trace)
     }
@@ -731,9 +710,6 @@ impl Machine {
             traffic,
             fleet: None,
             engine,
-            cache_hits: 0,
-            cache_misses: 0,
-            trace_dropped: 0,
         };
         LaneOutcome {
             stats,
@@ -887,8 +863,7 @@ mod tests {
 
     #[test]
     fn full_trace_conserves_the_aggregate_counters() {
-        let cfg = SimConfig::paper(catalog::by_name("1S").unwrap(), 20_000)
-            .with_trace(vliw_trace::TraceSpec::Full);
+        let cfg = SimConfig::paper(catalog::by_name("1S").unwrap(), 20_000);
         let (stats, trace) = Machine::new(&cfg, threads(&["mcf", "bzip2", "x264", "idct"], 7))
             .unwrap()
             .run_with_trace();
@@ -930,14 +905,7 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::ThreadMigration { .. }))
             .count() as u64;
         assert_eq!(migrations, stats.migrations);
-        // The migration-latency histogram counts every real migration
-        // (regression guard: the refill that precedes each migration event
-        // must not swallow it).
         assert!(stats.migrations > 0, "this workload migrates");
-        assert_eq!(
-            vliw_trace::MigrationHistogram::from_events(&trace.events).total(),
-            stats.migrations
-        );
         // The stream is in emission order: near-monotone in cycles, with
         // lookahead fetch charges at most one stall-chain ahead (see
         // `Trace::events` docs). No event is labelled past the run's end
@@ -951,17 +919,18 @@ mod tests {
 
     #[test]
     fn ring_trace_bounds_memory_and_reports_drops() {
-        let cfg = SimConfig::paper(catalog::by_name("1S").unwrap(), 20_000)
-            .with_trace(vliw_trace::TraceSpec::Ring(512));
-        let (stats, trace) = Machine::new(&cfg, threads(&["mcf", "bzip2"], 7))
-            .unwrap()
-            .run_with_trace();
+        let cfg = SimConfig::paper(catalog::by_name("1S").unwrap(), 20_000);
+        let mk = || Machine::new(&cfg, threads(&["mcf", "bzip2"], 7)).unwrap();
+        let mut ring = vliw_trace::RingSink::new(512);
+        let stats = mk().run_traced(&mut ring);
         assert!(stats.total_instrs > 512, "run long enough to overflow");
-        assert_eq!(trace.events.len(), 512);
-        assert!(trace.dropped > 0);
-        // The retained window is the most recent events.
-        assert!(trace.events.last().unwrap().cycle() <= stats.cycles);
-        assert!(trace.events.first().unwrap().cycle() > 0);
+        assert_eq!(ring.len(), 512);
+        // The ring keeps the most recent window of the full stream and
+        // counts everything before it as dropped.
+        let (_, full) = mk().run_with_trace();
+        let (window, dropped) = ring.into_parts();
+        assert_eq!(dropped, (full.len() - 512) as u64);
+        assert_eq!(window, full.events[full.len() - 512..]);
     }
 
     #[test]

@@ -47,14 +47,14 @@ use crate::sched::SchedulerSpec;
 use crate::stats::RunStats;
 use crate::thread::SoftThread;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use vliw_core::{catalog, MergeScheme, PriorityPolicy};
 use vliw_fleet::{FleetStats, MachineLaneStats};
 use vliw_hwcost::{scheme_cost, SchemeCost};
 use vliw_telemetry::{Progress, Registry};
-use vliw_trace::{Trace, TraceSpec};
+use vliw_trace::Trace;
 use vliw_workloads::{benchmark, mixes, BenchmarkSpec, WorkloadMix};
 
 pub use vliw_fleet::{DispatcherSpec, FleetError, FleetSpec};
@@ -333,8 +333,8 @@ impl JobKey {
 /// untraced run of the session. The identity is:
 ///
 /// * the cell's whole [`SimConfig`]: scheme, machine, memory system,
-///   priority, scheduler, run lengths, seed, trace spec, core model and
-///   arrival process, so a cell never serves one run under another core
+///   priority, scheduler, run lengths, seed, core model and arrival
+///   process, so a cell never serves one run under another core
 ///   model, and a field added to the config joins the key by itself;
 /// * its members' names in thread order, which are the session's compile
 ///   identity (the image cache rejects two specs that share a name);
@@ -365,6 +365,9 @@ struct CellIdentity {
 /// Where a memoized cell's result lives: an earlier set's storage and the
 /// cell's index in it.
 type Served = (Arc<[RunResult]>, usize);
+
+/// A [`Plan::run_traced`] reducer as the run path takes it.
+type Reduce<'a, R> = &'a (dyn Fn(&JobKey, &RunResult, &Trace) -> R + Sync);
 
 impl Session {
     /// A session with the default parallelism (cores − 1).
@@ -606,8 +609,7 @@ fn index(dims: &[usize; N], at: &[usize; N]) -> usize {
 
 /// The optional column groups of an export: the key column (and, for
 /// traffic and fleet, the metric group) of every optional axis a plan
-/// named, plus the telemetry metrics of a metered run. Scheme, workload
-/// and memory are always serialized.
+/// named. Scheme, workload and memory are always serialized.
 ///
 /// Each [`ResultSet`] carries its own ([`ResultSet::columns`]); `|`
 /// unions several and [`Columns::with`] forces an axis on, so sets that
@@ -617,7 +619,6 @@ fn index(dims: &[usize; N], at: &[usize; N]) -> usize {
 pub struct Columns {
     /// Bit `axis as usize` for each explicit optional axis.
     explicit: u8,
-    telemetry: bool,
 }
 
 impl Columns {
@@ -641,8 +642,8 @@ impl Columns {
     }
 
     /// The CSV header of rows shaped to these columns: the key columns in
-    /// axis order, the always-on metrics, then the traffic, fleet and
-    /// telemetry metric groups. `fleet_routed`/`fleet_shed` are
+    /// axis order, the always-on metrics, then the traffic and fleet
+    /// metric groups. `fleet_routed`/`fleet_shed` are
     /// slash-joined per-machine counts in fleet order; the fleet sojourn
     /// quantiles are fleet-wide (merged sample multisets).
     pub fn csv_header(self) -> String {
@@ -654,9 +655,6 @@ impl Columns {
         if self.has(Axis::Fleet) {
             h.push("fleet_machines,fleet_routed,fleet_shed,fleet_p50_sojourn,fleet_p95_sojourn,fleet_p99_sojourn");
         }
-        if self.telemetry {
-            h.push("cache_hits,cache_misses,trace_dropped");
-        }
         h.join(",")
     }
 }
@@ -667,7 +665,6 @@ impl std::ops::BitOr for Columns {
     fn bitor(self, other: Columns) -> Columns {
         Columns {
             explicit: self.explicit | other.explicit,
-            telemetry: self.telemetry || other.telemetry,
         }
     }
 }
@@ -753,7 +750,6 @@ pub struct Plan {
     scale: u64,
     priority: PriorityPolicy,
     seed: Option<u64>,
-    trace: TraceSpec,
     core_model: CoreModel,
 }
 
@@ -767,7 +763,6 @@ impl Plan {
             scale: 20,
             priority: PriorityPolicy::RoundRobin,
             seed: None,
-            trace: TraceSpec::Off,
             core_model: CoreModel::default(),
         }
     }
@@ -925,17 +920,6 @@ impl Plan {
         self
     }
 
-    /// Cycle-level tracing for the trace-collecting runs
-    /// ([`Plan::run_traced`] / [`Plan::trace_cell`]):
-    /// [`TraceSpec::Ring`] bounds per-cell memory, [`TraceSpec::Full`]
-    /// keeps everything. The default [`TraceSpec::Off`] also records fully
-    /// when a trace-collecting entry point is used (calling one *is* the
-    /// request to trace); [`Plan::run`] never traces regardless.
-    pub fn trace(mut self, spec: TraceSpec) -> Self {
-        self.trace = spec;
-        self
-    }
-
     /// Expand the plan into its deterministic job grid, row-major in
     /// [`Axis::ALL`] order: schemes outermost, memory models innermost.
     pub fn jobs(&self) -> Vec<JobKey> {
@@ -963,7 +947,6 @@ impl Plan {
             .with_traffic(key.traffic);
         cfg.priority = self.priority;
         cfg.scheduler = key.scheduler;
-        cfg.trace = self.trace;
         cfg.core_model = self.core_model;
         if let Some(seed) = self.seed {
             cfg.seed = seed;
@@ -980,55 +963,50 @@ impl Plan {
     ///
     /// Results are deterministic and ordered by the grid regardless of the
     /// session's worker count. This is [`Plan::run_metered`]'s run path
-    /// with no registry: it records no metric and adds no telemetry
-    /// column.
+    /// with no registry.
     pub fn run(&self, session: &Session) -> ResultSet {
-        self.execute(session, None, false, |_, _, _| {})
+        self.execute::<()>(session, None, None).0
     }
 
     /// [`Plan::run`] metered by `reg`: per-cell wall time and the
     /// compile/simulate split (timing class), plus the full deterministic
     /// schema of [`crate::metrics`] harvested post-hoc from the results in
     /// row-major grid order — so the deterministic export is byte-stable
-    /// across worker counts and core models. The simulated statistics are
-    /// those of [`Plan::run`]; the returned set also carries the per-cell
-    /// telemetry columns (`cache_hits`, `cache_misses`, `trace_dropped`).
+    /// across worker counts and core models. Metering only observes: the
+    /// returned set is [`Plan::run`]'s, export bytes included.
     pub fn run_metered(&self, session: &Session, reg: &Registry) -> ResultSet {
-        self.execute(session, Some(reg), false, |_, _, _| {})
+        self.execute::<()>(session, Some(reg), None).0
     }
 
-    /// Run the whole grid with per-cell tracing, invoking `hook` once per
-    /// cell — in deterministic row-major grid order, regardless of the
-    /// session's worker count — with the cell's key, result and recorded
-    /// [`Trace`]. Returns the same [`ResultSet`] as [`Plan::run`].
+    /// Run the whole grid with per-cell tracing, metered by `reg` if
+    /// given. Each cell's [`Trace`] goes to `reduce` with the cell's key
+    /// and result on the worker that ran the cell, which drops the trace
+    /// right after: a trace never outlives its cell, so at most one trace
+    /// per worker is alive. Returns [`Plan::run`]'s [`ResultSet`] and the
+    /// reductions, both in row-major grid order whatever the worker count.
     ///
-    /// Traces are *streamed* to the hook, not stored: each cell's trace is
-    /// dropped as soon as the hook returns, so the resident set is the
-    /// in-flight cells plus whatever finished out of order ahead of the
-    /// row-major cursor (≈ the worker count for similarly-priced cells),
-    /// never the whole grid. Use [`TraceSpec::Ring`] via [`Plan::trace`]
-    /// to bound the per-cell footprint too.
-    ///
-    /// The per-cell sink follows [`Plan::trace`]; the default
-    /// [`TraceSpec::Off`] records fully here, since calling this method is
-    /// the explicit request to trace. Statistics are identical to
-    /// [`Plan::run`] — tracing observes, never perturbs. Every cell is
-    /// simulated, even one the session's memo holds.
-    pub fn run_traced<F>(&self, session: &Session, mut hook: F) -> ResultSet
+    /// Each cell records its full event stream; tracing observes, never
+    /// perturbs, so the statistics are [`Plan::run`]'s. Every cell is
+    /// simulated, even one the session's memo holds, and none joins the
+    /// memo.
+    pub fn run_traced<R, F>(
+        &self,
+        session: &Session,
+        reg: Option<&Registry>,
+        reduce: F,
+    ) -> (ResultSet, Vec<R>)
     where
-        F: FnMut(&JobKey, &RunResult, &Trace),
+        R: Send,
+        F: Fn(&JobKey, &RunResult, &Trace) -> R + Sync,
     {
-        self.execute(session, None, true, |key, result, trace| {
-            hook(key, result, trace.expect("traced cells record a trace"))
-        })
+        self.execute(session, reg, Some(&reduce))
     }
 
     /// Run *one* cell of the grid with tracing, returning its result and
-    /// recorded [`Trace`] — the surgical "why does this cell behave like
+    /// full [`Trace`] — the surgical "why does this cell behave like
     /// that" probe (the `paper` binary's `--trace` flag uses it). The key
     /// usually comes from [`Plan::jobs`]; any key assembled from the
-    /// plan's axes works. Sink choice follows [`Plan::trace`] exactly like
-    /// [`Plan::run_traced`].
+    /// plan's axes works. Like [`Plan::run_traced`], it always simulates.
     pub fn trace_cell(&self, session: &Session, key: &JobKey) -> (RunResult, Trace) {
         let cfg = self.config_for(key);
         let (result, trace) = self.run_cell(session.cache(), key, &cfg, None, true);
@@ -1036,23 +1014,23 @@ impl Plan {
     }
 
     /// The one run path behind every entry point: validate, fan the cells
-    /// out over the session's workers, hand each to `hook` in row-major
-    /// order as it completes, and assemble the set. With `traced` every
-    /// cell records its [`Trace`] for the hook; without it, cells the
-    /// session has already simulated are served from its memo, and the
-    /// cells of this set join the memo. With a registry the run is
-    /// metered; the session's heartbeat, if any, ticks either way.
-    fn execute(
+    /// out over the session's workers and assemble the set in grid order.
+    /// With `reduce` every cell is simulated and its [`Trace`] reduced on
+    /// its worker; without it, cells the session has already simulated
+    /// are served from its memo, and the cells of this set join the memo.
+    /// With a registry the run is metered; the session's heartbeat, if
+    /// any, ticks either way.
+    fn execute<R: Send>(
         &self,
         session: &Session,
         reg: Option<&Registry>,
-        traced: bool,
-        mut hook: impl FnMut(&JobKey, &RunResult, Option<&Trace>),
-    ) -> ResultSet {
+        reduce: Option<Reduce<'_, R>>,
+    ) -> (ResultSet, Vec<R>) {
         use crate::metrics::names::{
             CACHE_HITS, CACHE_MISSES, CACHE_REQUESTS, CELLS_MEMOIZED, CELLS_TOTAL, CELL_WALL_NS,
         };
         self.validate();
+        let traced = reduce.is_some();
         let (grid, columns) = self.grid.filled();
         let jobs = grid.keys();
         let n = jobs.len();
@@ -1080,46 +1058,28 @@ impl Plan {
         // remaining lookups. Both ingredients are commutative sums, so the
         // split is exact and worker-count independent by construction.
         let (requests, unique, timing) = (cache.requests(), cache.len() as u64, cache.timing());
-        let mut results = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let (jobs, cells, served) = (&jobs, &cells, &served);
-            // Producer: the runner's fan-out, each finished cell sent on at
-            // once. A worker's panic ends it, which hangs up the channel;
-            // joining it then re-raises that panic with its own message.
-            let producer = scope.spawn(move || {
-                let worker = |&i: &usize| {
-                    let start = now_ns(reg);
-                    let cell = match &served[i] {
-                        Some((set, j)) => (
-                            serve(cache, &jobs[i], &cells[i].cfg.machine, &set[*j]),
-                            None,
-                        ),
-                        None => self.run_cell(cache, &jobs[i], &cells[i].cfg, reg, traced),
-                    };
-                    observe_since(reg, CELL_WALL_NS, start);
-                    if let Some(progress) = progress {
-                        progress.done(cache.requests(), cache.len() as u64);
-                    }
-                    let _ = tx.send((i, cell));
-                };
-                runner::run_jobs((0..n).collect(), worker, session.parallelism());
-            });
-            // Consumer: re-serialize completions into row-major order, hook
-            // each cell once and drop its trace right after.
-            let mut pending = BTreeMap::new();
-            for (i, cell) in rx {
-                pending.insert(i, cell);
-                while let Some((result, trace)) = pending.remove(&results.len()) {
-                    hook(&jobs[results.len()], &result, trace.as_ref());
-                    results.push(result);
-                }
+        let worker = |&i: &usize| {
+            let start = now_ns(reg);
+            let (result, trace) = match &served[i] {
+                Some((set, j)) => (
+                    serve(cache, &jobs[i], &cells[i].cfg.machine, &set[*j]),
+                    None,
+                ),
+                None => self.run_cell(cache, &jobs[i], &cells[i].cfg, reg, traced),
+            };
+            let reduced = reduce
+                .zip(trace)
+                .map(|(reduce, trace)| reduce(&jobs[i], &result, &trace));
+            observe_since(reg, CELL_WALL_NS, start);
+            if let Some(progress) = progress {
+                progress.done(cache.requests(), cache.len() as u64);
             }
-            if let Err(payload) = producer.join() {
-                std::panic::resume_unwind(payload);
-            }
-        });
-        attribute_cache(&jobs, &mut results);
+            (result, reduced)
+        };
+        let (results, reduced): (Vec<_>, Vec<_>) =
+            runner::run_jobs((0..n).collect(), worker, session.parallelism())
+                .into_iter()
+                .unzip();
         let results: Arc<[RunResult]> = results.into();
         if !traced {
             let mut memo = session.memo.lock();
@@ -1139,18 +1099,16 @@ impl Plan {
             }
             crate::metrics::harvest(&results, reg);
         }
-        ResultSet {
+        let set = ResultSet {
             labels: grid.labels(),
             grid,
-            columns: Columns {
-                telemetry: reg.is_some(),
-                ..columns
-            },
+            columns,
             scale: self.scale,
             priority: self.priority,
             seed: self.seed,
             results,
-        }
+        };
+        (set, reduced.into_iter().flatten().collect())
     }
 
     /// Grid-level invariants shared by every run entry point.
@@ -1268,31 +1226,6 @@ impl Default for Plan {
     }
 }
 
-/// Statically attribute image-cache economics to cells: walk the grid
-/// row-major and charge each member's `(benchmark, machine)` key a *miss*
-/// on its first appearance and a *hit* after — the plan-level compile
-/// footprint, independent of which rayon worker actually compiled what.
-/// Fleet cells are charged their reference-geometry hint compiles; per-lane
-/// compiles for routed geometries are counted in the registry's
-/// delta-derived totals but not attributed to cells (routing is an
-/// execution outcome, not a plan property).
-///
-/// The counts are assigned, not added, so a cell served from the session
-/// memo carries this plan's attribution rather than its first plan's.
-fn attribute_cache(jobs: &[JobKey], results: &mut [RunResult]) {
-    let mut seen = HashSet::new();
-    for (key, r) in jobs.iter().zip(results) {
-        let machine = key.machine.config();
-        let members = &key.workload.members;
-        let misses = members
-            .iter()
-            .filter(|spec| seen.insert((spec.name.clone(), machine.clone())))
-            .count() as u64;
-        r.stats.cache_misses = misses;
-        r.stats.cache_hits = members.len() as u64 - misses;
-    }
-}
-
 /// The keyed results of one executed [`Plan`].
 ///
 /// Storage is row-major over the plan's grid in [`Axis::ALL`] order —
@@ -1316,8 +1249,7 @@ pub struct ResultSet {
 
 impl ResultSet {
     /// The set's export columns: the key column of every optional axis the
-    /// plan named, and the telemetry metrics when a metered run with an
-    /// enabled sink produced it.
+    /// plan named.
     pub fn columns(&self) -> Columns {
         self.columns
     }
@@ -1540,13 +1472,6 @@ impl ResultSet {
                     t.p99_sojourn,
                 );
             }
-            if self.columns.telemetry {
-                let _ = write!(
-                    s,
-                    ",\"cache_hits\":{},\"cache_misses\":{},\"trace_dropped\":{}",
-                    st.cache_hits, st.cache_misses, st.trace_dropped,
-                );
-            }
             s.push_str(",\"threads\":[");
             for (j, t) in st.threads.iter().enumerate() {
                 if j > 0 {
@@ -1654,13 +1579,6 @@ impl ResultSet {
                     s,
                     ",{machines},{routed},{shed},{},{},{}",
                     t.p50_sojourn, t.p95_sojourn, t.p99_sojourn,
-                );
-            }
-            if columns.telemetry {
-                let _ = write!(
-                    s,
-                    ",{},{},{}",
-                    st.cache_hits, st.cache_misses, st.trace_dropped,
                 );
             }
             s.push('\n');
@@ -2273,18 +2191,21 @@ mod tests {
             .workload("idct")
             .axes([MemoryModel::Real, MemoryModel::Perfect])
             .scale(100_000);
-        let mut seen: Vec<(String, String)> = Vec::new();
-        let set = plan.run_traced(&Session::with_parallelism(2), |key, result, trace| {
-            assert!(!trace.is_empty(), "every cell records events");
-            assert_eq!(trace.end_cycle, result.stats.cycles);
-            // Trace-derived stall decomposition matches the cell's stats.
-            assert_eq!(
-                vliw_trace::StallBreakdown::from_events(&trace.events),
-                result.stats.stall_breakdown
-            );
-            seen.push((key.scheme.name().to_string(), key.memory.label().into()));
-        });
-        // Hook ran once per cell, row-major (schemes outer, memory inner).
+        let (set, seen) =
+            plan.run_traced(&Session::with_parallelism(2), None, |key, result, trace| {
+                assert!(!trace.is_empty(), "every cell records events");
+                assert_eq!(trace.end_cycle, result.stats.cycles);
+                // Trace-derived stall decomposition matches the cell's stats.
+                assert_eq!(
+                    vliw_trace::StallBreakdown::from_events(&trace.events),
+                    result.stats.stall_breakdown
+                );
+                (
+                    key.scheme.name().to_string(),
+                    key.memory.label().to_string(),
+                )
+            });
+        // One reduction per cell, row-major (schemes outer, memory inner).
         assert_eq!(
             seen,
             vec![
@@ -2301,21 +2222,6 @@ mod tests {
             set.get(&cell).unwrap().stats.cycles,
             plain.get(&cell).unwrap().stats.cycles
         );
-    }
-
-    #[test]
-    fn trace_cell_probes_one_cell_with_bounded_memory() {
-        let plan = Plan::new()
-            .scheme("1S")
-            .workload("LLHH")
-            .scale(50_000)
-            .trace(TraceSpec::Ring(256));
-        let key = plan.jobs().remove(0);
-        let (result, trace) = plan.trace_cell(&Session::with_parallelism(1), &key);
-        assert_eq!(result.workload, "LLHH");
-        assert_eq!(trace.events.len(), 256, "ring cap respected");
-        assert!(trace.dropped > 0);
-        assert_eq!(trace.threads.len(), 4);
     }
 
     #[test]

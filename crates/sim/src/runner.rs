@@ -144,7 +144,7 @@ impl ImageCache {
         add_elapsed(&self.build_ns, start);
         if verify_images_enabled() {
             let start = Instant::now();
-            let report = vliw_analyze::analyze_image(&img, vliw_analyze::AnalyzeOptions::default());
+            let report = vliw_analyze::analyze_image(&img);
             add_elapsed(&self.verify_ns, start);
             if report.errors() > 0 {
                 return Err(SimError::InvalidImage {

@@ -162,20 +162,6 @@ pub struct RunStats {
     /// Engine health: OS event-queue traffic and idle-span structure.
     /// Deterministic across worker counts and core models.
     pub engine: EngineStats,
-    /// Image-cache gets this cell is *logically* responsible for that hit
-    /// an already-built image. Attributed statically in row-major grid
-    /// order by the plan layer (execution order never changes it); zero
-    /// for runs started outside a plan. Exported only when the telemetry
-    /// axis is explicit.
-    pub cache_hits: u64,
-    /// Image-cache gets this cell is logically responsible for that had
-    /// to build (first request of a `(benchmark, machine)` key in the
-    /// grid). Counterpart of [`RunStats::cache_hits`].
-    pub cache_misses: u64,
-    /// Trace events dropped by a bounded (ring) sink during this run; 0
-    /// for untraced runs and unbounded sinks. Previously only visible on
-    /// the `Trace` itself.
-    pub trace_dropped: u64,
 }
 
 impl RunStats {
@@ -259,9 +245,6 @@ mod tests {
             traffic: TrafficStats::default(),
             fleet: None,
             engine: EngineStats::default(),
-            cache_hits: 0,
-            cache_misses: 0,
-            trace_dropped: 0,
         }
     }
 

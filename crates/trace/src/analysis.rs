@@ -143,91 +143,6 @@ pub fn occupancy_timeline(trace: &Trace) -> Vec<OccupancySegment> {
     out
 }
 
-/// Number of buckets in a [`MigrationHistogram`] (log₂ cycle classes).
-pub const MIGRATION_BUCKETS: usize = 16;
-
-/// Histogram of thread-migration latencies: for every refill that landed a
-/// thread on a *different* context, the cycles the thread spent swapped out
-/// between its eviction and that refill, in log₂ buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationHistogram {
-    buckets: [u64; MIGRATION_BUCKETS],
-    total: u64,
-    max_latency: u64,
-}
-
-impl MigrationHistogram {
-    /// Build the histogram from a trace's eviction/refill events.
-    ///
-    /// A migration is detected at the *refill* that lands a thread on a
-    /// different context than it was evicted from (the simulator emits
-    /// `ContextRefill` before the companion `ThreadMigration`, so the
-    /// refill must be the counting point — it consumes the pending
-    /// eviction either way). Bare `ThreadMigration` events whose refill
-    /// is absent from the stream are counted as a fallback.
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut evicted_at: std::collections::HashMap<u32, (u64, u8)> =
-            std::collections::HashMap::new();
-        let mut h = MigrationHistogram {
-            buckets: [0; MIGRATION_BUCKETS],
-            total: 0,
-            max_latency: 0,
-        };
-        let count = |h: &mut Self, out: u64, back: u64| {
-            let latency = back.saturating_sub(out);
-            h.buckets[Self::bucket_of(latency)] += 1;
-            h.total += 1;
-            h.max_latency = h.max_latency.max(latency);
-        };
-        for e in events {
-            match *e {
-                TraceEvent::ContextEvict { cycle, ctx, tid } => {
-                    evicted_at.insert(tid, (cycle, ctx));
-                }
-                TraceEvent::ContextRefill { cycle, ctx, tid } => {
-                    if let Some((out, from)) = evicted_at.remove(&tid) {
-                        if from != ctx {
-                            count(&mut h, out, cycle);
-                        }
-                    }
-                }
-                TraceEvent::ThreadMigration { cycle, tid, .. } => {
-                    // Only reached when the matching refill was not in the
-                    // stream (hand-built or truncated traces): the refill
-                    // arm above consumes the eviction first otherwise, so
-                    // no migration is ever double-counted.
-                    if let Some((out, _)) = evicted_at.remove(&tid) {
-                        count(&mut h, out, cycle);
-                    }
-                }
-                _ => {}
-            }
-        }
-        h
-    }
-
-    /// Bucket index of a latency: `0` covers 0–1 cycles, bucket `i` covers
-    /// `2^i..2^(i+1)` cycles, the last bucket everything beyond.
-    pub fn bucket_of(latency: u64) -> usize {
-        (64 - latency.max(1).leading_zeros() as usize - 1).min(MIGRATION_BUCKETS - 1)
-    }
-
-    /// Migration counts per bucket.
-    pub fn buckets(&self) -> &[u64; MIGRATION_BUCKETS] {
-        &self.buckets
-    }
-
-    /// Total migrations observed.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Largest swapped-out latency observed (0 when no migrations).
-    pub fn max_latency(&self) -> u64 {
-        self.max_latency
-    }
-}
-
 /// Render a trace's context-occupancy timeline as fixed-width ASCII.
 ///
 /// One row per hardware context, `width` time buckets per row; each bucket
@@ -376,65 +291,6 @@ mod tests {
             ]
         );
         assert_eq!(segs[0].len(), 100);
-    }
-
-    #[test]
-    fn migration_histogram_buckets_latencies() {
-        // The simulator's emission order: a cross-context refill is
-        // followed by its companion ThreadMigration — counted exactly once.
-        let events = vec![
-            TraceEvent::ContextEvict {
-                cycle: 1000,
-                ctx: 0,
-                tid: 0,
-            },
-            TraceEvent::ContextRefill {
-                cycle: 1005,
-                ctx: 1,
-                tid: 0,
-            },
-            TraceEvent::ThreadMigration {
-                cycle: 1005,
-                tid: 0,
-                from_ctx: 0,
-                to_ctx: 1,
-            },
-            // Same-context refill: not a migration.
-            TraceEvent::ContextEvict {
-                cycle: 2000,
-                ctx: 1,
-                tid: 1,
-            },
-            TraceEvent::ContextRefill {
-                cycle: 2100,
-                ctx: 1,
-                tid: 1,
-            },
-            // Bare migration without its refill (hand-built stream): the
-            // fallback arm still counts it.
-            TraceEvent::ContextEvict {
-                cycle: 3000,
-                ctx: 2,
-                tid: 2,
-            },
-            TraceEvent::ThreadMigration {
-                cycle: 3005,
-                tid: 2,
-                from_ctx: 2,
-                to_ctx: 3,
-            },
-        ];
-        let h = MigrationHistogram::from_events(&events);
-        assert_eq!(h.total(), 2);
-        assert_eq!(h.max_latency(), 5);
-        assert_eq!(h.buckets()[MigrationHistogram::bucket_of(5)], 2);
-        assert_eq!(MigrationHistogram::bucket_of(0), 0);
-        assert_eq!(MigrationHistogram::bucket_of(1), 0);
-        assert_eq!(MigrationHistogram::bucket_of(2), 1);
-        assert_eq!(
-            MigrationHistogram::bucket_of(u64::MAX),
-            MIGRATION_BUCKETS - 1
-        );
     }
 
     #[test]

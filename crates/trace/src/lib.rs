@@ -18,9 +18,8 @@
 //!   [`RecordingSink`] keeps everything.
 //! * **Analyses & exporters** — derived views over a recorded [`Trace`]:
 //!   per-kind stall decomposition ([`StallBreakdown`]), context-occupancy
-//!   timelines ([`occupancy_timeline`], [`render_ascii_timeline`]),
-//!   migration-latency histograms ([`MigrationHistogram`]), and byte-stable
-//!   exporters to Chrome `trace_event` JSON, JSONL and CSV
+//!   timelines ([`occupancy_timeline`], [`render_ascii_timeline`]) and
+//!   byte-stable exporters to Chrome `trace_event` JSON, JSONL and CSV
 //!   ([`TraceFormat`]).
 //!
 //! This crate is dependency-free and sits at the bottom of the workspace:
@@ -35,10 +34,7 @@ mod event;
 mod export;
 mod sink;
 
-pub use analysis::{
-    occupancy_timeline, render_ascii_timeline, MigrationHistogram, OccupancySegment,
-    StallBreakdown, MIGRATION_BUCKETS,
-};
+pub use analysis::{occupancy_timeline, render_ascii_timeline, OccupancySegment, StallBreakdown};
 pub use event::{CacheKind, StallKind, TraceEvent};
 pub use export::{TraceFormat, UnknownTraceFormat};
-pub use sink::{NullSink, RecordingSink, RingSink, Trace, TraceSink, TraceSpec};
+pub use sink::{NullSink, RecordingSink, RingSink, Trace, TraceSink};

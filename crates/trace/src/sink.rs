@@ -148,19 +148,6 @@ impl TraceSink for RingSink {
     }
 }
 
-/// How a run should be traced — the serializable policy knob carried by
-/// the simulator's configuration (`SimConfig::with_trace`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TraceSpec {
-    /// No tracing: the run executes the monomorphized [`NullSink`] path.
-    #[default]
-    Off,
-    /// Keep the most recent `n` events in a bounded [`RingSink`].
-    Ring(usize),
-    /// Keep every event in a [`RecordingSink`].
-    Full,
-}
-
 /// A recorded trace: the event stream plus the run context needed to
 /// analyze and export it stand-alone.
 #[derive(Debug, Clone, Default)]

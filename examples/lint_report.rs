@@ -16,7 +16,7 @@
 //! dataflow and per-block ILP bounds re-derived from the image alone, with
 //! the simulated IPC of §5 shown against its static ceiling.
 
-use vliw_tms::analyze::{analyze_image, AnalyzeOptions};
+use vliw_tms::analyze::analyze_image;
 use vliw_tms::core::catalog;
 use vliw_tms::isa::MachineSpec;
 use vliw_tms::sim::config::SimConfig;
@@ -37,7 +37,7 @@ fn main() {
         let machine = spec.config();
         let img = workloads::build(workloads::benchmark(BENCH).unwrap(), &machine)
             .expect("shipped benchmarks compile on every preset");
-        let report = analyze_image(&img, AnalyzeOptions::default());
+        let report = analyze_image(&img);
 
         println!("=== {BENCH} on {spec} ===");
         println!(

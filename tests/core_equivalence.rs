@@ -226,20 +226,19 @@ fn fleet_grid_matches_the_oracle() {
 #[test]
 fn trace_event_streams_are_bit_identical() {
     let collect = |model: CoreModel| {
-        let mut traces: Vec<(String, Vec<TraceEvent>, u64)> = Vec::new();
         Plan::new()
             .schemes(["ST", "1S", "2SC3"])
             .workload("LLHH")
             .scale(50_000)
             .core_model(model)
-            .run_traced(&Session::with_parallelism(1), |key, result, trace| {
-                traces.push((
+            .run_traced(&Session::with_parallelism(1), None, |key, result, trace| {
+                (
                     key.scheme.name().to_string(),
                     trace.events.clone(),
                     result.stats.cycles,
-                ));
-            });
-        traces
+                )
+            })
+            .1
     };
     let oracle = collect(CoreModel::CycleAccurate);
     let fast = collect(CoreModel::EventDriven);

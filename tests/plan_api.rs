@@ -493,38 +493,31 @@ fn csv_fields(record: &str) -> usize {
 }
 
 /// Every row matches its header under every column set a combined export
-/// can force: closed, open and fleet cells, each plain and metered, shaped
-/// to each superset of their own columns over the optional axes.
+/// can force: closed, open and fleet cells, shaped to each superset of
+/// their own columns over the optional axes.
 #[test]
 fn csv_rows_match_the_header_under_every_forced_column_set() {
-    use vliw_tms::sim::telemetry::Registry;
     let optional = [Axis::Scheduler, Axis::Machine, Axis::Fleet, Axis::Traffic];
     let arrivals: TrafficSpec = "poisson:0.001".parse().unwrap();
     let closed = || Plan::new().scheme("2SC3").workload("LLHH").scale(50_000);
     let open = || closed().arrival(arrivals);
     let fleet = || open().fleet("paper-4x4*2@least-queued".parse().unwrap());
-    // A fresh session per run, so the metered run is simulated rather
-    // than served from the plain run's memo entry.
-    let session = || Session::with_parallelism(1);
     for plan in [closed(), open(), fleet()] {
-        let plain = plan.run(&session());
-        let metered = plan.run_metered(&session(), &Registry::new());
-        for set in [plain, metered] {
-            for forced in 0..1u32 << optional.len() {
-                let cols = optional
-                    .iter()
-                    .enumerate()
-                    .filter(|&(bit, _)| forced & 1 << bit != 0)
-                    .fold(set.columns(), |cols, (_, &axis)| cols.with(axis));
-                let header = cols.csv_header();
-                let rows = set.csv_rows(None, cols);
-                assert_eq!(rows.lines().count(), 1, "one cell, one row: {rows}");
-                assert_eq!(
-                    csv_fields(rows.trim_end()),
-                    csv_fields(&header),
-                    "{header}\n{rows}"
-                );
-            }
+        let set = plan.run(&Session::with_parallelism(1));
+        for forced in 0..1u32 << optional.len() {
+            let cols = optional
+                .iter()
+                .enumerate()
+                .filter(|&(bit, _)| forced & 1 << bit != 0)
+                .fold(set.columns(), |cols, (_, &axis)| cols.with(axis));
+            let header = cols.csv_header();
+            let rows = set.csv_rows(None, cols);
+            assert_eq!(rows.lines().count(), 1, "one cell, one row: {rows}");
+            assert_eq!(
+                csv_fields(rows.trim_end()),
+                csv_fields(&header),
+                "{header}\n{rows}"
+            );
         }
     }
 }
@@ -610,7 +603,7 @@ fn conservation_holds_when_idle_cycles_are_skipped() {
             .workloads(["idct", "LLHH"])
             .scale(50_000)
             .core_model(model)
-            .run_traced(&Session::with_parallelism(2), |key, result, trace| {
+            .run_traced(&Session::with_parallelism(2), None, |key, result, trace| {
                 let s = &result.stats;
                 let label = format!("{model}: {}/{}", key.scheme.name(), key.workload.name());
                 let width = u64::from(s.issue_width);
@@ -665,21 +658,22 @@ fn traced_cells_conserve_and_export_byte_identically() {
         .scale(50_000);
     let mut exports: Vec<Vec<String>> = Vec::new();
     for par in [1usize, 2, 4] {
-        let mut cell_exports = Vec::new();
-        plan.run_traced(&Session::with_parallelism(par), |key, result, trace| {
-            assert_eq!(
-                StallBreakdown::from_events(&trace.events),
-                result.stats.stall_breakdown,
-                "{}/{}: trace must reproduce the aggregate decomposition",
-                key.scheme.name(),
-                key.workload.name()
-            );
-            assert_eq!(trace.end_cycle, result.stats.cycles);
-            cell_exports.push(TraceFormat::Chrome.export(trace));
-            cell_exports.push(TraceFormat::Jsonl.export(trace));
-            cell_exports.push(TraceFormat::Csv.export(trace));
-        });
-        exports.push(cell_exports);
+        let (_, cells) = plan.run_traced(
+            &Session::with_parallelism(par),
+            None,
+            |key, result, trace| {
+                assert_eq!(
+                    StallBreakdown::from_events(&trace.events),
+                    result.stats.stall_breakdown,
+                    "{}/{}: trace must reproduce the aggregate decomposition",
+                    key.scheme.name(),
+                    key.workload.name()
+                );
+                assert_eq!(trace.end_cycle, result.stats.cycles);
+                [TraceFormat::Chrome, TraceFormat::Jsonl, TraceFormat::Csv].map(|f| f.export(trace))
+            },
+        );
+        exports.push(cells.concat());
     }
     assert_eq!(exports[0].len(), 2 * 3, "two cells, three formats");
     assert_eq!(exports[0], exports[1], "1 vs 2 workers");
@@ -827,8 +821,8 @@ fn metrics_export_is_byte_identical_across_workers_and_core_models() {
 /// The registry's conservation laws hold on a metered fleet sweep —
 /// cells recorded == grid size, cache hits + misses == requests, fleet
 /// busy + idle lane-cycles == makespan × lanes — and metering is
-/// observation only: every metered cell's statistics equal the unmetered
-/// run's (the gated telemetry columns are checked separately below).
+/// observation only: every metered cell's statistics, and the set's JSON
+/// and CSV bytes, equal the unmetered run's.
 #[test]
 fn metered_run_conserves_and_matches_unmetered_results() {
     use vliw_tms::sim::metrics::names;
@@ -863,55 +857,14 @@ fn metered_run_conserves_and_matches_unmetered_results() {
     let sim_cycles: u64 = metered.results().iter().map(|r| r.stats.cycles).sum();
     assert_eq!(c(names::SIM_CYCLES), sim_cycles, "harvest sums the grid");
 
-    // A live registry never perturbs the simulated numbers.
+    // A live registry never perturbs the simulated numbers or the exports.
     let base = plan().run(&Session::with_parallelism(2));
     for ((ka, a), (kb, b)) in base.iter().zip(metered.iter()) {
         assert_eq!(format!("{ka:?}"), format!("{kb:?}"));
         assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
     }
-}
-
-/// The per-cell telemetry columns (`cache_hits`, `cache_misses`,
-/// `trace_dropped`) appear only on metered runs: default exports keep
-/// the historical byte shape, a metered set appends them after the fleet
-/// metric block, and the shaped-CSV escape hatch can force or drop them.
-#[test]
-fn telemetry_columns_gate_on_metered_runs() {
-    use vliw_tms::sim::telemetry::Registry;
-    let plan = || Plan::new().scheme("1S").workload("idct").scale(100_000);
-    let base = plan().run(&Session::with_parallelism(1));
-    assert_eq!(base.columns(), Columns::default());
-    assert!(!base.to_csv().contains("cache_hits"), "default CSV");
-    assert!(!base.to_json().contains("cache_hits"), "default JSON");
-
-    let reg = Registry::new();
-    let metered = plan().run_metered(&Session::with_parallelism(1), &reg);
-    let header = metered.columns().csv_header();
-    assert!(
-        header.ends_with(",cache_hits,cache_misses,trace_dropped"),
-        "{header}"
-    );
-    let json = metered.to_json();
-    assert!(
-        json.contains("\"cache_hits\":") && json.contains("\"trace_dropped\":"),
-        "{json}"
-    );
-    // First cell on a fresh session: every image build is a miss.
-    let row = metered.to_csv().lines().nth(1).unwrap().to_string();
-    assert!(row.ends_with(",0,1,0"), "1 miss, 0 hits, 0 drops: {row}");
-    // Combined exports use the union shape: a non-metered set can be
-    // *forced into* the telemetry columns (always-on attribution fills
-    // them), while a metered set refuses to silently drop them.
-    let forced = base.csv_rows(None, metered.columns());
-    assert!(forced.trim_end().ends_with(",0,1,0"), "{forced}");
-    assert_eq!(
-        forced.trim_end().matches(',').count(),
-        header.matches(',').count()
-    );
-    assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        metered.csv_rows(None, Columns::default())
-    }))
-    .is_err());
+    assert_eq!(base.to_json(), metered.to_json());
+    assert_eq!(base.to_csv(), metered.to_csv());
 }
 
 /// A workload that does not compile for the plan's machine reaches the
@@ -951,7 +904,7 @@ fn stats_dump(set: &ResultSet) -> Vec<String> {
 
 /// Figure 10 after Figure 4 on one session serves the 18 cells of fig4's
 /// 1S and 3SSS columns from fig4's set, and every cell equals a fresh
-/// session's down to the RNG state and the per-plan cache attribution.
+/// session's down to the RNG state.
 #[test]
 fn memo_serves_fig4_columns_to_fig10_bit_identically() {
     use vliw_tms::sim::experiments::{fig10_plan, fig4_plan};
@@ -1048,12 +1001,9 @@ fn traced_runs_neither_read_nor_fill_the_memo() {
         .scale(100_000);
     let session = Session::with_parallelism(2);
     let set = plan.run(&session);
-    let mut hooked = 0;
-    let traced = plan.run_traced(&session, |_, _, trace| {
-        assert!(!trace.events.is_empty(), "cell {hooked} was simulated");
-        hooked += 1;
-    });
-    assert_eq!(hooked, set.len());
+    let (traced, events) = plan.run_traced(&session, None, |_, _, trace| trace.events.len());
+    assert_eq!(events.len(), set.len());
+    assert!(events.iter().all(|&n| n > 0), "every cell was simulated");
     assert_eq!(stats_dump(&traced), stats_dump(&set));
     for key in plan.jobs() {
         let (_, trace) = plan.trace_cell(&session, &key);
@@ -1061,7 +1011,7 @@ fn traced_runs_neither_read_nor_fill_the_memo() {
     }
 
     let session = Session::with_parallelism(2);
-    plan.run_traced(&session, |_, _, _| {});
+    plan.run_traced(&session, None, |_, _, _| {});
     let (_, served) = run_counting_memo(&plan, &session);
     assert_eq!(served, 0);
 }

@@ -14,7 +14,7 @@
 //!   `CompileOptions { verify: true }`, covering the verifier path that
 //!   `cfg!(debug_assertions)` disables in release builds.
 
-use vliw_tms::analyze::{analyze_image, AnalyzeOptions};
+use vliw_tms::analyze::analyze_image;
 use vliw_tms::compiler::{compile, CompileOptions};
 use vliw_tms::isa::MachineSpec;
 use vliw_tms::sim::config::SimConfig;
@@ -27,7 +27,7 @@ fn every_shipped_image_analyzes_clean_on_every_preset() {
         let machine = spec.config();
         for bench in workloads::all_benchmarks() {
             let img = workloads::build(bench, &machine).unwrap();
-            let report = analyze_image(&img, AnalyzeOptions::default());
+            let report = analyze_image(&img);
             assert!(
                 report.is_clean(),
                 "{}/{} must analyze clean:\n{}",
@@ -65,9 +65,7 @@ fn simulated_ipc_never_beats_the_static_ceiling() {
         let img = cache
             .get_spec(workloads::benchmark(name).unwrap(), &cfg.machine)
             .unwrap();
-        let ceiling = analyze_image(&img.0, AnalyzeOptions::default())
-            .bounds
-            .ipc_ceiling();
+        let ceiling = analyze_image(&img.0).bounds.ipc_ceiling();
         let slack = cfg.machine.total_issue() as f64 / r.stats.cycles as f64;
         assert!(
             r.ipc() <= ceiling + slack,
@@ -91,9 +89,7 @@ fn simulated_ipc_never_beats_the_static_ceiling() {
             let img = cache
                 .get_spec(workloads::benchmark(name).unwrap(), &cfg.machine)
                 .unwrap();
-            analyze_image(&img.0, AnalyzeOptions::default())
-                .bounds
-                .ipc_ceiling()
+            analyze_image(&img.0).bounds.ipc_ceiling()
         })
         .sum();
     let slack = 4.0 * cfg.machine.total_issue() as f64 / r.stats.cycles as f64;
