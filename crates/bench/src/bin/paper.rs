@@ -57,8 +57,8 @@
 //! --metrics PATH   run the simulated exhibits through the harness telemetry
 //!                  registry and write the sweep report to PATH. The report
 //!                  lists every metric of the schema, at zero when no
-//!                  metered sweep ran (the static exhibits and the traced
-//!                  `trace` sweep are not metered). The deterministic
+//!                  metered sweep ran (the static exhibits are not
+//!                  metered; the traced `trace` sweep is). The deterministic
 //!                  metric class (cells, cycles, waste, queue and
 //!                  idle-span structure, cache economics, fleet lane
 //!                  accounting) is byte-identical across --threads values

@@ -193,7 +193,7 @@ pub struct Sweeps<'a> {
 
 impl<'a> Sweeps<'a> {
     /// Sweeps at `scale` with `axes` applied. With a `registry`, every
-    /// untraced sweep runs metered through it.
+    /// sweep, the traced one included, runs metered through it.
     pub fn new(
         session: &'a Session,
         scale: u64,
@@ -224,8 +224,8 @@ impl<'a> Sweeps<'a> {
         }
         let plan = self.axes.apply(sweep.plan(self.scale));
         let (set, trace) = match (sweep, self.registry) {
-            (Sweep::Trace, _) => {
-                let (set, data) = experiments::trace_data(&plan, self.session);
+            (Sweep::Trace, reg) => {
+                let (set, data) = experiments::trace_data(&plan, self.session, reg);
                 (set, Some(data))
             }
             (_, Some(reg)) => (plan.run_metered(self.session, reg), None),

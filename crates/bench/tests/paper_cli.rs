@@ -4,7 +4,8 @@
 //!   and `--csv` files and the 14 `--out` CSVs, which must be identical at
 //!   both worker counts; once with the paper's default axes and once with
 //!   every optional axis named;
-//! * `paper all --metrics --csv`;
+//! * `paper all --metrics --csv`, whose heartbeat under `--progress`
+//!   counts as many cells as the report;
 //! * `--filter fig1`, which renders three exhibits from one captured
 //!   `fig10` sweep;
 //! * the `--trace` file of `paper fig5 fig4`, which traces fig4's first
@@ -221,6 +222,7 @@ fn metered_run_matches_golden_digests() {
         path(&csv),
         "--out",
         path(&out),
+        "--progress",
     ]);
     let digests = vec![
         (
@@ -230,7 +232,21 @@ fn metered_run_matches_golden_digests() {
         ("metered/csv".to_string(), file_digest(&csv)),
         ("metered/metrics.prom".to_string(), file_digest(&prom)),
     ];
+    let report = std::fs::read_to_string(&prom).expect("read --metrics report");
     let _ = std::fs::remove_dir_all(&dir);
+    // Every cell the session ran is metered: the heartbeat's last count
+    // equals the report's, traced sweep included.
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let heartbeat = stderr
+        .rsplit("cells ")
+        .next()
+        .and_then(|tail| tail.split_whitespace().next())
+        .expect("a heartbeat line");
+    let metered = report
+        .lines()
+        .find_map(|l| l.strip_prefix("vliw_cells_total "))
+        .expect("vliw_cells_total sample");
+    assert_eq!(heartbeat, format!("{metered}/{metered}"), "{stderr}");
     assert_eq!(
         digest_of(&digests, "metered/csv"),
         0x823fedcd38e5288d,
@@ -238,7 +254,7 @@ fn metered_run_matches_golden_digests() {
     );
     assert_eq!(
         digest_of(&digests, "metered/metrics.prom"),
-        0xfdeb86aae76aec6f,
+        0xcb55465e73e27fd2,
         "paper --metrics must equal export_digests' metered/metrics.prom"
     );
     assert_golden("metered", digests);
@@ -493,8 +509,8 @@ fn bad_scale_and_unwritable_outputs_exit_2_before_simulating() {
 /// swept machine (`2x8` here) instead of always on 4x4, and the metered
 /// Prometheus pin when the registry gained `vliw_cells_memoized_total`.
 /// The metered CSV pin equals `default/csv` since metering stopped adding
-/// columns, and the metered Prometheus pin lost the ring-sink drop
-/// counter.
+/// columns. The metered Prometheus pin lost the ring-sink drop counter,
+/// then gained the trace sweep's two cells.
 const GOLDEN: &[(&str, u64)] = &[
     ("default/stdout", 0xb00dd9e71a3d53b5),
     ("default/json", 0x4ce86e5ec45da145),
@@ -532,7 +548,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("explicit/out/traffic.csv", 0x960c5d38aebd1c97),
     ("metered/stdout", 0xb00dd9e71a3d53b5),
     ("metered/csv", 0x823fedcd38e5288d),
-    ("metered/metrics.prom", 0xfdeb86aae76aec6f),
+    ("metered/metrics.prom", 0xcb55465e73e27fd2),
     ("filter/stdout", 0xd1b221ac22dfdca4),
     ("filter/json", 0xa451ac256cac626c),
     ("filter/out/fig10.csv", 0x2adc8280fd0a3953),

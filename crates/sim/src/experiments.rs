@@ -22,6 +22,7 @@ use crate::plan::{Cell, MachineSpec, MemoryModel, Plan, ResultSet, Session, Work
 use crate::sched::SchedulerSpec;
 use std::sync::Arc;
 use vliw_core::catalog;
+use vliw_telemetry::Registry;
 use vliw_workloads::{all_benchmarks, mixes::mix, table2_mixes};
 
 /// One row of Table 1.
@@ -196,10 +197,15 @@ pub fn trace_plan(scale: u64) -> Plan {
 /// Execute a trace plan and project every cell's event stream into
 /// [`TraceRow`]s (stall decomposition, migrations, merge/split dynamics,
 /// occupancy). Each row is reduced on the worker that ran its cell, which
-/// then drops the trace. Works on any plan — the `paper` binary passes
-/// [`trace_plan`] with the CLI's scheduler/machine axes applied.
-pub fn trace_data(plan: &Plan, session: &Session) -> (ResultSet, TraceData) {
-    let (set, rows) = plan.run_traced(session, None, |key, result, trace| {
+/// then drops the trace. With a registry the run is metered like any
+/// other. Works on any plan — the `paper` binary passes [`trace_plan`]
+/// with the CLI's scheduler/machine axes applied.
+pub fn trace_data(
+    plan: &Plan,
+    session: &Session,
+    reg: Option<&Registry>,
+) -> (ResultSet, TraceData) {
+    let (set, rows) = plan.run_traced(session, reg, |key, result, trace| {
         let mut label = key.scheme.name().to_string();
         if key.scheduler != SchedulerSpec::PaperRandom {
             label.push_str(&format!(" {}", key.scheduler.name()));
@@ -393,7 +399,7 @@ mod tests {
     #[test]
     fn trace_exhibit_decomposes_both_schemes() {
         let session = Session::with_parallelism(2);
-        let (_, d) = trace_data(&trace_plan(50_000), &session);
+        let (_, d) = trace_data(&trace_plan(50_000), &session, None);
         assert_eq!(d.scale, 50_000, "above the floor, scale passes through");
         assert_eq!(d.rows.len(), 2);
         assert_eq!(d.rows[0].label, "3SSS");
@@ -410,7 +416,7 @@ mod tests {
         // The floor engages below it.
         assert_eq!(trace_plan(1).jobs().len(), 2);
         assert_eq!(
-            trace_data(&trace_plan(u64::MAX), &session).1.scale,
+            trace_data(&trace_plan(u64::MAX), &session, None).1.scale,
             u64::MAX
         );
     }

@@ -8,11 +8,12 @@
 //! * `default` — the plans as the experiment drivers build them;
 //! * `explicit` — every optional axis named, as `paper --scheduler icount
 //!   --machine 2x8 --arrivals poisson:0.02 --fleet paper-4x4*2` does;
-//! * `metered` — the plans run through `Plan::run_metered` with a live
-//!   `Registry` (the trace sweep stays unmetered, as in `paper
-//!   --metrics`), plus the registry's deterministic Prometheus and JSON
-//!   reports and the whole schema: the `# HELP` and `# TYPE` lines of
-//!   every metric, timing metrics included.
+//! * `metered` — every sweep metered through one live `Registry`, as in
+//!   `paper --metrics`: `Plan::run_metered`, and `Plan::run_traced` for
+//!   the trace sweep. Metering changes no export byte, so its sets equal
+//!   the `default` ones. It also pins the registry's deterministic
+//!   Prometheus and JSON reports and the whole schema: the `# HELP` and
+//!   `# TYPE` lines of every metric, timing metrics included.
 //!
 //! Each shape pins every set's `to_json` and `to_csv` bytes and the
 //! combined CSV `paper --csv` writes (`Sweeps::to_csv`).
@@ -214,7 +215,9 @@ fn priority_and_wide_scheme_state_matches_golden_digests() {
 /// ring-sink drops) and the schema lost its ring-sink drop counter, the
 /// `.state`, `state/` and metered report digests were re-derived from the
 /// earlier dumps and reports with exactly those fields, lines and entry
-/// cut out.
+/// cut out. The two metered report digests were then re-recorded once,
+/// when the trace sweep's two cells joined the metered count; the
+/// `paper_cli` metered test checks that the count equals the heartbeat's.
 const GOLDEN: &[(&str, u64)] = &[
     ("default/table1.json", 0xefc3b82f5a1722d4),
     ("default/table1.csv", 0x358f44207d3cf992),
@@ -279,8 +282,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("metered/fleet.json", 0xaeb9538276fc3bfa),
     ("metered/fleet.csv", 0xa7c0fdc485b59295),
     ("metered/combined.csv", 0x823fedcd38e5288d),
-    ("metered/metrics.prom", 0xfdeb86aae76aec6f),
-    ("metered/metrics.json", 0x072ef8407d952d54),
+    ("metered/metrics.prom", 0xcb55465e73e27fd2),
+    ("metered/metrics.json", 0x73f11bf3400a6e5a),
     ("metered/schema.prom", 0xbbac54117088c57f),
     ("state/fig10-fixed", 0xe6c2e85fa40ca849),
     ("state/fig10-lri", 0xcf2e469458089a59),
