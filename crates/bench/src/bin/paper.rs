@@ -109,7 +109,7 @@
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use vliw_bench::exhibits::{exhibit, Axes, Sweeps, EXHIBITS};
+use vliw_bench::exhibits::{exhibit, Axes, Sweep, Sweeps, EXHIBITS};
 use vliw_sim::experiments;
 use vliw_sim::plan::{DispatcherSpec, FleetSpec, MachineSpec, Session};
 use vliw_sim::sched::SchedulerSpec;
@@ -332,7 +332,19 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut session = Session::with_parallelism(par);
     if progress {
-        session = session.with_progress();
+        // The heartbeat's total is every cell of every distinct sweep the
+        // selected exhibits read, known before the first one runs.
+        let mut sweeps: Vec<Sweep> = Vec::new();
+        for sweep in selected.iter().filter_map(|e| e.sweep()) {
+            if !sweeps.contains(&sweep) {
+                sweeps.push(sweep);
+            }
+        }
+        let cells = sweeps
+            .iter()
+            .map(|sweep| axes.apply(sweep.plan(scale)).jobs().len() as u64)
+            .sum();
+        session = session.with_progress(cells);
     }
     let mut sweeps = Sweeps::new(&session, scale, &axes, registry.as_ref());
     for e in &selected {

@@ -1,10 +1,13 @@
 //! The exhibit table: every exhibit `paper` renders, the sweep it reads
 //! and its renderer, plus [`Sweeps`], which simulates each sweep at most
 //! once per invocation and builds the `--json` and `--csv` exports from
-//! what it ran.
+//! what it ran. Every sweep runs the same way, through
+//! [`Plan::run`] or [`Plan::run_metered`], so the session's memo can serve
+//! its cells; the trace sweep then also traces each of its cells with
+//! [`experiments::trace_rows`] for the columns only a trace shows.
 
 use crate::{figures, Exhibit};
-use vliw_sim::experiments::{self, TraceData};
+use vliw_sim::experiments::{self, TraceRow};
 use vliw_sim::plan::{
     Axis, Columns, FleetSpec, MachineSpec, Plan, ResultSet, Session, TrafficSpec,
 };
@@ -26,7 +29,7 @@ pub enum Sweep {
     Fig10,
     /// [`experiments::geometry_plan`].
     Geometry,
-    /// [`experiments::trace_plan`], run traced.
+    /// [`experiments::trace_plan`], whose cells are also traced.
     Trace,
     /// [`experiments::traffic_plan`].
     Traffic,
@@ -64,8 +67,8 @@ impl Sweep {
 pub struct Swept {
     /// The sweep's result set.
     pub set: ResultSet,
-    /// Per-cell trace rows; only [`Sweep::Trace`] has them.
-    pub trace: Option<TraceData>,
+    /// Per-cell trace rows in grid order; only [`Sweep::Trace`] has them.
+    pub trace: Option<Vec<TraceRow>>,
 }
 
 /// Where an exhibit's numbers come from.
@@ -193,7 +196,8 @@ pub struct Sweeps<'a> {
 
 impl<'a> Sweeps<'a> {
     /// Sweeps at `scale` with `axes` applied. With a `registry`, every
-    /// sweep, the traced one included, runs metered through it.
+    /// sweep runs metered through it; the trace sweep's traced re-runs
+    /// are not metered.
     pub fn new(
         session: &'a Session,
         scale: u64,
@@ -223,14 +227,11 @@ impl<'a> Sweeps<'a> {
             return &self.runs[i].1;
         }
         let plan = self.axes.apply(sweep.plan(self.scale));
-        let (set, trace) = match (sweep, self.registry) {
-            (Sweep::Trace, reg) => {
-                let (set, data) = experiments::trace_data(&plan, self.session, reg);
-                (set, Some(data))
-            }
-            (_, Some(reg)) => (plan.run_metered(self.session, reg), None),
-            (_, None) => (plan.run(self.session), None),
+        let set = match self.registry {
+            Some(reg) => plan.run_metered(self.session, reg),
+            None => plan.run(self.session),
         };
+        let trace = (sweep == Sweep::Trace).then(|| experiments::trace_rows(&plan, self.session));
         self.runs.push((sweep, Swept { set, trace }));
         &self.runs[self.runs.len() - 1].1
     }

@@ -7,13 +7,15 @@
 //! [`ResultSet::merge_cost`] and [`ResultSet::ipc_per_area`], and one row
 //! per cell from [`ResultSet::iter`]. Only Table 1, Figure 6 and the trace
 //! exhibit go through a projection in [`experiments`], because each
-//! computes something the set does not hold.
+//! computes something the set does not hold; the trace exhibit takes just
+//! its three trace-only columns from one.
 
 use crate::exhibits::Swept;
 use crate::{f2, pct, Exhibit, TextTable};
 use vliw_hwcost::{fig5_sweep, scheme_cost, SchemeCost};
 use vliw_sim::experiments;
-use vliw_sim::plan::{Axis, Cell, ResultSet};
+use vliw_sim::plan::{Axis, Cell, MachineSpec, MemoryModel, ResultSet};
+use vliw_sim::sched::SchedulerSpec;
 use vliw_workloads::table2_mixes;
 
 /// IPC of the one cell of `set` that `cell` names.
@@ -283,7 +285,7 @@ pub fn geometry(s: &Swept) -> Exhibit {
 /// Trace exhibit (beyond the paper): cycle-level decomposition of the
 /// Figure-6 cell pair from full event traces.
 pub fn trace(s: &Swept) -> Exhibit {
-    let d = s.trace.as_ref().expect("the trace sweep runs traced");
+    let rows = s.trace.as_ref().expect("the trace sweep traces its cells");
     let mut t = TextTable::new(&[
         "cell",
         "workload",
@@ -298,20 +300,31 @@ pub fn trace(s: &Swept) -> Exhibit {
         "occupancy",
         "events",
     ]);
-    for r in &d.rows {
+    for ((key, r), row) in s.set.iter().zip(rows) {
+        let mut label = key.scheme.name().to_string();
+        if key.scheduler != SchedulerSpec::PaperRandom {
+            label.push_str(&format!(" {}", key.scheduler.name()));
+        }
+        if key.machine != MachineSpec::Paper4x4 {
+            label.push_str(&format!(" @{}", key.machine.label()));
+        }
+        if key.memory != MemoryModel::Real {
+            label.push_str(" (perfect)");
+        }
+        let stalls = &r.stats.stall_breakdown;
         t.row(vec![
-            r.label.clone(),
-            r.workload.clone(),
-            r.cycles.to_string(),
-            f2(r.ipc),
-            r.stalls.icache.to_string(),
-            r.stalls.dcache.to_string(),
-            r.stalls.branch.to_string(),
-            f2(r.stalls.total() as f64 / r.cycles.max(1) as f64),
-            r.migrations.to_string(),
-            r.merge_transitions.to_string(),
-            pct(r.occupancy * 100.0),
-            r.events.to_string(),
+            label,
+            key.workload.name().to_string(),
+            r.stats.cycles.to_string(),
+            f2(r.ipc()),
+            stalls.icache.to_string(),
+            stalls.dcache.to_string(),
+            stalls.branch.to_string(),
+            f2(stalls.total() as f64 / r.stats.cycles.max(1) as f64),
+            r.stats.migrations.to_string(),
+            row.merge_transitions.to_string(),
+            pct(row.occupancy * 100.0),
+            row.events.to_string(),
         ]);
     }
     t.exhibit(&format!(
@@ -473,6 +486,50 @@ mod tests {
             assert!(ex.csv.contains(scheme), "missing {scheme}");
         }
         assert!(ex.csv.lines().next().unwrap().contains("p99 sojourn"));
+    }
+
+    /// A fleet cell's trace holds only its routing events, so the trace
+    /// exhibit reads each fleet row's stall columns from the result set:
+    /// the sums of the cell's per-thread stall cycles.
+    #[test]
+    fn fleet_trace_rows_read_stalls_from_the_set() {
+        use vliw_sim::stats::ThreadStats;
+        let session = Session::with_parallelism(2);
+        let axes = Axes {
+            fleet: Some("paper-4x4*2".parse().unwrap()),
+            ..Axes::default()
+        };
+        let mut sweeps = Sweeps::new(&session, 20_000, &axes, None);
+        let ex = sweeps.render(exhibit("trace").unwrap());
+        let set = &sweeps.run(Sweep::Trace).set;
+        let mut lines = ex.csv.lines();
+        let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+        let col = |name: &str| header.iter().position(|h| *h == name).unwrap();
+        let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.len(), set.len());
+        for (row, (key, r)) in rows.iter().zip(set.iter()) {
+            assert!(key.fleet.is_some(), "{row:?}");
+            let sum = |stall: fn(&ThreadStats) -> u64| {
+                r.stats.threads.iter().map(stall).sum::<u64>().to_string()
+            };
+            assert_eq!(row[col("I$ stall")], sum(|t| t.istall_cycles), "{row:?}");
+            assert_eq!(row[col("D$ stall")], sum(|t| t.dstall_cycles), "{row:?}");
+            assert_eq!(
+                row[col("branch stall")],
+                sum(|t| t.branch_stall_cycles),
+                "{row:?}"
+            );
+            assert_ne!(row[col("D$ stall")], "0", "LLHH stalls on data: {row:?}");
+            // The trace-only columns count the routing events alone.
+            assert_eq!(row[col("merge transitions")], "0", "{row:?}");
+            assert_eq!(row[col("occupancy")], "0.0%", "{row:?}");
+            assert_eq!(
+                row[col("events")],
+                key.workload.n_threads().to_string(),
+                "one RoutedTo per arrival: {row:?}"
+            );
+        }
     }
 
     #[test]

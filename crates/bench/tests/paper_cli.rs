@@ -254,7 +254,7 @@ fn metered_run_matches_golden_digests() {
     );
     assert_eq!(
         digest_of(&digests, "metered/metrics.prom"),
-        0xcb55465e73e27fd2,
+        0x21f3e9f5de9f75e0,
         "paper --metrics must equal export_digests' metered/metrics.prom"
     );
     assert_golden("metered", digests);
@@ -309,6 +309,40 @@ fn progress_and_metrics_change_no_export_byte() {
         "--metrics changed the --json bytes"
     );
     assert!(stderr.contains("cells 24/24"), "heartbeat: {stderr:?}");
+}
+
+/// The heartbeat knows the run's total before the first cell: a run of
+/// two sweeps paints one total throughout, not each sweep's running sum.
+#[test]
+fn progress_paints_the_whole_run_total_from_the_start() {
+    let dir = scratch("progress-total");
+    let out = dir.join("out");
+    let output = paper(&[
+        "table1",
+        "fig4",
+        "--scale",
+        SCALE,
+        "--threads",
+        "2",
+        "--progress",
+        "--out",
+        path(&out),
+    ]);
+    stdout(&output);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let totals: Vec<&str> = stderr
+        .split("cells ")
+        .skip(1)
+        .filter_map(|tail| tail.split_whitespace().next()?.split_once('/'))
+        .map(|(_, total)| total)
+        .collect();
+    assert!(!totals.is_empty(), "no heartbeat: {stderr:?}");
+    assert!(
+        totals.iter().all(|&total| total == "51"),
+        "table1's 24 cells and fig4's 27 make one total of 51: {stderr:?}"
+    );
+    assert!(stderr.contains("cells 51/51 "), "{stderr:?}");
 }
 
 #[test]
@@ -510,7 +544,11 @@ fn bad_scale_and_unwritable_outputs_exit_2_before_simulating() {
 /// Prometheus pin when the registry gained `vliw_cells_memoized_total`.
 /// The metered CSV pin equals `default/csv` since metering stopped adding
 /// columns. The metered Prometheus pin lost the ring-sink drop counter,
-/// then gained the trace sweep's two cells.
+/// then gained the trace sweep's two cells, then counted those two as
+/// memoized once the trace sweep ran like every other. The trace file
+/// lost its always-zero drop count, and the explicit stdout and
+/// `trace.csv` pins took the fleet trace rows' stall columns from the
+/// cells' statistics instead of from routing-only traces.
 const GOLDEN: &[(&str, u64)] = &[
     ("default/stdout", 0xb00dd9e71a3d53b5),
     ("default/json", 0x4ce86e5ec45da145),
@@ -529,7 +567,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("default/out/table2.csv", 0x49ac112ded2f072c),
     ("default/out/trace.csv", 0x1c659c53c9681c78),
     ("default/out/traffic.csv", 0x1f5791fe5bf9e711),
-    ("explicit/stdout", 0xf11d4306073bfd7a),
+    ("explicit/stdout", 0xe6c1e860e3575372),
     ("explicit/json", 0x6897c5703f8bab68),
     ("explicit/csv", 0xb26c36f9633f03a2),
     ("explicit/out/fig10.csv", 0xf65b91eb29d859d0),
@@ -544,18 +582,18 @@ const GOLDEN: &[(&str, u64)] = &[
     ("explicit/out/headline.csv", 0x570d1b2a17e1718b),
     ("explicit/out/table1.csv", 0x42e238cc53250489),
     ("explicit/out/table2.csv", 0x49ac112ded2f072c),
-    ("explicit/out/trace.csv", 0x0fcc8a77b09a522e),
+    ("explicit/out/trace.csv", 0x949a502707800aee),
     ("explicit/out/traffic.csv", 0x960c5d38aebd1c97),
     ("metered/stdout", 0xb00dd9e71a3d53b5),
     ("metered/csv", 0x823fedcd38e5288d),
-    ("metered/metrics.prom", 0xcb55465e73e27fd2),
+    ("metered/metrics.prom", 0x21f3e9f5de9f75e0),
     ("filter/stdout", 0xd1b221ac22dfdca4),
     ("filter/json", 0xa451ac256cac626c),
     ("filter/out/fig10.csv", 0x2adc8280fd0a3953),
     ("filter/out/fig11.csv", 0x21f837581a4aa074),
     ("filter/out/fig12.csv", 0x3ca0dfbe835ea00f),
     ("trace/stdout", 0x6ec65fc6976ebd8f),
-    ("trace/trace.json", 0xe673f07dcb7597b4),
+    ("trace/trace.json", 0xd1bbb638dccc54b0),
     ("usage/list", 0x295a2b5e6df7d66b),
     ("usage/help", 0x0c08b2a69710f20a),
 ];

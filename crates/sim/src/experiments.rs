@@ -9,20 +9,20 @@
 //! in grid order ([`ResultSet::iter`]). Three projections remain, each
 //! because it computes something the set does not hold: [`table1_rows`]
 //! joins the paper's Table-1 IPCs, [`fig6_data`] derives the per-mix
-//! SMT-over-CSMT advantage, and [`trace_data`] reduces each cell's event
-//! trace before the trace is dropped. `vliw-bench`'s exhibit table runs
-//! each plan once on one [`Session`] for the `paper` binary, which can also
-//! serialize the raw result sets via
+//! SMT-over-CSMT advantage, and [`trace_rows`] counts what only a cell's
+//! event trace shows (merge transitions, occupancy, events) before the
+//! trace is dropped. `vliw-bench`'s exhibit table runs each plan once on
+//! one [`Session`] for the `paper` binary, the trace plan too, which can
+//! also serialize the raw result sets via
 //! [`ResultSet::to_json`]/[`ResultSet::to_csv`].
 //!
 //! All drivers take a `scale` divisor (1 = the paper's full
 //! 100M-instruction runs).
 
-use crate::plan::{Cell, MachineSpec, MemoryModel, Plan, ResultSet, Session, WorkloadRef};
-use crate::sched::SchedulerSpec;
+use crate::plan::{Cell, JobKey, MachineSpec, MemoryModel, Plan, ResultSet, Session, WorkloadRef};
+use crate::runner;
 use std::sync::Arc;
 use vliw_core::catalog;
-use vliw_telemetry::Registry;
 use vliw_workloads::{all_benchmarks, mixes::mix, table2_mixes};
 
 /// One row of Table 1.
@@ -145,38 +145,16 @@ pub fn geometry_plan(scale: u64) -> Plan {
         .scale(scale)
 }
 
-/// One row of the trace exhibit: the cycle-level decomposition of one
-/// grid cell's run, derived from its full event trace.
+/// What one cell's full event trace adds to its result for the trace
+/// exhibit: the three columns a [`ResultSet`] does not hold.
 #[derive(Debug, Clone)]
 pub struct TraceRow {
-    /// Cell label (scheme, plus any non-default axis values).
-    pub label: String,
-    /// Workload of the cell.
-    pub workload: String,
-    /// Executed cycles.
-    pub cycles: u64,
-    /// Cell IPC.
-    pub ipc: f64,
-    /// Stall cycles by kind, from the trace's stall events (equals the
-    /// run's `RunStats::stall_breakdown` — the conservation invariant).
-    pub stalls: vliw_trace::StallBreakdown,
-    /// Cross-context thread migrations.
-    pub migrations: u64,
     /// Merge/split transitions of the issuing-context mask.
     pub merge_transitions: u64,
     /// Fraction of context-cycles with a thread installed.
     pub occupancy: f64,
     /// Events in the cell's trace.
     pub events: usize,
-}
-
-/// Trace-exhibit data: one row per grid cell, grid order.
-#[derive(Debug, Clone)]
-pub struct TraceData {
-    /// Run-length floor actually used (see [`trace_plan`]).
-    pub scale: u64,
-    /// Per-cell rows.
-    pub rows: Vec<TraceRow>,
 }
 
 /// Run-length floor for the trace exhibit: full event streams grow
@@ -194,40 +172,23 @@ pub fn trace_plan(scale: u64) -> Plan {
         .scale(scale.max(TRACE_SCALE_FLOOR))
 }
 
-/// Execute a trace plan and project every cell's event stream into
-/// [`TraceRow`]s (stall decomposition, migrations, merge/split dynamics,
-/// occupancy). Each row is reduced on the worker that ran its cell, which
-/// then drops the trace. With a registry the run is metered like any
-/// other. Works on any plan — the `paper` binary passes [`trace_plan`]
-/// with the CLI's scheduler/machine axes applied.
-pub fn trace_data(
-    plan: &Plan,
-    session: &Session,
-    reg: Option<&Registry>,
-) -> (ResultSet, TraceData) {
-    let (set, rows) = plan.run_traced(session, reg, |key, result, trace| {
-        let mut label = key.scheme.name().to_string();
-        if key.scheduler != SchedulerSpec::PaperRandom {
-            label.push_str(&format!(" {}", key.scheduler.name()));
-        }
-        if key.machine != MachineSpec::Paper4x4 {
-            label.push_str(&format!(" @{}", key.machine.label()));
-        }
-        if key.memory != MemoryModel::Real {
-            label.push_str(" (perfect)");
-        }
-        let occupied: u64 = vliw_trace::occupancy_timeline(trace)
+/// Trace every cell of `plan` with [`Plan::trace_cell`] and keep the
+/// [`TraceRow`] of each, in grid order. The cells run on the session's
+/// workers, each trace reduced and dropped on the worker that recorded
+/// it, so at most one trace per worker is alive. A fleet cell's trace
+/// holds only its routing events, so its row counts no merge transition
+/// and no occupancy. Works on any plan — the `paper` binary passes
+/// [`trace_plan`] with the CLI's axes applied, and reads every other
+/// column from the plan's [`ResultSet`].
+pub fn trace_rows(plan: &Plan, session: &Session) -> Vec<TraceRow> {
+    let row = |key: &JobKey| {
+        let (result, trace) = plan.trace_cell(session, key);
+        let occupied: u64 = vliw_trace::occupancy_timeline(&trace)
             .iter()
             .map(|s| s.len())
             .sum();
         let ctx_cycles = result.stats.cycles * u64::from(trace.n_contexts);
         TraceRow {
-            label,
-            workload: key.workload.name().to_string(),
-            cycles: result.stats.cycles,
-            ipc: result.ipc(),
-            stalls: vliw_trace::StallBreakdown::from_events(&trace.events),
-            migrations: result.stats.migrations,
             merge_transitions: trace
                 .events
                 .iter()
@@ -240,12 +201,8 @@ pub fn trace_data(
             },
             events: trace.len(),
         }
-    });
-    let data = TraceData {
-        scale: set.scale(),
-        rows,
     };
-    (set, data)
+    runner::run_jobs(plan.jobs(), row, session.parallelism())
 }
 
 /// Schemes of the traffic exhibit: the paper's reference points (1-thread,
@@ -399,26 +356,33 @@ mod tests {
     #[test]
     fn trace_exhibit_decomposes_both_schemes() {
         let session = Session::with_parallelism(2);
-        let (_, d) = trace_data(&trace_plan(50_000), &session, None);
-        assert_eq!(d.scale, 50_000, "above the floor, scale passes through");
-        assert_eq!(d.rows.len(), 2);
-        assert_eq!(d.rows[0].label, "3SSS");
-        assert_eq!(d.rows[1].label, "3CCC");
-        for r in &d.rows {
-            assert_eq!(r.workload, "LLHH");
-            assert!(r.ipc > 0.0);
-            assert!(r.stalls.total() > 0, "{}: no stalls traced", r.label);
-            assert!(r.merge_transitions > 0, "{}: mask never changed", r.label);
-            assert!(r.events > 0);
+        let plan = trace_plan(50_000);
+        let set = plan.run(&session);
+        let rows = trace_rows(&plan, &session);
+        assert_eq!(set.scale(), 50_000, "above the floor, scale passes through");
+        assert_eq!(rows.len(), 2);
+        let schemes: Vec<String> = set
+            .iter()
+            .map(|(key, _)| key.scheme.name().to_string())
+            .collect();
+        assert_eq!(schemes, ["3SSS", "3CCC"]);
+        for ((key, r), row) in set.iter().zip(&rows) {
+            let scheme = key.scheme.name();
+            assert_eq!(key.workload.name(), "LLHH");
+            assert!(r.ipc() > 0.0);
+            assert!(r.stats.stall_breakdown.total() > 0, "{scheme}: no stalls");
+            assert!(row.merge_transitions > 0, "{scheme}: mask never changed");
+            assert!(row.events > 0);
             // 4 threads on 4 contexts: fully occupied.
-            assert!(r.occupancy > 0.99, "{}: occupancy {}", r.label, r.occupancy);
+            assert!(
+                row.occupancy > 0.99,
+                "{scheme}: occupancy {}",
+                row.occupancy
+            );
         }
         // The floor engages below it.
         assert_eq!(trace_plan(1).jobs().len(), 2);
-        assert_eq!(
-            trace_data(&trace_plan(u64::MAX), &session, None).1.scale,
-            u64::MAX
-        );
+        assert_eq!(trace_plan(u64::MAX).run(&session).scale(), u64::MAX);
     }
 
     #[test]

@@ -36,9 +36,7 @@ use rayon::ThreadPoolBuilder;
 use vliw_core::MergeStats;
 use vliw_fleet::{FleetSpec, FleetStats, LaneView, MachineLaneStats};
 use vliw_mem::CacheStats;
-use vliw_trace::{
-    NullSink, RecordingSink, StallBreakdown, StallKind, Trace, TraceEvent, TraceSink,
-};
+use vliw_trace::{NullSink, StallBreakdown, StallKind, TraceEvent, TraceSink};
 use vliw_traffic::{ArrivalProcess, LatencySummary, TrafficStats};
 
 /// Static width hint of a compiled member: mean operations per VLIW
@@ -74,39 +72,15 @@ pub fn run_fleet(
     workload: &WorkloadRef,
     parallelism: usize,
 ) -> RunStats {
-    run_fleet_inner(cache, cfg, fleet, workload, parallelism, &mut NullSink)
+    drive(cache, cfg, fleet, workload, parallelism, &mut NullSink)
 }
 
-/// Like [`run_fleet`], additionally collecting the fleet-level [`Trace`]:
-/// one [`TraceEvent::RoutedTo`] per arrival, in arrival order. The lanes
+/// The body of [`run_fleet`], recording into `sink` one
+/// [`TraceEvent::RoutedTo`] per arrival, in arrival order. The lanes
 /// themselves run untraced, so no cycle-level event of any machine is
-/// recorded; trace a single-machine run for those.
-pub fn run_fleet_traced(
-    cache: &ImageCache,
-    cfg: &SimConfig,
-    fleet: &FleetSpec,
-    workload: &WorkloadRef,
-    parallelism: usize,
-) -> (RunStats, Trace) {
-    let mut sink = RecordingSink::new();
-    let stats = run_fleet_inner(cache, cfg, fleet, workload, parallelism, &mut sink);
-    let threads = workload
-        .member_names()
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (i as u32, n.to_string()))
-        .collect();
-    let trace = Trace {
-        events: sink.into_events(),
-        n_contexts: cfg.n_contexts() as u8,
-        threads,
-        end_cycle: stats.cycles,
-        dropped: 0,
-    };
-    (stats, trace)
-}
-
-fn run_fleet_inner<S: TraceSink>(
+/// recorded; [`crate::plan::Plan::trace_cell`] builds the fleet cell's
+/// [`vliw_trace::Trace`] from these events.
+pub(crate) fn drive<S: TraceSink>(
     cache: &ImageCache,
     cfg: &SimConfig,
     fleet: &FleetSpec,
@@ -335,16 +309,17 @@ mod tests {
             DispatcherSpec::RoundRobin,
         )
         .expect("homogeneous fleet");
-        let (stats, trace) = run_fleet_traced(&cache, &cfg(), &fleet, &wl, 2);
+        let mut sink = vliw_trace::RecordingSink::new();
+        let stats = drive(&cache, &cfg(), &fleet, &wl, 2, &mut sink);
         let fs = stats.fleet.expect("fleet stats");
         assert_eq!(
             fs.machines.iter().map(|m| m.routed).collect::<Vec<_>>(),
             vec![1, 1, 1, 1],
             "round-robin, 4 arrivals over 4 machines"
         );
-        assert_eq!(trace.events.len(), 4, "one RoutedTo per arrival");
-        let tos: Vec<u32> = trace
-            .events
+        assert_eq!(sink.len(), 4, "one RoutedTo per arrival");
+        let tos: Vec<u32> = sink
+            .events()
             .iter()
             .map(|e| match e {
                 TraceEvent::RoutedTo { to, .. } => *to,
@@ -352,8 +327,6 @@ mod tests {
             })
             .collect();
         assert_eq!(tos, vec![0, 1, 2, 3]);
-        assert_eq!(trace.threads.len(), 4);
-        assert_eq!(trace.end_cycle, stats.cycles);
     }
 
     #[test]

@@ -50,14 +50,18 @@
 //! **Tracing** — the whole hot loop (core, threads, memory, OS layer) is
 //! generic over a [`trace::TraceSink`]; the untraced entry points
 //! monomorphize the [`trace::NullSink`] path, which compiles to the
-//! pre-tracing code (zero cost when off). Record a full [`trace::Trace`]
-//! with [`os::Machine::run_with_trace`], reduce every cell's trace on its
-//! worker with [`Plan::run_traced`](plan::Plan::run_traced), or probe one
-//! cell with [`Plan::trace_cell`](plan::Plan::trace_cell). A bounded window
-//! is [`os::Machine::run_traced`] with a [`trace::RingSink`]. Analyze and
-//! export traces with the re-exported [`trace`] crate (stall breakdowns,
-//! occupancy timelines, Chrome-trace/JSONL/CSV serialization). Tracing
-//! observes, never perturbs: traced statistics equal untraced ones.
+//! pre-tracing code (zero cost when off). One entry point builds a full
+//! [`trace::Trace`]: [`Plan::trace_cell`](plan::Plan::trace_cell) runs one
+//! grid cell, single machine or fleet, through the same cell runner as
+//! [`Plan::run`](plan::Plan::run), with a [`trace::RecordingSink`] in
+//! place of the [`trace::NullSink`]. To trace several cells, call it per
+//! cell on the workers of [`runner::run_jobs`], as
+//! [`experiments::trace_rows`] does. A bounded window of a bare machine
+//! is [`os::Machine::run_traced`] with a [`trace::RingSink`], which counts
+//! its own drops. Analyze and export traces with the re-exported
+//! [`trace`] crate (stall breakdowns, occupancy timelines,
+//! Chrome-trace/JSONL/CSV serialization). Tracing observes, never
+//! perturbs: traced statistics equal untraced ones.
 
 //!
 //! **Telemetry** — the sweep layer meters itself once per cell, never per
@@ -92,7 +96,7 @@ pub mod thread;
 pub use crate::core::{Core, CoreModel};
 pub use config::SimConfig;
 pub use error::SimError;
-pub use fleet::{run_fleet, run_fleet_traced};
+pub use fleet::run_fleet;
 pub use plan::{
     Axis, Cell, Columns, MachineSpec, MemoryModel, Plan, ResultSet, SchemeRef, Session, WorkloadRef,
 };

@@ -40,9 +40,7 @@ use crate::stats::{RunStats, ThreadStats};
 use crate::thread::SoftThread;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use vliw_trace::{
-    NullSink, RecordingSink, StallBreakdown, StallKind, Trace, TraceEvent, TraceSink,
-};
+use vliw_trace::{NullSink, StallBreakdown, StallKind, TraceEvent, TraceSink};
 use vliw_traffic::{AdmissionQueue, ArrivalProcess, LatencySummary, Lifecycle, TrafficStats};
 
 /// An OS-level wakeup in the machine's event queue: timeslice expiries in
@@ -603,30 +601,6 @@ impl Machine {
         self.collect()
     }
 
-    /// Run to completion collecting the full [`Trace`] alongside the
-    /// statistics, through a [`RecordingSink`]. For a bounded window pass
-    /// a [`vliw_trace::RingSink`] to [`Machine::run_traced`] instead.
-    pub fn run_with_trace(self) -> (RunStats, Trace) {
-        let mut threads: Vec<(u32, String)> = self
-            .pool
-            .iter()
-            .chain(&self.staged)
-            .map(|t| (t.tid, t.name.to_string()))
-            .collect();
-        threads.sort_by_key(|&(tid, _)| tid);
-        let n_contexts = self.core.contexts.len() as u8;
-        let mut sink = RecordingSink::new();
-        let stats = self.run_traced(&mut sink);
-        let trace = Trace {
-            events: sink.into_events(),
-            n_contexts,
-            threads,
-            end_cycle: stats.cycles,
-            dropped: 0,
-        };
-        (stats, trace)
-    }
-
     /// Gather statistics from the core and all threads, plus the latency
     /// samples of every arrived job. A closed batch has none, so its
     /// traffic block is all zeros.
@@ -726,6 +700,7 @@ mod tests {
     use crate::thread::ProgramMeta;
     use vliw_core::catalog;
     use vliw_isa::MachineConfig;
+    use vliw_trace::RecordingSink;
     use vliw_workloads::build_named;
 
     fn threads(names: &[&str], seed: u64) -> Vec<SoftThread> {
@@ -849,58 +824,50 @@ mod tests {
         let cfg = SimConfig::paper(catalog::by_name("2SC3").unwrap(), 5000);
         let mk = || Machine::new(&cfg, threads(&["mcf", "cjpeg", "x264", "bzip2"], 3)).unwrap();
         let plain = mk().run();
-        let (traced, trace) = mk().run_with_trace();
+        let mut sink = RecordingSink::new();
+        let traced = mk().run_traced(&mut sink);
         assert_eq!(plain.cycles, traced.cycles);
         assert_eq!(plain.total_ops, traced.total_ops);
         assert_eq!(plain.context_switches, traced.context_switches);
         assert_eq!(plain.migrations, traced.migrations);
         assert_eq!(plain.stall_breakdown, traced.stall_breakdown);
-        assert!(!trace.is_empty());
-        assert_eq!(trace.end_cycle, traced.cycles);
-        assert_eq!(trace.n_contexts, 4);
-        assert_eq!(trace.threads.len(), 4);
+        assert!(!sink.is_empty());
     }
 
     #[test]
     fn full_trace_conserves_the_aggregate_counters() {
         let cfg = SimConfig::paper(catalog::by_name("1S").unwrap(), 20_000);
-        let (stats, trace) = Machine::new(&cfg, threads(&["mcf", "bzip2", "x264", "idct"], 7))
+        let mut sink = RecordingSink::new();
+        let stats = Machine::new(&cfg, threads(&["mcf", "bzip2", "x264", "idct"], 7))
             .unwrap()
-            .run_with_trace();
+            .run_traced(&mut sink);
+        let events = sink.events();
         // Stall events reproduce the per-kind counters exactly.
-        assert_eq!(
-            StallBreakdown::from_events(&trace.events),
-            stats.stall_breakdown
-        );
+        assert_eq!(StallBreakdown::from_events(events), stats.stall_breakdown);
         // Bundle-issue events reproduce instruction and operation totals.
-        let (instrs, ops) = trace.events.iter().fold((0u64, 0u64), |(i, o), e| match e {
+        let (instrs, ops) = events.iter().fold((0u64, 0u64), |(i, o), e| match e {
             TraceEvent::BundleIssue { ops, .. } => (i + 1, o + u64::from(*ops)),
             _ => (i, o),
         });
         assert_eq!(instrs, stats.total_instrs);
         assert_eq!(ops, stats.total_ops);
         // Cache-miss events reproduce the cache counters.
-        let (imiss, dmiss) = trace
-            .events
-            .iter()
-            .fold((0u64, 0u64), |(im, dm), e| match e {
-                TraceEvent::CacheMiss { cache, .. } => match cache {
-                    vliw_trace::CacheKind::Instruction => (im + 1, dm),
-                    vliw_trace::CacheKind::Data => (im, dm + 1),
-                },
-                _ => (im, dm),
-            });
+        let (imiss, dmiss) = events.iter().fold((0u64, 0u64), |(im, dm), e| match e {
+            TraceEvent::CacheMiss { cache, .. } => match cache {
+                vliw_trace::CacheKind::Instruction => (im + 1, dm),
+                vliw_trace::CacheKind::Data => (im, dm + 1),
+            },
+            _ => (im, dm),
+        });
         assert_eq!(imiss, stats.icache.total_misses());
         assert_eq!(dmiss, stats.dcache.total_misses());
         // Every thread was admitted exactly once; migrations match.
-        let admits = trace
-            .events
+        let admits = events
             .iter()
             .filter(|e| matches!(e, TraceEvent::ContextAdmit { .. }))
             .count();
         assert_eq!(admits, 4);
-        let migrations = trace
-            .events
+        let migrations = events
             .iter()
             .filter(|e| matches!(e, TraceEvent::ThreadMigration { .. }))
             .count() as u64;
@@ -911,8 +878,7 @@ mod tests {
         // `Trace::events` docs). No event is labelled past the run's end
         // by more than a miss+branch chain.
         let slack = 64;
-        assert!(trace
-            .events
+        assert!(events
             .windows(2)
             .all(|w| w[0].cycle() <= w[1].cycle() + slack));
     }
@@ -927,10 +893,11 @@ mod tests {
         assert_eq!(ring.len(), 512);
         // The ring keeps the most recent window of the full stream and
         // counts everything before it as dropped.
-        let (_, full) = mk().run_with_trace();
+        let mut full = RecordingSink::new();
+        mk().run_traced(&mut full);
         let (window, dropped) = ring.into_parts();
         assert_eq!(dropped, (full.len() - 512) as u64);
-        assert_eq!(window, full.events[full.len() - 512..]);
+        assert_eq!(window, full.events()[full.len() - 512..]);
     }
 
     #[test]
@@ -1029,20 +996,21 @@ mod tests {
             .unwrap()
         };
         let plain = mk().run();
-        let (traced, trace) = mk().run_with_trace();
+        let mut sink = RecordingSink::new();
+        let traced = mk().run_traced(&mut sink);
         assert_eq!(plain.cycles, traced.cycles);
         assert_eq!(
             format!("{:?}", plain.traffic),
             format!("{:?}", traced.traffic)
         );
-        let arrivals = trace
-            .events
+        let arrivals = sink
+            .events()
             .iter()
             .filter(|e| matches!(e, TraceEvent::ThreadArrival { .. }))
             .count() as u64;
         assert_eq!(arrivals, traced.traffic.offered);
-        assert!(trace
-            .events
+        assert!(sink
+            .events()
             .iter()
             .any(|e| matches!(e, TraceEvent::QueueDepth { .. })));
     }

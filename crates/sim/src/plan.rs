@@ -54,7 +54,7 @@ use vliw_core::{catalog, MergeScheme, PriorityPolicy};
 use vliw_fleet::{FleetStats, MachineLaneStats};
 use vliw_hwcost::{scheme_cost, SchemeCost};
 use vliw_telemetry::{Progress, Registry};
-use vliw_trace::Trace;
+use vliw_trace::{NullSink, RecordingSink, Trace, TraceSink};
 use vliw_workloads::{benchmark, mixes, BenchmarkSpec, WorkloadMix};
 
 pub use vliw_fleet::{DispatcherSpec, FleetError, FleetSpec};
@@ -329,8 +329,8 @@ impl JobKey {
 /// job: a metered run takes its registry as an argument
 /// ([`Plan::run_metered`]).
 ///
-/// The memo maps a cell's full identity to its result in an earlier
-/// untraced run of the session. The identity is:
+/// The memo maps a cell's full identity to its result in an earlier run
+/// of the session. The identity is:
 ///
 /// * the cell's whole [`SimConfig`]: scheme, machine, memory system,
 ///   priority, scheduler, run lengths, seed, core model and arrival
@@ -343,10 +343,10 @@ impl JobKey {
 /// A repeated cell is served by cloning the earlier statistics under its
 /// own scheme and workload names. It still performs its image lookups, so
 /// [`ImageCache::requests`] and [`ImageCache::len`] move as if it had run.
-/// [`Plan::run_traced`] and [`Plan::trace_cell`] neither read nor fill the
-/// memo. Memo entries point into the storage of the result sets that
-/// produced them, so the session keeps the results of every untraced set
-/// that added a cell to the memo alive for as long as it lives.
+/// [`Plan::trace_cell`] neither reads nor fills the memo. Memo entries
+/// point into the storage of the result sets that produced them, so the
+/// session keeps the results of every set that added a cell to the memo
+/// alive for as long as it lives.
 pub struct Session {
     cache: ImageCache,
     parallelism: usize,
@@ -366,9 +366,6 @@ struct CellIdentity {
 /// cell's index in it.
 type Served = (Arc<[RunResult]>, usize);
 
-/// A [`Plan::run_traced`] reducer as the run path takes it.
-type Reduce<'a, R> = &'a (dyn Fn(&JobKey, &RunResult, &Trace) -> R + Sync);
-
 impl Session {
     /// A session with the default parallelism (cores − 1).
     pub fn new() -> Self {
@@ -385,13 +382,14 @@ impl Session {
         }
     }
 
-    /// This session with a stderr [`Progress`] heartbeat: every cell any
-    /// of its runs executes or serves, traced or not, ticks one line of
-    /// cells done/total, cells/s, ETA and image-cache hit-rate. The
-    /// heartbeat records no metric and writes nothing but stderr, so no
-    /// result or export byte changes with it.
-    pub fn with_progress(mut self) -> Self {
-        self.progress = Some(Progress::new());
+    /// This session with a stderr [`Progress`] heartbeat over `cells`,
+    /// the total its runs will execute or serve: each such cell ticks one
+    /// line of cells done/total, cells/s, ETA and image-cache hit-rate,
+    /// and [`Plan::trace_cell`] ticks none. The heartbeat records no
+    /// metric and writes nothing but stderr, so no result or export byte
+    /// changes with it.
+    pub fn with_progress(mut self, cells: u64) -> Self {
+        self.progress = Some(Progress::new(cells));
         self
     }
 
@@ -965,7 +963,7 @@ impl Plan {
     /// session's worker count. This is [`Plan::run_metered`]'s run path
     /// with no registry.
     pub fn run(&self, session: &Session) -> ResultSet {
-        self.execute::<()>(session, None, None).0
+        self.execute(session, None)
     }
 
     /// [`Plan::run`] metered by `reg`: per-cell wall time and the
@@ -975,62 +973,53 @@ impl Plan {
     /// across worker counts and core models. Metering only observes: the
     /// returned set is [`Plan::run`]'s, export bytes included.
     pub fn run_metered(&self, session: &Session, reg: &Registry) -> ResultSet {
-        self.execute::<()>(session, Some(reg), None).0
-    }
-
-    /// Run the whole grid with per-cell tracing, metered by `reg` if
-    /// given. Each cell's [`Trace`] goes to `reduce` with the cell's key
-    /// and result on the worker that ran the cell, which drops the trace
-    /// right after: a trace never outlives its cell, so at most one trace
-    /// per worker is alive. Returns [`Plan::run`]'s [`ResultSet`] and the
-    /// reductions, both in row-major grid order whatever the worker count.
-    ///
-    /// Each cell records its full event stream; tracing observes, never
-    /// perturbs, so the statistics are [`Plan::run`]'s. Every cell is
-    /// simulated, even one the session's memo holds, and none joins the
-    /// memo.
-    pub fn run_traced<R, F>(
-        &self,
-        session: &Session,
-        reg: Option<&Registry>,
-        reduce: F,
-    ) -> (ResultSet, Vec<R>)
-    where
-        R: Send,
-        F: Fn(&JobKey, &RunResult, &Trace) -> R + Sync,
-    {
-        self.execute(session, reg, Some(&reduce))
+        self.execute(session, Some(reg))
     }
 
     /// Run *one* cell of the grid with tracing, returning its result and
-    /// full [`Trace`] — the surgical "why does this cell behave like
-    /// that" probe (the `paper` binary's `--trace` flag uses it). The key
+    /// full [`Trace`] — the library's one traced entry point, behind the
+    /// `paper` binary's `--trace` flag and the trace exhibit. The key
     /// usually comes from [`Plan::jobs`]; any key assembled from the
-    /// plan's axes works. Like [`Plan::run_traced`], it always simulates.
+    /// plan's axes works.
+    ///
+    /// The trace names the workload's members in tid order, has the
+    /// scheme's port count as its contexts and ends at the run's last
+    /// cycle. A fleet cell records one [`vliw_trace::TraceEvent::RoutedTo`]
+    /// per arrival; its lanes run untraced. Tracing observes, never
+    /// perturbs, so the result is [`Plan::run`]'s. The cell is always
+    /// simulated: it neither reads nor fills the session's memo, and it
+    /// ticks no heartbeat.
     pub fn trace_cell(&self, session: &Session, key: &JobKey) -> (RunResult, Trace) {
         let cfg = self.config_for(key);
-        let (result, trace) = self.run_cell(session.cache(), key, &cfg, None, true);
-        (result, trace.expect("traced cells record a trace"))
+        let mut sink = RecordingSink::new();
+        let stats = self.simulate(session.cache(), key, &cfg, None, &mut sink);
+        let threads = key
+            .workload
+            .member_names()
+            .into_iter()
+            .enumerate()
+            .map(|(tid, name)| (tid as u32, name.to_string()))
+            .collect();
+        let trace = Trace {
+            events: sink.into_events(),
+            n_contexts: cfg.n_contexts() as u8,
+            threads,
+            end_cycle: stats.cycles,
+        };
+        (key.result(stats), trace)
     }
 
-    /// The one run path behind every entry point: validate, fan the cells
-    /// out over the session's workers and assemble the set in grid order.
-    /// With `reduce` every cell is simulated and its [`Trace`] reduced on
-    /// its worker; without it, cells the session has already simulated
-    /// are served from its memo, and the cells of this set join the memo.
-    /// With a registry the run is metered; the session's heartbeat, if
-    /// any, ticks either way.
-    fn execute<R: Send>(
-        &self,
-        session: &Session,
-        reg: Option<&Registry>,
-        reduce: Option<Reduce<'_, R>>,
-    ) -> (ResultSet, Vec<R>) {
+    /// The one run path behind [`Plan::run`] and [`Plan::run_metered`]:
+    /// validate, fan the cells out over the session's workers and assemble
+    /// the set in grid order. Cells the session has already simulated are
+    /// served from its memo, and the cells of this set join the memo. With
+    /// a registry the run is metered; the session's heartbeat, if any,
+    /// ticks either way.
+    fn execute(&self, session: &Session, reg: Option<&Registry>) -> ResultSet {
         use crate::metrics::names::{
             CACHE_HITS, CACHE_MISSES, CACHE_REQUESTS, CELLS_MEMOIZED, CELLS_TOTAL, CELL_WALL_NS,
         };
         self.validate();
-        let traced = reduce.is_some();
         let (grid, columns) = self.grid.filled();
         let jobs = grid.keys();
         let n = jobs.len();
@@ -1039,9 +1028,7 @@ impl Plan {
         // Every hit is decided here, under one lock, so which cells are
         // served depends on what the session ran before, never on worker
         // timing.
-        let served: Vec<Option<Served>> = if traced {
-            vec![None; n]
-        } else {
+        let served: Vec<Option<Served>> = {
             let memo = session.memo.lock();
             cells.iter().map(|cell| memo.get(cell).cloned()).collect()
         };
@@ -1050,9 +1037,6 @@ impl Plan {
             reg.counter_add(CELLS_TOTAL, n as u64);
         }
         let progress = session.progress.as_ref();
-        if let Some(progress) = progress {
-            progress.planned(n as u64);
-        }
         // Image-cache economics are harvested as *deltas* over this run:
         // misses = distinct images built (map-size delta), hits = the
         // remaining lookups. Both ingredients are commutative sums, so the
@@ -1060,28 +1044,20 @@ impl Plan {
         let (requests, unique, timing) = (cache.requests(), cache.len() as u64, cache.timing());
         let worker = |&i: &usize| {
             let start = now_ns(reg);
-            let (result, trace) = match &served[i] {
-                Some((set, j)) => (
-                    serve(cache, &jobs[i], &cells[i].cfg.machine, &set[*j]),
-                    None,
-                ),
-                None => self.run_cell(cache, &jobs[i], &cells[i].cfg, reg, traced),
+            let key = &jobs[i];
+            let result = match &served[i] {
+                Some((set, j)) => serve(cache, key, &cells[i].cfg.machine, &set[*j]),
+                None => key.result(self.simulate(cache, key, &cells[i].cfg, reg, &mut NullSink)),
             };
-            let reduced = reduce
-                .zip(trace)
-                .map(|(reduce, trace)| reduce(&jobs[i], &result, &trace));
             observe_since(reg, CELL_WALL_NS, start);
             if let Some(progress) = progress {
                 progress.done(cache.requests(), cache.len() as u64);
             }
-            (result, reduced)
+            result
         };
-        let (results, reduced): (Vec<_>, Vec<_>) =
-            runner::run_jobs((0..n).collect(), worker, session.parallelism())
-                .into_iter()
-                .unzip();
-        let results: Arc<[RunResult]> = results.into();
-        if !traced {
+        let results: Arc<[RunResult]> =
+            runner::run_jobs((0..n).collect(), worker, session.parallelism()).into();
+        {
             let mut memo = session.memo.lock();
             for (i, cell) in cells.into_iter().enumerate() {
                 memo.entry(cell).or_insert_with(|| (results.clone(), i));
@@ -1099,7 +1075,7 @@ impl Plan {
             }
             crate::metrics::harvest(&results, reg);
         }
-        let set = ResultSet {
+        ResultSet {
             labels: grid.labels(),
             grid,
             columns,
@@ -1107,8 +1083,7 @@ impl Plan {
             priority: self.priority,
             seed: self.seed,
             results,
-        };
-        (set, reduced.into_iter().flatten().collect())
+        }
     }
 
     /// Grid-level invariants shared by every run entry point.
@@ -1136,50 +1111,36 @@ impl Plan {
         }
     }
 
-    /// Run one cell — the only cell runner. Timing-class telemetry splits
-    /// its wall time into compile (thread set-up through the image cache)
-    /// and simulate; fleet cells compile per routed lane inside the driver,
-    /// so they count as simulate time throughout. With `traced` the cell
-    /// also returns its [`Trace`].
+    /// Simulate one cell into `sink` — the only cell runner. Timing-class
+    /// telemetry splits its wall time into compile (thread set-up through
+    /// the image cache) and simulate; fleet cells compile per routed lane
+    /// inside `fleet::drive`, so they count as simulate time throughout.
     ///
     /// Fleet cells run single-threaded internally (`parallelism = 1`): the
     /// plan's fan-out is *across* cells, and nesting worker pools would
     /// oversubscribe without changing any output byte.
-    fn run_cell(
+    fn simulate<S: TraceSink>(
         &self,
         cache: &ImageCache,
         key: &JobKey,
         cfg: &SimConfig,
         reg: Option<&Registry>,
-        traced: bool,
-    ) -> (RunResult, Option<Trace>) {
+        sink: &mut S,
+    ) -> RunStats {
         use crate::metrics::names::{CELL_COMPILE_NS, CELL_SIMULATE_NS};
         let mut sim_start = now_ns(reg);
-        let (stats, trace) = match &key.fleet {
-            Some(fleet) if traced => {
-                let (stats, trace) =
-                    crate::fleet::run_fleet_traced(cache, cfg, fleet, &key.workload, 1);
-                (stats, Some(trace))
-            }
-            Some(fleet) => (
-                crate::fleet::run_fleet(cache, cfg, fleet, &key.workload, 1),
-                None,
-            ),
+        let stats = match &key.fleet {
+            Some(fleet) => crate::fleet::drive(cache, cfg, fleet, &key.workload, 1, sink),
             None => {
                 let threads = key.workload.threads(cache, cfg);
                 sim_start = observe_since(reg, CELL_COMPILE_NS, sim_start);
-                let machine = Machine::new(cfg, threads)
-                    .expect("WorkloadRef guarantees at least one member thread");
-                if traced {
-                    let (stats, trace) = machine.run_with_trace();
-                    (stats, Some(trace))
-                } else {
-                    (machine.run(), None)
-                }
+                Machine::new(cfg, threads)
+                    .expect("WorkloadRef guarantees at least one member thread")
+                    .run_traced(sink)
             }
         };
         observe_since(reg, CELL_SIMULATE_NS, sim_start);
-        (key.result(stats), trace)
+        stats
     }
 }
 
@@ -2184,44 +2145,55 @@ mod tests {
         assert!(row.starts_with("ST,idct,real,"));
     }
 
+    /// `trace_cell` builds the whole trace of an open cell and of a fleet
+    /// cell: the members in tid order, the scheme's port count, the run's
+    /// last cycle and the events each kind of cell emits, with statistics
+    /// equal to `run`'s.
     #[test]
-    fn run_traced_hooks_every_cell_in_grid_order() {
-        let plan = Plan::new()
-            .schemes(["ST", "1S"])
-            .workload("idct")
-            .axes([MemoryModel::Real, MemoryModel::Perfect])
+    fn trace_cell_traces_open_and_fleet_cells_like_run() {
+        use vliw_trace::TraceEvent;
+        let open = Plan::new()
+            .scheme("2SC3")
+            .workload("LLHH")
+            .arrival("poisson:0.001".parse().unwrap())
             .scale(100_000);
-        let (set, seen) =
-            plan.run_traced(&Session::with_parallelism(2), None, |key, result, trace| {
-                assert!(!trace.is_empty(), "every cell records events");
-                assert_eq!(trace.end_cycle, result.stats.cycles);
-                // Trace-derived stall decomposition matches the cell's stats.
+        let fleet = open
+            .clone()
+            .fleet("paper-4x4*2@round-robin".parse().unwrap());
+        let session = Session::with_parallelism(2);
+        for plan in [open, fleet] {
+            let set = plan.run(&session);
+            for (key, planned) in set.iter() {
+                let (result, trace) = plan.trace_cell(&session, &key);
+                let label = format!("{:?}", key.fleet);
+                let members: Vec<(u32, String)> = ["mcf", "blowfish", "x264", "idct"]
+                    .iter()
+                    .zip(0..)
+                    .map(|(name, tid)| (tid, name.to_string()))
+                    .collect();
+                assert_eq!(trace.threads, members, "{label}: members in tid order");
+                assert_eq!(trace.n_contexts, key.scheme.scheme().n_ports(), "{label}");
+                assert_eq!(trace.end_cycle, planned.stats.cycles, "{label}");
                 assert_eq!(
-                    vliw_trace::StallBreakdown::from_events(&trace.events),
-                    result.stats.stall_breakdown
+                    format!("{:?}", result.stats),
+                    format!("{:?}", planned.stats),
+                    "{label}: tracing perturbed the run"
                 );
-                (
-                    key.scheme.name().to_string(),
-                    key.memory.label().to_string(),
-                )
-            });
-        // One reduction per cell, row-major (schemes outer, memory inner).
-        assert_eq!(
-            seen,
-            vec![
-                ("ST".into(), "real".into()),
-                ("ST".into(), "perfect".into()),
-                ("1S".into(), "real".into()),
-                ("1S".into(), "perfect".into()),
-            ]
-        );
-        // The returned set is the plain `run` result set.
-        let plain = plan.run(&Session::with_parallelism(1));
-        let cell = Cell::new("1S", "idct").memory(MemoryModel::Perfect);
-        assert_eq!(
-            set.get(&cell).unwrap().stats.cycles,
-            plain.get(&cell).unwrap().stats.cycles
-        );
+                let offered = result.stats.traffic.offered;
+                assert_eq!(offered, 4, "{label}");
+                let count = |kind: fn(&TraceEvent) -> bool| {
+                    trace.events.iter().filter(|e| kind(e)).count() as u64
+                };
+                if key.fleet.is_some() {
+                    let routed = count(|e| matches!(e, TraceEvent::RoutedTo { .. }));
+                    assert_eq!(routed, offered, "one RoutedTo per arrival");
+                    assert_eq!(trace.len() as u64, routed, "the lanes run untraced");
+                } else {
+                    let arrivals = count(|e| matches!(e, TraceEvent::ThreadArrival { .. }));
+                    assert_eq!(arrivals, offered, "one ThreadArrival per offered job");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@ use crate::clock::{Clock, MonotonicClock};
 use std::sync::Mutex;
 
 /// A live stderr heartbeat over the sweep cells of one or more plans:
-/// cells done/total, cells/s, ETA and image-cache hit-rate.
+/// cells done/total, cells/s, ETA and image-cache hit-rate. The total is
+/// the whole run's, known before the first cell starts, so the percentage
+/// and ETA describe the run rather than the plans started so far.
 ///
 /// It writes only to stderr, so piped stdout and every export stay
 /// byte-identical, and it records no metric. Repaints are throttled to
@@ -19,11 +21,11 @@ pub struct Progress {
 /// What the heartbeat has seen so far.
 #[derive(Debug, Default)]
 struct State {
-    /// Cells announced by [`Progress::planned`] (accumulates across plans).
+    /// Cells the whole run will complete.
     total: u64,
     /// Cells completed so far.
     done: u64,
-    /// Clock reading at the first [`Progress::planned`].
+    /// Clock reading when the heartbeat was built.
     started_ns: u64,
     /// Clock reading of the last repaint (throttling).
     last_emit_ns: u64,
@@ -45,37 +47,25 @@ impl State {
     }
 }
 
-impl Default for Progress {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Progress {
-    /// A heartbeat timing against real wall time ([`MonotonicClock`]).
-    pub fn new() -> Self {
-        Self::with_clock(Box::new(MonotonicClock::new()))
+    /// A heartbeat over `total` cells, timing against real wall time
+    /// ([`MonotonicClock`]) from now.
+    pub fn new(total: u64) -> Self {
+        Self::with_clock(total, Box::new(MonotonicClock::new()))
     }
 
-    /// A heartbeat timing against the given clock (tests pass
-    /// [`crate::ManualClock`]).
-    pub fn with_clock(clock: Box<dyn Clock>) -> Self {
+    /// A heartbeat over `total` cells, timing against the given clock
+    /// from its current reading (tests pass [`crate::ManualClock`]).
+    pub fn with_clock(total: u64, clock: Box<dyn Clock>) -> Self {
+        let state = State {
+            total,
+            started_ns: clock.now_ns(),
+            ..State::default()
+        };
         Self {
             clock,
-            state: Mutex::new(State::default()),
+            state: Mutex::new(state),
         }
-    }
-
-    /// Announce `cells` more sweep cells about to run. Grids accumulate
-    /// across plans, so a multi-exhibit invocation reports one combined
-    /// grid.
-    pub fn planned(&self, cells: u64) {
-        let now = self.clock.now_ns();
-        let mut p = self.lock();
-        if p.total == 0 {
-            p.started_ns = now;
-        }
-        p.total += cells;
     }
 
     /// One sweep cell finished; repaint stderr unless the last repaint
@@ -101,12 +91,10 @@ impl Progress {
         }
     }
 
-    /// The line [`Progress::done`] would paint now, or `None` before any
-    /// cell was announced.
-    pub fn line(&self) -> Option<String> {
+    /// The line [`Progress::done`] would paint now.
+    pub fn line(&self) -> String {
         let now = self.clock.now_ns();
-        let p = self.lock();
-        (p.total > 0).then(|| p.line(now))
+        self.lock().line(now)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
@@ -181,19 +169,17 @@ mod tests {
     fn manual_clock_drives_the_heartbeat() {
         let clock = ManualClock::new(0);
         clock.advance(5);
-        let p = Progress::with_clock(Box::new(clock));
-        assert_eq!(p.line(), None, "no grid announced yet");
-        p.planned(4);
-        p.done(6, 3);
-        // Clock frozen at 5 ns since `planned` → elapsed 0, rate 0.
+        let p = Progress::with_clock(4, Box::new(clock));
         assert_eq!(
-            p.line().as_deref(),
-            Some("cells 1/4 (25.0%) | 0.00 cells/s | eta - | cache hit-rate 50.0%")
+            p.line(),
+            "cells 0/4 (0.0%) | 0.00 cells/s | eta - | cache hit-rate -",
+            "the total is known before the first cell"
         );
-        p.planned(2);
-        assert!(
-            p.line().unwrap().starts_with("cells 1/6 "),
-            "grids accumulate across plans"
+        p.done(6, 3);
+        // Clock frozen at 5 ns since construction → elapsed 0, rate 0.
+        assert_eq!(
+            p.line(),
+            "cells 1/4 (25.0%) | 0.00 cells/s | eta - | cache hit-rate 50.0%"
         );
     }
 }

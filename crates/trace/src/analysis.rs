@@ -212,7 +212,6 @@ mod tests {
             n_contexts,
             threads: vec![(0, "mcf".into()), (1, "idct".into())],
             end_cycle: end,
-            dropped: 0,
         }
     }
 

@@ -191,8 +191,8 @@ fn export_chrome(trace: &Trace) -> String {
     }
     let _ = write!(
         s,
-        "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"end_cycle\":{},\"dropped_events\":{}}}}}",
-        trace.end_cycle, trace.dropped
+        "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"end_cycle\":{}}}}}",
+        trace.end_cycle
     );
     s
 }
@@ -266,8 +266,8 @@ fn export_jsonl(trace: &Trace) -> String {
     let mut s = String::with_capacity(64 + 80 * trace.events.len());
     let _ = write!(
         s,
-        "{{\"event\":\"trace-meta\",\"n_contexts\":{},\"end_cycle\":{},\"dropped\":{},\"threads\":[",
-        trace.n_contexts, trace.end_cycle, trace.dropped
+        "{{\"event\":\"trace-meta\",\"n_contexts\":{},\"end_cycle\":{},\"threads\":[",
+        trace.n_contexts, trace.end_cycle
     );
     for (i, (tid, name)) in trace.threads.iter().enumerate() {
         if i > 0 {
@@ -403,7 +403,6 @@ mod tests {
             n_contexts: 2,
             threads: vec![(0, "mcf".into())],
             end_cycle: 100,
-            dropped: 0,
         }
     }
 

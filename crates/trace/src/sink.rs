@@ -164,8 +164,6 @@ pub struct Trace {
     pub threads: Vec<(u32, String)>,
     /// Final cycle of the run (open occupancy segments close here).
     pub end_cycle: u64,
-    /// Events dropped by a bounded sink (`0` for a full recording).
-    pub dropped: u64,
 }
 
 impl Trace {

@@ -226,19 +226,23 @@ fn fleet_grid_matches_the_oracle() {
 #[test]
 fn trace_event_streams_are_bit_identical() {
     let collect = |model: CoreModel| {
-        Plan::new()
+        let plan = Plan::new()
             .schemes(["ST", "1S", "2SC3"])
             .workload("LLHH")
             .scale(50_000)
-            .core_model(model)
-            .run_traced(&Session::with_parallelism(1), None, |key, result, trace| {
+            .core_model(model);
+        let session = Session::with_parallelism(1);
+        plan.jobs()
+            .iter()
+            .map(|key| {
+                let (result, trace) = plan.trace_cell(&session, key);
                 (
                     key.scheme.name().to_string(),
-                    trace.events.clone(),
+                    trace.events,
                     result.stats.cycles,
                 )
             })
-            .1
+            .collect::<Vec<_>>()
     };
     let oracle = collect(CoreModel::CycleAccurate);
     let fast = collect(CoreModel::EventDriven);

@@ -9,11 +9,12 @@
 //! * `explicit` — every optional axis named, as `paper --scheduler icount
 //!   --machine 2x8 --arrivals poisson:0.02 --fleet paper-4x4*2` does;
 //! * `metered` — every sweep metered through one live `Registry`, as in
-//!   `paper --metrics`: `Plan::run_metered`, and `Plan::run_traced` for
-//!   the trace sweep. Metering changes no export byte, so its sets equal
-//!   the `default` ones. It also pins the registry's deterministic
-//!   Prometheus and JSON reports and the whole schema: the `# HELP` and
-//!   `# TYPE` lines of every metric, timing metrics included.
+//!   `paper --metrics`: `Plan::run_metered` for every sweep, the trace
+//!   sweep too, whose extra `Plan::trace_cell` runs are not metered.
+//!   Metering changes no export byte, so its sets equal the `default`
+//!   ones. It also pins the registry's deterministic Prometheus and JSON
+//!   reports and the whole schema: the `# HELP` and `# TYPE` lines of
+//!   every metric, timing metrics included.
 //!
 //! Each shape pins every set's `to_json` and `to_csv` bytes and the
 //! combined CSV `paper --csv` writes (`Sweeps::to_csv`).
@@ -218,6 +219,10 @@ fn priority_and_wide_scheme_state_matches_golden_digests() {
 /// cut out. The two metered report digests were then re-recorded once,
 /// when the trace sweep's two cells joined the metered count; the
 /// `paper_cli` metered test checks that the count equals the heartbeat's.
+/// They moved once more when the trace sweep began to run like every
+/// other sweep: its two cells are fig6's 3SSS and 3CCC cells on LLHH at
+/// this scale, so the memo serves them and `vliw_cells_memoized_total`
+/// reads 74 instead of 72, with every other line unchanged.
 const GOLDEN: &[(&str, u64)] = &[
     ("default/table1.json", 0xefc3b82f5a1722d4),
     ("default/table1.csv", 0x358f44207d3cf992),
@@ -282,8 +287,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("metered/fleet.json", 0xaeb9538276fc3bfa),
     ("metered/fleet.csv", 0xa7c0fdc485b59295),
     ("metered/combined.csv", 0x823fedcd38e5288d),
-    ("metered/metrics.prom", 0xcb55465e73e27fd2),
-    ("metered/metrics.json", 0x73f11bf3400a6e5a),
+    ("metered/metrics.prom", 0x21f3e9f5de9f75e0),
+    ("metered/metrics.json", 0x490822f49478aeec),
     ("metered/schema.prom", 0xbbac54117088c57f),
     ("state/fig10-fixed", 0xe6c2e85fa40ca849),
     ("state/fig10-lri", 0xcf2e469458089a59),

@@ -595,15 +595,19 @@ fn stall_breakdown_conserves_thread_stalls_across_worker_counts() {
 /// stall breakdown still reproduces the aggregate decomposition.
 #[test]
 fn conservation_holds_when_idle_cycles_are_skipped() {
-    use vliw_tms::sim::CoreModel;
+    use vliw_tms::sim::{runner, CoreModel};
     use vliw_tms::trace::StallBreakdown;
     for model in [CoreModel::EventDriven, CoreModel::CycleAccurate] {
-        Plan::new()
+        let plan = Plan::new()
             .schemes(["ST", "1S", "3SSS"])
             .workloads(["idct", "LLHH"])
             .scale(50_000)
-            .core_model(model)
-            .run_traced(&Session::with_parallelism(2), None, |key, result, trace| {
+            .core_model(model);
+        let session = Session::with_parallelism(2);
+        runner::run_jobs(
+            plan.jobs(),
+            |key| {
+                let (result, trace) = plan.trace_cell(&session, key);
                 let s = &result.stats;
                 let label = format!("{model}: {}/{}", key.scheme.name(), key.workload.name());
                 let width = u64::from(s.issue_width);
@@ -641,16 +645,19 @@ fn conservation_holds_when_idle_cycles_are_skipped() {
                         .sum::<u64>(),
                     "{label}: breakdown sums to per-thread stalls"
                 );
-            });
+            },
+            2,
+        );
     }
 }
 
-/// The plan-level trace hook: every cell's full event stream reproduces
-/// the cell's aggregate stall decomposition exactly (the tracer's
-/// conservation invariant), under 1, 2 and 4 workers, and trace exports
-/// are byte-identical across worker counts.
+/// Traced cells: every cell's full event stream reproduces the cell's
+/// aggregate stall decomposition exactly (the tracer's conservation
+/// invariant) when the cells are traced on 1, 2 and 4 workers sharing one
+/// session, and trace exports are byte-identical across worker counts.
 #[test]
 fn traced_cells_conserve_and_export_byte_identically() {
+    use vliw_tms::sim::runner;
     use vliw_tms::trace::{StallBreakdown, TraceFormat};
     let plan = Plan::new()
         .schemes(["1S", "2SC3"])
@@ -658,10 +665,11 @@ fn traced_cells_conserve_and_export_byte_identically() {
         .scale(50_000);
     let mut exports: Vec<Vec<String>> = Vec::new();
     for par in [1usize, 2, 4] {
-        let (_, cells) = plan.run_traced(
-            &Session::with_parallelism(par),
-            None,
-            |key, result, trace| {
+        let session = Session::with_parallelism(par);
+        let cells = runner::run_jobs(
+            plan.jobs(),
+            |key| {
+                let (result, trace) = plan.trace_cell(&session, key);
                 assert_eq!(
                     StallBreakdown::from_events(&trace.events),
                     result.stats.stall_breakdown,
@@ -670,8 +678,10 @@ fn traced_cells_conserve_and_export_byte_identically() {
                     key.workload.name()
                 );
                 assert_eq!(trace.end_cycle, result.stats.cycles);
-                [TraceFormat::Chrome, TraceFormat::Jsonl, TraceFormat::Csv].map(|f| f.export(trace))
+                [TraceFormat::Chrome, TraceFormat::Jsonl, TraceFormat::Csv]
+                    .map(|f| f.export(&trace))
             },
+            par,
         );
         exports.push(cells.concat());
     }
@@ -990,9 +1000,10 @@ fn memo_never_serves_one_core_model_for_another() {
     }
 }
 
-/// Traced runs bypass the memo: on a warmed session `run_traced` and
-/// `trace_cell` still simulate every cell and hand back its events, and a
-/// traced run leaves nothing in the memo for a later run to serve.
+/// Traced cells bypass the memo: on a warmed session `trace_cell` still
+/// simulates every cell, hands back its events and the statistics `run`
+/// gave, and tracing every cell leaves nothing in the memo for a later
+/// run to serve.
 #[test]
 fn traced_runs_neither_read_nor_fill_the_memo() {
     let plan = Plan::new()
@@ -1001,17 +1012,19 @@ fn traced_runs_neither_read_nor_fill_the_memo() {
         .scale(100_000);
     let session = Session::with_parallelism(2);
     let set = plan.run(&session);
-    let (traced, events) = plan.run_traced(&session, None, |_, _, trace| trace.events.len());
-    assert_eq!(events.len(), set.len());
-    assert!(events.iter().all(|&n| n > 0), "every cell was simulated");
-    assert_eq!(stats_dump(&traced), stats_dump(&set));
-    for key in plan.jobs() {
-        let (_, trace) = plan.trace_cell(&session, &key);
-        assert!(!trace.events.is_empty());
+    for (key, planned) in set.iter() {
+        let (result, trace) = plan.trace_cell(&session, &key);
+        assert!(!trace.events.is_empty(), "the cell was simulated");
+        assert_eq!(
+            format!("{:?}", result.stats),
+            format!("{:?}", planned.stats)
+        );
     }
 
     let session = Session::with_parallelism(2);
-    plan.run_traced(&session, None, |_, _, _| {});
+    for key in plan.jobs() {
+        plan.trace_cell(&session, &key);
+    }
     let (_, served) = run_counting_memo(&plan, &session);
     assert_eq!(served, 0);
 }
